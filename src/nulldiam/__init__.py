@@ -47,7 +47,6 @@ from .linalg import (
     rank_exact,
     rank_mod_p,
     shifted_adjacency,
-    verified_rank,
     zero_root_multiplicity,
 )
 from .lemmas import (

@@ -52,7 +52,8 @@ def _open_out(path: str | None):
 
 def _invariant_record(rows: tuple[int, ...]) -> dict:
     g = Graph(rows)
-    connected = g.is_connected()
+    # the empty graph has no diameter, so it is reported as disconnected
+    connected = g.n > 0 and g.is_connected()
     rank = rank_exact(adjacency_matrix(g))
     return {
         "graph6": to_graph6(g),
@@ -152,9 +153,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             had_errors = True
             slots.append((False, {"line": record.line_no, "error": record.error}))
             continue
-        if not record.graph.is_connected():
+        if record.graph.n == 0 or not record.graph.is_connected():
             had_errors = True
-            slots.append((False, {"line": record.line_no, "error": "graph is disconnected"}))
+            reason = "graph is empty" if record.graph.n == 0 else "graph is disconnected"
+            slots.append((False, {"line": record.line_no, "error": reason}))
             continue
         slots.append((True, len(graphs)))
         graphs.append((record.graph.rows, args.path_limit))

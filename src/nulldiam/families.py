@@ -128,7 +128,7 @@ def generate_family(params: FamilyParams) -> Graph | FamilyRejection:
     d = diameter(g)
     if d != params.diameter:
         return FamilyRejection(params, "diameter", f"diameter {d} != {params.diameter}")
-    if not is_diameter_path(g, path):
+    if not is_diameter_path(g, path, d):
         return FamilyRejection(params, "diameter-path", "built path is no longer a diameter path")
     eta = nullity(g)
     if eta != g.n - d - 1:
@@ -153,9 +153,9 @@ def enumerate_family(d: int, n_max: int) -> list[Graph]:
     max_singles = max(0, n_max - d - 2)
     for b in range((d - 2) // 2 + 1):
         for mask in range(1 << len(spots)):
-            singles = frozenset(spots[i] for i in range(len(spots)) if mask >> i & 1)
-            if len(singles) > max_singles:
+            if mask.bit_count() > max_singles:
                 continue
+            singles = frozenset(spots[i] for i in range(len(spots)) if mask >> i & 1)
             built = generate_family(FamilyParams(d, b, singles))
             if isinstance(built, FamilyRejection):
                 continue
@@ -218,14 +218,14 @@ def is_extremal(g: Graph) -> bool:
     return nullity(g) == g.n - diameter(g) - 1
 
 
-def _claims_on_path(g: Graph, path: DiameterPath) -> FamilyParams | str:
-    """Check the family shape against one diameter path.
+def _claims_on_path(g: Graph, path: DiameterPath, d: int) -> FamilyParams | str:
+    """Check the family shape against one diameter path of ``g``, whose
+    diameter ``d`` the caller has already computed.
 
     Returns the recovered parameters on success, or a string naming the
     first failed structural condition.
     """
-    d = path.length
-    cls = classify_outside(g, path)
+    cls = classify_outside(g, path, d)
     if cls.remote:
         x = min(cls.remote)
         return f"vertex {x} at distance {cls.remote[x]} from the path"
@@ -295,7 +295,7 @@ def recognize(g: Graph, path_limit: int = DEFAULT_PATH_LIMIT) -> RecognitionResu
     paths = diameter_paths(g, limit=path_limit)
     failures: list[dict] = []
     for path in paths:
-        outcome = _claims_on_path(g, path)
+        outcome = _claims_on_path(g, path, d)
         if isinstance(outcome, FamilyParams):
             variant = "G3" if outcome.triple_index + 1 in outcome.single_indices else "G2"
             return RecognitionResult(

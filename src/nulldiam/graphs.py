@@ -300,7 +300,12 @@ class DiameterPath:
         return len(self.vertices) - 1
 
 
-def is_diameter_path(g: Graph, path: DiameterPath) -> bool:
+def is_diameter_path(g: Graph, path: DiameterPath, d: int | None = None) -> bool:
+    """Whether ``path`` is an induced path of ``g`` as long as its diameter.
+
+    ``d`` is the diameter of ``g`` when the caller already holds it;
+    otherwise it is computed.
+    """
     vs = path.vertices
     if len(set(vs)) != len(vs) or not vs:
         return False
@@ -311,7 +316,7 @@ def is_diameter_path(g: Graph, path: DiameterPath) -> bool:
             adjacent = g.has_edge(vs[i], vs[j])
             if adjacent != (j == i + 1):
                 return False
-    return diameter(g) == path.length
+    return (diameter(g) if d is None else d) == path.length
 
 
 def diameter_paths(g: Graph, limit: int = DEFAULT_PATH_LIMIT) -> list[DiameterPath]:
@@ -442,8 +447,13 @@ class OutsideClassification:
         return out
 
 
-def classify_outside(g: Graph, path: DiameterPath) -> OutsideClassification:
-    if not is_diameter_path(g, path):
+def classify_outside(
+    g: Graph, path: DiameterPath, d: int | None = None
+) -> OutsideClassification:
+    """Classify the vertices off ``path``, which must be a diameter path of
+    ``g`` (``ValueError`` otherwise); ``d`` is passed on to
+    :func:`is_diameter_path`."""
+    if not is_diameter_path(g, path, d):
         raise ValueError("not a diameter path of this graph")
     position = {v: i for i, v in enumerate(path.vertices)}
     path_mask = 0

@@ -1,17 +1,19 @@
 """Exact integer linear algebra for adjacency spectra.
 
-Everything here runs on arbitrary-precision integers (rationals for the
-polynomial gcd); there is no floating point, so rank, nullity and
-eigenvalue multiplicities are tolerance-free.  Two independent channels
-are kept on purpose: fraction-free Gaussian elimination for ranks, and the
-Faddeev-LeVerrier characteristic polynomial for cross checks, so a bug in
-one cannot silently confirm itself through the other.
+Everything here runs on Python's arbitrary-precision integers; there are
+no rationals and no floating point, so rank, nullity and eigenvalue
+multiplicities are tolerance-free.  Two independent channels are kept on
+purpose: fraction-free Gaussian elimination for ranks, and Berkowitz's
+division-free characteristic polynomial for cross checks, so a bug in one
+cannot silently confirm itself through the other.  The number of distinct
+eigenvalues comes from the characteristic polynomial by a primitive
+pseudo-remainder gcd with its derivative, again over the integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .graphs import Graph
@@ -145,20 +147,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def verified_rank(m: IntMatrix, primes: Sequence[int] = (65521, 32003, 1000003)) -> tuple[int, int]:
-    """Rank with a modular witness: (rank, prime that confirmed it).
-
-    Tries the given primes in order until one reproduces the exact rank;
-    with unit-sized entries a full miss indicates an elimination bug, so
-    it fails loudly instead of returning.
-    """
-    r = rank_exact(m)
-    for p in primes:
-        if rank_mod_p(m, p) == r:
-            return r, p
-    raise ArithmeticError(f"no prime in {tuple(primes)} confirmed rank {r}")
-
-
 def nullity(g: Graph) -> int:
     """Multiplicity of eigenvalue 0, computed as n - rank(A)."""
     return g.n - rank_exact(adjacency_matrix(g))
@@ -170,35 +158,32 @@ def integer_eigenvalue_multiplicity(g: Graph, mu: int) -> int:
 
 
 def char_poly(m: IntMatrix) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - m) via Faddeev-LeVerrier.
+    """Exact characteristic polynomial det(xI - m) by Berkowitz's
+    division-free algorithm (Berkowitz 1984).
 
-    Uses only matrix products and traces (no elimination), which keeps it
-    independent of ``rank_exact``.  The trace divisions are exact for
-    integer input; a nonzero remainder would be a hard bug and raises.
+    The polynomial of each leading principal block is built from the one
+    before it: bordering the k x k block B by row r, column c and corner
+    a multiplies it by the lower-triangular Toeplitz matrix with first
+    column 1, -a, -r c, -r B c, ..., -r B^(k-1) c.  Only ring operations
+    are used (no division, no elimination), which keeps it independent of
+    ``rank_exact``; the products run over the nonzero entries of each row.
     """
-    n = m.order
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    a = [list(row) for row in m.entries]
-    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        prod = _matmul(a, work)
-        trace = sum(prod[i][i] for i in range(n))
-        q, r = divmod(-trace, k)
-        if r:
-            raise ArithmeticError("inexact trace division in Faddeev-LeVerrier")
-        coeffs[n - k] = q
-        if k < n:
-            work = prod
-            for i in range(n):
-                work[i][i] += q
-    return IntPolynomial(tuple(coeffs))
-
-
-def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    a = m.entries
+    coeffs = [1]  # descending, for the leading k x k block
+    for k in range(m.order):
+        block = [[(j, x) for j, x in enumerate(a[i][:k]) if x] for i in range(k)]
+        row = [(j, x) for j, x in enumerate(a[k][:k]) if x]
+        col = [a[i][k] for i in range(k)]
+        toeplitz = [1, -a[k][k]]
+        for step in range(k):
+            toeplitz.append(-sum(x * col[j] for j, x in row))
+            if step < k - 1:
+                col = [sum(x * col[j] for j, x in r) for r in block]
+        coeffs = [
+            sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return IntPolynomial(tuple(reversed(coeffs)))
 
 
 def zero_root_multiplicity(p: IntPolynomial) -> int:
@@ -212,38 +197,46 @@ def zero_root_multiplicity(p: IntPolynomial) -> int:
 def distinct_eigenvalue_count(g: Graph) -> int:
     """Number of distinct eigenvalues: degree of the square-free part of
     the characteristic polynomial, deg p - deg gcd(p, p')."""
-    p = [Fraction(c) for c in char_poly(adjacency_matrix(g)).coefficients]
+    p = list(char_poly(adjacency_matrix(g)).coefficients)
     dp = [i * c for i, c in enumerate(p)][1:]
-    return (len(p) - 1) - _poly_degree(_poly_gcd(p, dp))
+    return (len(p) - 1) - _gcd_degree(p, dp)
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) over the rationals, for integer polynomials with
+    ascending coefficients, ``a`` nonzero and ``b`` zero (empty) or of
+    lower degree.
 
-
-def _poly_degree(p: list[Fraction]) -> int:
-    return len(p) - 1 if p else -1
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    db, lead = _poly_degree(b), b[-1]
-    while _poly_degree(a) >= db:
-        f = a[-1] / lead
-        shift = _poly_degree(a) - db
-        for i, c in enumerate(b):
-            a[i + shift] -= f * c
-        _poly_trim(a)
-    return a
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
+    Primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): each
+    pseudo-remainder is divided by its content, so the coefficients stay
+    integral and small and the gcd's degree is unchanged.
+    """
     while b:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, _primitive_part(_pseudo_remainder(a, b))
+    return len(a) - 1
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of a mod b, trimmed (empty when zero)."""
+    a = a[:]
+    db, lead_b = len(b) - 1, b[-1]
+    while len(a) - 1 >= db:
+        lead_a = a[-1]
+        common = math.gcd(lead_a, lead_b)
+        scale, f = lead_b // common, lead_a // common
+        if scale != 1:
+            a = [scale * c for c in a]
+        shift = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        while a and not a[-1]:
+            a.pop()
     return a
+
+
+def _primitive_part(p: list[int]) -> list[int]:
+    content = math.gcd(*p)
+    return [c // content for c in p] if content > 1 else p
 
 
 def path_nullity(m: int) -> int:

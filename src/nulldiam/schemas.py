@@ -2,6 +2,11 @@
 
 The CLI's JSON lines and the sweep report validate against these; text
 output is for humans and carries no compatibility promise.
+
+The empty graph (graph6 ``?``, n = 0) is valid input.  ``invariants``
+answers it with ``connected`` false, ``d`` null and ``rank``, ``nullity``
+and ``e`` all 0.  ``check`` rejects it as an input error (exit 2), since a
+recognition result needs n >= 1, and so does ``reduce``.
 """
 
 from __future__ import annotations
@@ -22,8 +27,15 @@ INVARIANT_RECORD = {
     "properties": {
         "graph6": {"type": "string"},
         "n": {"type": "integer", "minimum": 0},
-        "connected": {"type": "boolean"},
-        "d": {"type": ["integer", "null"], "minimum": 0},
+        "connected": {
+            "type": "boolean",
+            "description": "false for the empty graph (n = 0) as well",
+        },
+        "d": {
+            "type": ["integer", "null"],
+            "minimum": 0,
+            "description": "null when the graph is disconnected or empty (n = 0)",
+        },
         "rank": {"type": "integer", "minimum": 0},
         "nullity": {"type": "integer", "minimum": 0},
         "e": {"type": "integer", "minimum": 0},
@@ -41,7 +53,11 @@ RECOGNITION_RESULT = {
         "verdict": {
             "enum": ["NotExtremal", "OddExtremal", "EvenExtremal", "Mismatch", "Inconclusive"]
         },
-        "n": {"type": "integer", "minimum": 1},
+        "n": {
+            "type": "integer",
+            "minimum": 1,
+            "description": "check answers n = 0 with an input error line instead",
+        },
         "d": {"type": "integer", "minimum": 0},
         "nullity": {"type": "integer", "minimum": 0},
         "params": _PARAMS,

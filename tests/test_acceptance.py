@@ -17,7 +17,6 @@ from nulldiam import (
     adjacency_matrix,
     canonical_form,
     char_poly,
-    connected_graphs,
     cycle_graph,
     cycle_nullity,
     enumerate_family,
@@ -54,11 +53,6 @@ from helpers import (
 )
 
 CONNECTED_CLASS_COUNTS = (1, 1, 2, 6, 21, 112, 853)
-
-
-@pytest.fixture(scope="module")
-def census8():
-    return {n: list(connected_graphs(n)) for n in range(1, 9)}
 
 
 def _finish(num: int, description: str, started: float, budget: float | None) -> None:

@@ -69,6 +69,23 @@ class TestInvariants:
         assert rec["connected"] is False and rec["d"] is None
         jsonschema.validate(rec, schemas.INVARIANT_RECORD)
 
+    def test_empty_graph(self, capsys, g6_file):
+        code, out, err = run(capsys, "invariants", "--input", g6_file("?", "A_"))
+        assert code == 0 and "Traceback" not in err
+        rec, k2 = (json.loads(line) for line in out.splitlines())
+        assert rec == {
+            "graph6": "?",
+            "n": 0,
+            "connected": False,
+            "d": None,
+            "rank": 0,
+            "nullity": 0,
+            "e": 0,
+            "reduced": True,
+        }
+        assert k2["graph6"] == "A_"
+        jsonschema.validate(rec, schemas.INVARIANT_RECORD)
+
     def test_jobs_preserve_order(self, capsys, g6_file, census7):
         lines = [to_graph6(g) for g in census7[5]]
         _, serial, _ = run(capsys, "invariants", "--input", g6_file(*lines))
@@ -92,6 +109,11 @@ class TestReduce:
     def test_disconnected_is_input_error(self, capsys, g6_file):
         code, out, _ = run(capsys, "reduce", "--input", g6_file("B?"))
         assert code == 2
+        assert "error" in json.loads(out)
+
+    def test_empty_graph_is_input_error(self, capsys, g6_file):
+        code, out, err = run(capsys, "reduce", "--input", g6_file("?"))
+        assert code == 2 and "Traceback" not in err
         assert "error" in json.loads(out)
 
 
@@ -123,6 +145,14 @@ class TestCheck:
     def test_disconnected_is_input_error(self, capsys, g6_file):
         code, out, _ = run(capsys, "check", "--input", g6_file("B?"))
         assert code == 2
+
+    def test_empty_graph_is_input_error(self, capsys, g6_file):
+        code, out, err = run(capsys, "check", "--input", g6_file("?", "A_"))
+        assert code == 2 and "Traceback" not in err
+        first, k2 = (json.loads(line) for line in out.splitlines())
+        assert first == {"line": 1, "error": "graph is empty"}
+        assert k2["verdict"] == "OddExtremal"
+        jsonschema.validate(k2, schemas.RECOGNITION_RESULT)
 
 
 class TestGen:

@@ -271,6 +271,17 @@ class TestOutsideClassification:
         with pytest.raises(ValueError, match="diameter path"):
             classify_outside(path_graph(5), DiameterPath((0, 1, 2)))
 
+    def test_known_diameter_gives_the_same_classification(self, census7):
+        for n in range(2, 8):
+            for g in census7[n][::7]:
+                d = diameter(g)
+                for p in diameter_paths(g, limit=8):
+                    assert classify_outside(g, p, d) == classify_outside(g, p)
+        with pytest.raises(ValueError, match="diameter path"):
+            classify_outside(path_graph(5), DiameterPath((0, 1, 2)), 4)
+        with pytest.raises(ValueError, match="diameter path"):
+            classify_outside(path_graph(5), DiameterPath((0, 2, 1)), 2)
+
     def test_anchor_window_is_at_most_three_consecutive(self, census7):
         # a wider anchor spread would shortcut the path
         for n in range(2, 8):

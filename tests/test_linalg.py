@@ -13,6 +13,8 @@ from nulldiam import (
     cycle_nullity,
     diameter,
     distinct_eigenvalue_count,
+    enumerate_family,
+    Graph,
     integer_eigenvalue_multiplicity,
     nullity,
     path_graph,
@@ -21,7 +23,6 @@ from nulldiam import (
     rank_mod_p,
     shifted_adjacency,
     star_graph,
-    verified_rank,
     zero_root_multiplicity,
 )
 
@@ -37,6 +38,19 @@ def symmetric_matrices(draw, max_n=6, lo=-3, hi=3):
         for j in range(i, n):
             entries[i][j] = entries[j][i] = draw(vals)
     return IntMatrix.from_rows(entries)
+
+
+def hypercube(k: int) -> Graph:
+    n = 1 << k
+    return Graph.from_edges(n, [(v, v | 1 << b) for v in range(n) for b in range(k) if not v >> b & 1])
+
+
+def twin_blow_up(g: Graph, copies: int) -> Graph:
+    """``g`` with ``copies`` extra twins of each of its first two vertices."""
+    for v in (0, 1)[: g.n]:
+        for _ in range(copies):
+            g = g.with_vertex(g.rows[v])
+    return g
 
 
 class TestIntMatrix:
@@ -86,16 +100,10 @@ class TestRank:
         m = IntMatrix.from_rows([[7, 0], [0, 7]])
         assert rank_mod_p(m, 7) == 0 < rank_exact(m)
 
-    def test_verified_rank(self, census7):
+    def test_mod_p_matches_exact_on_census(self, census7):
         for g in census7[5]:
-            rank, prime = verified_rank(adjacency_matrix(g))
-            assert rank == fraction_rank(adjacency_matrix(g).entries)
-            assert prime == 65521
-
-    def test_verified_rank_fails_loudly(self):
-        m = IntMatrix.from_rows([[3, 0], [0, 5]])
-        with pytest.raises(ArithmeticError):
-            verified_rank(m, primes=(3, 5))
+            m = adjacency_matrix(g)
+            assert rank_mod_p(m, 65521) == rank_exact(m) == fraction_rank(m.entries)
 
 
 class TestNullity:
@@ -163,6 +171,18 @@ class TestDistinctEigenvalues:
             for g in census7[n]:
                 assert distinct_eigenvalue_count(g) >= diameter(g) + 1
 
+    def test_empty_and_single_vertex(self):
+        assert char_poly(adjacency_matrix(Graph(()))).coefficients == (1,)
+        assert distinct_eigenvalue_count(Graph(())) == 0
+        assert distinct_eigenvalue_count(Graph((0,))) == 1
+
+    def test_repeated_eigenvalues(self):
+        # C_m: 2cos(2 pi k / m) takes floor(m/2) + 1 values; K_{a,b}: 0, +-sqrt(ab)
+        for m in range(3, 20):
+            assert distinct_eigenvalue_count(cycle_graph(m)) == m // 2 + 1
+        assert distinct_eigenvalue_count(complete_bipartite(3, 5)) == 3
+        assert distinct_eigenvalue_count(hypercube(6)) == 7
+
 
 class TestClosedForms:
     def test_path_examples(self):
@@ -194,3 +214,71 @@ def test_interlacing_small_corpus(census7):
                 m_full = integer_eigenvalue_multiplicity(g, mu)
                 for v in range(g.n):
                     assert abs(m_full - integer_eigenvalue_multiplicity(g.without(v), mu)) <= 1
+
+
+@pytest.fixture(scope="module")
+def spectral_cases() -> dict[str, Graph]:
+    """Graphs up to 64 vertices by label.  All but the plain family members
+    have a repeated eigenvalue, so gcd(p, p') is nontrivial: cycles,
+    complete bipartite graphs, the cube Q_6, and twin blow-ups of
+    even-diameter family members."""
+    cases = {f"C{m}": cycle_graph(m) for m in (3, 8, 17, 32, 64)}
+    cases |= {f"K{a},{b}": complete_bipartite(a, b) for a, b in ((1, 7), (5, 5), (16, 48))}
+    cases["Q6"] = hypercube(6)
+    for d in (10, 20, 30):
+        members = enumerate_family(d, d + 3)
+        for i in (0, len(members) - 1):
+            g = members[i]
+            cases[f"family d={d} #{i}"] = g
+            cases[f"blow-up d={d} #{i}"] = twin_blow_up(g, 1)
+        cases[f"big blow-up d={d}"] = twin_blow_up(g, (64 - g.n) // 2)
+    assert max(g.n for g in cases.values()) == 64
+    return cases
+
+
+@pytest.fixture(scope="module")
+def sympy_char_poly():
+    """det(xI - m) as ascending int coefficients, by sympy's DomainMatrix."""
+    pytest.importorskip("sympy")
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    def char_poly_of(rows) -> tuple[int, ...]:
+        n = len(rows)
+        return tuple(int(c) for c in reversed(DomainMatrix(rows, (n, n), ZZ).charpoly()))
+
+    return char_poly_of
+
+
+@pytest.fixture(scope="module")
+def sympy_square_free_degree():
+    """Degree of the square-free part of an ascending coefficient list."""
+    pytest.importorskip("sympy")
+    from sympy import Poly, symbols
+
+    x = symbols("x")
+    return lambda coeffs: Poly(list(reversed(coeffs)), x).sqf_part().degree()
+
+
+class TestSympyOracle:
+    def test_char_poly_matches_domain_matrix(self, spectral_cases, sympy_char_poly):
+        for label, g in spectral_cases.items():
+            m = adjacency_matrix(g)
+            assert char_poly(m).coefficients == sympy_char_poly([list(r) for r in m.entries]), label
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_char_poly_on_general_integer_matrices(self, sympy_char_poly, data):
+        n = data.draw(st.integers(min_value=1, max_value=10))
+        row = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+        assert char_poly(IntMatrix.from_rows(rows)).coefficients == sympy_char_poly(rows)
+
+    def test_distinct_eigenvalues_match_square_free_part(
+        self, spectral_cases, sympy_square_free_degree
+    ):
+        for label, g in spectral_cases.items():
+            e = distinct_eigenvalue_count(g)
+            coeffs = char_poly(adjacency_matrix(g)).coefficients
+            assert e == sympy_square_free_degree(coeffs), label
+            assert label.startswith("family") or e < g.n, label
