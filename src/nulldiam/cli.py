@@ -14,12 +14,19 @@ import logging
 import os
 import sys
 from contextlib import nullcontext
-from multiprocessing import get_context
+from functools import partial
+from itertools import islice
 from typing import Iterator
 
-from .enumeration import ParsedRecord, ingest_graph6_stream, verify_theorem
+from .enumeration import (
+    MAX_CENSUS_ORDER,
+    ParsedRecord,
+    ingest_graph6_stream,
+    ordered_map,
+    verify_theorem,
+)
 from .families import Verdict, enumerate_family, recognize
-from .graphs import DisconnectedGraphError, Graph, diameter, is_reduced, reduce, to_graph6
+from .graphs import DisconnectedGraphError, diameter, is_reduced, reduce, to_graph6
 from .lemmas import ALL_SUITES
 from .linalg import adjacency_matrix, distinct_eigenvalue_count, rank_exact
 
@@ -36,11 +43,11 @@ def _dump(obj: dict) -> str:
 
 
 def _read_records(path: str) -> Iterator[ParsedRecord]:
-    if path == "-":
-        yield from ingest_graph6_stream(sys.stdin)
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            yield from ingest_graph6_stream(fh)
+    """Records of the input.  Lines are read as bytes and decoded one byte
+    per character, so a byte outside graph6's range is a ``charset`` error
+    for its line, never a decoding failure."""
+    with (nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")) as fh:
+        yield from ingest_graph6_stream(line.decode("latin-1") for line in fh)
 
 
 def _open_out(path: str | None):
@@ -50,12 +57,16 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8")
 
 
-def _invariant_record(rows: tuple[int, ...]) -> dict:
-    g = Graph(rows)
+def _error(record: ParsedRecord, reason: str) -> tuple[str, int]:
+    return _dump({"line": record.line_no, "error": reason}), EXIT_INPUT
+
+
+def _answer_invariants(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
+    g = record.graph
     # the empty graph has no diameter, so it is reported as disconnected
     connected = g.n > 0 and g.is_connected()
     rank = rank_exact(adjacency_matrix(g))
-    return {
+    rec = {
         "graph6": to_graph6(g),
         "n": g.n,
         "connected": connected,
@@ -65,118 +76,68 @@ def _invariant_record(rows: tuple[int, ...]) -> dict:
         "e": distinct_eigenvalue_count(g),
         "reduced": is_reduced(g),
     }
-
-
-def _map_rows(func, rows_list: list, jobs: int) -> list:
-    if jobs <= 1 or len(rows_list) < 2:
-        return [func(rows) for rows in rows_list]
-    with get_context().Pool(jobs) as pool:
-        return pool.map(func, rows_list, chunksize=64)
-
-
-def _format_invariants(rec: dict) -> str:
+    if args.format == "json":
+        return _dump(rec), EXIT_OK
     d = "-" if rec["d"] is None else rec["d"]
     return (
         f"{rec['graph6']}\tn={rec['n']} d={d} rank={rec['rank']} "
         f"nullity={rec['nullity']} e={rec['e']} "
         f"reduced={'yes' if rec['reduced'] else 'no'}"
-    )
+    ), EXIT_OK
 
 
-def cmd_invariants(args: argparse.Namespace) -> int:
-    had_errors = False
-    graphs: list[tuple[int, ...]] = []
-    slots: list[tuple[bool, object]] = []
-    for record in _read_records(args.input):
-        if record.error is not None:
-            had_errors = True
-            slots.append((False, {"line": record.line_no, "error": record.error}))
-        else:
-            slots.append((True, len(graphs)))
-            graphs.append(record.graph.rows)
-    results = _map_rows(_invariant_record, graphs, args.jobs)
-    with _open_out(args.out) as out:
-        for is_graph, payload in slots:
-            if not is_graph:
-                print(_dump(payload), file=out)
-            else:
-                rec = results[payload]
-                print(_format_invariants(rec) if args.format == "text" else _dump(rec), file=out)
-    return EXIT_INPUT if had_errors else EXIT_OK
+def _answer_reduce(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
+    try:
+        res = reduce(record.graph)
+    except DisconnectedGraphError as exc:
+        return _error(record, str(exc))
+    if args.format == "text":
+        return f"{to_graph6(res.graph)}\t{res.removed}", EXIT_OK
+    rec = {
+        "graph6": record.text,
+        "reduced_graph6": to_graph6(res.graph),
+        "removed": res.removed,
+        "d": res.original_diameter,
+        "d_reduced": res.reduced_diameter,
+    }
+    return _dump(rec), EXIT_OK
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
-    had_errors = False
-    lines: list[str] = []
-    for record in _read_records(args.input):
-        if record.error is not None:
-            had_errors = True
-            lines.append(_dump({"line": record.line_no, "error": record.error}))
-            continue
-        try:
-            res = reduce(record.graph)
-        except DisconnectedGraphError as exc:
-            had_errors = True
-            lines.append(_dump({"line": record.line_no, "error": str(exc)}))
-            continue
-        if args.format == "text":
-            lines.append(f"{to_graph6(res.graph)}\t{res.removed}")
-        else:
-            lines.append(
-                _dump(
-                    {
-                        "graph6": record.text,
-                        "reduced_graph6": to_graph6(res.graph),
-                        "removed": res.removed,
-                        "d": res.original_diameter,
-                        "d_reduced": res.reduced_diameter,
-                    }
-                )
-            )
-    with _open_out(args.out) as out:
-        for line in lines:
-            print(line, file=out)
-    return EXIT_INPUT if had_errors else EXIT_OK
+def _answer_check(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
+    g = record.graph
+    if g.n == 0 or not g.is_connected():
+        return _error(record, "graph is empty" if g.n == 0 else "graph is disconnected")
+    rec = recognize(g, path_limit=args.path_limit).to_dict()
+    code = EXIT_MISMATCH if rec["verdict"] == Verdict.MISMATCH.value else EXIT_OK
+    if args.format == "json":
+        return _dump(rec), code
+    extra = f" variant={rec['variant']} params={rec['params']}" if rec["variant"] else ""
+    return f"{rec['graph6']}\t{rec['verdict']}{extra}", code
 
 
-def _check_record(args_tuple: tuple[tuple[int, ...], int]) -> dict:
-    rows, path_limit = args_tuple
-    return recognize(Graph(rows), path_limit=path_limit).to_dict()
+def _answer(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
+    if record.error is not None:
+        return _error(record, record.error)
+    return args.answer(args, record)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    had_errors = False
-    graphs: list[tuple[tuple[int, ...], int]] = []
-    slots: list[tuple[bool, object]] = []
-    for record in _read_records(args.input):
-        if record.error is not None:
-            had_errors = True
-            slots.append((False, {"line": record.line_no, "error": record.error}))
-            continue
-        if record.graph.n == 0 or not record.graph.is_connected():
-            had_errors = True
-            reason = "graph is empty" if record.graph.n == 0 else "graph is disconnected"
-            slots.append((False, {"line": record.line_no, "error": reason}))
-            continue
-        slots.append((True, len(graphs)))
-        graphs.append((record.graph.rows, args.path_limit))
-    results = _map_rows(_check_record, graphs, args.jobs)
-    saw_mismatch = False
-    with _open_out(args.out) as out:
-        for is_graph, payload in slots:
-            if not is_graph:
-                print(_dump(payload), file=out)
-                continue
-            rec = results[payload]
-            saw_mismatch = saw_mismatch or rec["verdict"] == Verdict.MISMATCH.value
-            if args.format == "text":
-                extra = f" variant={rec['variant']} params={rec['params']}" if rec["variant"] else ""
-                print(f"{rec['graph6']}\t{rec['verdict']}{extra}", file=out)
-            else:
-                print(_dump(rec), file=out)
-    if saw_mismatch:
-        return EXIT_MISMATCH
-    return EXIT_INPUT if had_errors else EXIT_OK
+def cmd_records(args: argparse.Namespace) -> int:
+    """Answer every input record with one output line, in input order.
+
+    Each line is printed as soon as it is known.  With ``--jobs`` above 1
+    the records go to the pool in bounded batches.  The exit code is the
+    largest of the per-record codes: 0, then 2 for an input error, then 3
+    for a mismatch.
+    """
+    records = _read_records(args.input)
+    batch_size = 1 if args.jobs <= 1 else 1024
+    code = EXIT_OK
+    with ordered_map(args.jobs) as pmap, _open_out(args.out) as out:
+        while batch := list(islice(records, batch_size)):
+            for line, line_code in pmap(partial(_answer, args), batch):
+                print(line, file=out, flush=True)
+                code = max(code, line_code)
+    return code
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -219,12 +180,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_MISMATCH if report.mismatches else EXIT_OK
 
 
+def _census_order(text: str | int) -> int:
+    value = int(text)
+    if value > MAX_CENSUS_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"census supports orders up to {MAX_CENSUS_ORDER}, got {value}"
+        )
+    return value
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
+    return lo, _census_order(hi)
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_suites(text: str) -> list[str]:
@@ -259,16 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="n, d, rank, nullity, distinct eigenvalues, reducedness")
     add_io(p)
-    p.set_defaults(func=cmd_invariants)
+    p.set_defaults(func=cmd_records, answer=_answer_invariants)
 
     p = sub.add_parser("reduce", help="twin-reduce each graph (graph6 TAB removed-count)")
     add_io(p, default_format="text")
-    p.set_defaults(func=cmd_reduce)
+    p.set_defaults(func=cmd_records, answer=_answer_reduce)
 
     p = sub.add_parser("check", help="recognize extremal structure per graph")
     add_io(p)
-    p.add_argument("--path-limit", type=int, default=10_000)
-    p.set_defaults(func=cmd_check)
+    p.add_argument("--path-limit", type=_positive, default=10_000)
+    p.set_defaults(func=cmd_records, answer=_answer_check)
 
     p = sub.add_parser("gen", help="generate the even-diameter extremal family")
     p.add_argument("--d", type=_even, required=True, help="even diameter >= 2")
@@ -278,11 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive sweep over all connected graphs")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, default=None)
+    group.add_argument("--n", type=_census_order, default=None)
     group.add_argument("--n-range", type=_parse_range, default=None, metavar="A..B")
     p.add_argument("--suites", type=_parse_suites, default=None, help="comma-separated suite list")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--path-limit", type=int, default=10_000)
+    p.add_argument("--path-limit", type=_positive, default=10_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

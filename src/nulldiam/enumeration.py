@@ -20,10 +20,13 @@ orderly algorithm but simple to audit, which matters more at this scale.
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import string
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from multiprocessing import get_context
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import islice
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import lemmas
 from .families import Verdict, recognize
@@ -215,51 +218,49 @@ def _augment_parent(rows: tuple[int, ...]) -> list[tuple[bytes, tuple[int, ...]]
     return out
 
 
-def _chunks(items: list, size: int) -> Iterator[list]:
-    for i in range(0, len(items), size):
-        yield items[i : i + size]
+@contextmanager
+def ordered_map(jobs: int) -> Iterator[Callable]:
+    """An ordered ``map(func, items)`` over ``jobs`` worker processes.
+
+    With ``jobs <= 1`` this is the builtin ``map``, run in this process.
+    Otherwise results come from a process pool, in input order, as they
+    are ready.  Pass a materialized list, never a generator that itself
+    uses the map: the pool's task thread would block on it for good.
+    """
+    if jobs <= 1:
+        yield map
+        return
+    with multiprocessing.get_context().Pool(jobs) as pool:
+
+        def pool_map(func, items: list) -> Iterator:
+            return pool.imap(func, items, chunksize=max(1, len(items) // (16 * jobs)))
+
+        yield pool_map
 
 
-class _CensusBuilder:
-    """Level-by-level augmentation with global canonical dedup per level."""
+def _children(parents: list[Graph], pmap: Callable) -> Iterator[Graph]:
+    """Deduplicated one-vertex extensions of ``parents``, in deterministic
+    order.  Parents are expanded in bounded chunks, so memory stays flat
+    while the children are only streamed."""
+    seen: set[bytes] = set()
+    for i in range(0, len(parents), 256):
+        for batch in pmap(_augment_parent, [g.rows for g in parents[i : i + 256]]):
+            for key, child_rows in batch:
+                if key not in seen:
+                    seen.add(key)
+                    yield Graph(child_rows)
 
-    def __init__(self, jobs: int = 1):
-        self.jobs = max(1, jobs)
-        self._pool = None
 
-    def __enter__(self) -> "_CensusBuilder":
-        if self.jobs > 1:
-            self._pool = get_context().Pool(self.jobs)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-
-    def children(self, parents: list[Graph]) -> Iterator[Graph]:
-        """Deduplicated next-level graphs, in deterministic order.
-
-        Parents are expanded in bounded chunks (synchronous map calls), so
-        memory stays flat even when the final level is only streamed.
-        """
-        seen: set[bytes] = set()
-        parent_rows = [g.rows for g in parents]
-        for chunk in _chunks(parent_rows, 256):
-            if self._pool is None:
-                batches = [_augment_parent(r) for r in chunk]
-            else:
-                batches = self._pool.map(_augment_parent, chunk, chunksize=8)
-            for batch in batches:
-                for key, child_rows in batch:
-                    if key not in seen:
-                        seen.add(key)
-                        yield Graph(child_rows)
-
-    def evaluate(self, func, graphs: list, chunksize: int = 64) -> list:
-        if self._pool is None:
-            return [func(x) for x in graphs]
-        return self._pool.map(func, graphs, chunksize=chunksize)
+def _census_levels(n_max: int, pmap: Callable) -> Iterator[Iterable[Graph]]:
+    """The census levels ``1..n_max`` in order.  Every level but the last
+    is a list, since it grows the next; the last is only streamed."""
+    level: Iterable[Graph] = [Graph((0,))]
+    for k in range(1, n_max + 1):
+        if k > 1:
+            level = _children(level, pmap)
+            if k < n_max:
+                level = list(level)
+        yield level
 
 
 def connected_graphs(n: int, jobs: int = 1) -> Iterator[Graph]:
@@ -267,16 +268,10 @@ def connected_graphs(n: int, jobs: int = 1) -> Iterator[Graph]:
     exactly ``n`` vertices, streamed in deterministic order."""
     if not 1 <= n <= MAX_CENSUS_ORDER:
         raise ValueError(f"census supports 1..{MAX_CENSUS_ORDER} vertices, got {n}")
-    level = [Graph((0,))]
-    if n == 1:
-        yield level[0]
-        return
-    with _CensusBuilder(jobs) as builder:
-        for k in range(2, n + 1):
-            if k == n:
-                yield from builder.children(level)
-            else:
-                level = list(builder.children(level))
+    with ordered_map(jobs) as pmap:
+        for level in _census_levels(n, pmap):
+            pass  # walk to level n, which is streamed
+        yield from level
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +292,12 @@ class ParsedRecord:
 def ingest_graph6_stream(source: IO[str] | Iterable[str]) -> Iterator[ParsedRecord]:
     """Parse line-delimited graph6, collecting per-line errors.
 
-    Blank lines are skipped; a malformed line yields an error record and
-    the stream continues, so one bad byte cannot poison a corpus run.
+    Blank lines are skipped and only ASCII whitespace is stripped; a
+    malformed line yields an error record and the stream continues, so one
+    bad byte cannot poison a corpus run.
     """
     for line_no, raw in enumerate(source, start=1):
-        text = raw.strip()
+        text = raw.strip(string.whitespace)
         if not text:
             continue
         try:
@@ -483,34 +479,18 @@ def verify_theorem(
     started = time.perf_counter()
     suites_t = tuple(suites)
 
-    with _CensusBuilder(jobs) as builder:
-        level = [Graph((0,))]
-        for k in range(1, n_max + 1):
-            level_start = time.perf_counter()
-            if k == 1:
-                graphs: Iterable[Graph] = level
-            else:
-                graphs = builder.children(level)
-            keep_level = k < n_max
-            next_level: list[Graph] = []
-            buffer: list[tuple[tuple[int, ...], tuple[str, ...], int]] = []
-
-            def flush() -> None:
-                for rec in builder.evaluate(_evaluate_graph, buffer):
-                    _fold_record(report, rec)
-                buffer.clear()
-
-            for g in graphs:
-                if keep_level:
-                    next_level.append(g)
-                if k >= n_min:
-                    buffer.append((g.rows, suites_t, path_limit))
-                    if len(buffer) >= 20_000:
-                        flush()
-            flush()
-            level = next_level
+    with ordered_map(jobs) as pmap:
+        level_start = started
+        for k, level in enumerate(_census_levels(n_max, pmap), start=1):
             if k >= n_min:
+                # evaluate in bounded lists: the pool must not be fed from
+                # the census stream, which uses the same pool
+                graphs = iter(level)
+                while batch := [(g.rows, suites_t, path_limit) for g in islice(graphs, 20_000)]:
+                    for rec in pmap(_evaluate_graph, batch):
+                        _fold_record(report, rec)
                 report.timings[f"n={k}"] = time.perf_counter() - level_start
                 log.info("sweep level n=%d done in %.2fs", k, report.timings[f"n={k}"])
+            level_start = time.perf_counter()
     report.timings["total"] = time.perf_counter() - started
     return report

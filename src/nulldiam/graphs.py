@@ -24,7 +24,7 @@ class Graph6Error(ValueError):
     """Malformed graph6 input.
 
     ``reason`` names the defect: ``"length"`` (truncated or malformed size
-    prefix), ``"charset"`` (byte outside the printable graph6 range),
+    prefix), ``"charset"`` (a character outside ``chr(63)..chr(126)``),
     ``"trailing"`` (extra bytes after the edge bits), ``"padding"``
     (nonzero padding bits), or ``"too-large"`` (more than 64 vertices).
     """
@@ -210,7 +210,7 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    data = text.encode("ascii", errors="replace")
+    data = [ord(ch) for ch in text]
     if not data:
         raise Graph6Error("empty graph6 record", reason="length")
     for byte in data:
@@ -325,8 +325,10 @@ def diameter_paths(g: Graph, limit: int = DEFAULT_PATH_LIMIT) -> list[DiameterPa
     Paths are enumerated between eccentric pairs ``u < v`` (oriented from
     ``u``) by walking the BFS DAG toward ``v``; order is deterministic.
     At most ``limit`` paths are returned, so a result shorter than
-    ``limit`` is guaranteed to be complete.
+    ``limit`` is guaranteed to be complete, so ``limit`` must be at least 1.
     """
+    if limit < 1:
+        raise ValueError(f"path limit must be >= 1, got {limit}")
     d = diameter(g)
     if d == 0:
         return [DiameterPath((0,))]

@@ -1,12 +1,20 @@
+import io
 import json
+import string
+import sys
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from nulldiam import schemas, to_graph6
+from nulldiam import MAX_CENSUS_ORDER, schemas, to_graph6
 from nulldiam.cli import main
 from nulldiam.enumeration import canonical_form
 from nulldiam.graphs import cycle_graph, path_graph
+
+RECORD_COMMANDS = ("invariants", "check", "reduce")
 
 
 @pytest.fixture
@@ -86,11 +94,14 @@ class TestInvariants:
         assert k2["graph6"] == "A_"
         jsonschema.validate(rec, schemas.INVARIANT_RECORD)
 
-    def test_jobs_preserve_order(self, capsys, g6_file, census7):
-        lines = [to_graph6(g) for g in census7[5]]
-        _, serial, _ = run(capsys, "invariants", "--input", g6_file(*lines))
-        _, parallel, _ = run(capsys, "invariants", "--jobs", "2", "--input", g6_file(*lines))
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", RECORD_COMMANDS)
+    def test_jobs_preserve_order(self, capsys, g6_file, census7, command, fmt):
+        path = g6_file(*(to_graph6(g) for g in census7[5]), "B?", "A\x05")
+        serial = run(capsys, command, "--format", fmt, "--input", path)
+        parallel = run(capsys, command, "--format", fmt, "--jobs", "2", "--input", path)
         assert serial == parallel
+        assert len(serial[1].splitlines()) == len(census7[5]) + 2
 
 
 class TestReduce:
@@ -134,6 +145,13 @@ class TestCheck:
         assert code == 0
         assert verdicts == ["OddExtremal", "NotExtremal"]
 
+    def test_path_limit_below_one_is_usage_error(self, capsys):
+        for argv in (["check", "--path-limit", "0"], ["verify", "--n", "3", "--path-limit", "-1"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            assert "must be >= 1" in capsys.readouterr().err
+
     def test_mismatch_exit_code(self, capsys, g6_file):
         # a twin-doubled even-extremal graph is not isomorphic to any family
         # member, so the recognizer flags it and the CLI exits 3
@@ -153,6 +171,49 @@ class TestCheck:
         assert first == {"line": 1, "error": "graph is empty"}
         assert k2["verdict"] == "OddExtremal"
         jsonschema.validate(k2, schemas.RECOGNITION_RESULT)
+
+
+class TestRecordInput:
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("command", RECORD_COMMANDS)
+    def test_non_graph6_bytes_are_charset_errors(self, capsys, monkeypatch, tmp_path, command, source):
+        data = b"A_\n\xff\nA\xc3\xa9\nA_\xa0\nA_\n"
+        if source == "file":
+            (tmp_path / "input.g6").write_bytes(data)
+            where = str(tmp_path / "input.g6")
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            where = "-"
+        code, out, err = run(capsys, command, "--format", "json", "--input", where)
+        assert code == 2 and "Traceback" not in err
+        first, *bad, last = (json.loads(line) for line in out.splitlines())
+        assert first["graph6"] == last["graph6"] == "A_"
+        assert [rec["line"] for rec in bad] == [2, 3, 4]
+        assert all(rec["error"].startswith("charset:") for rec in bad)
+
+    def test_output_streams_before_input_ends(self, capsys, monkeypatch):
+        printed = []
+
+        def lines():
+            yield b"A_\n"
+            printed.append(capsys.readouterr().out)
+            yield b"B?\n"
+
+        monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=lines()))
+        code, out, _ = run(capsys, "invariants")
+        assert code == 0
+        assert json.loads(printed[0])["graph6"] == "A_"
+        assert json.loads(out)["graph6"] == "B?"
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(RECORD_COMMANDS), lines=st.lists(st.binary(max_size=8), max_size=4))
+    def test_arbitrary_bytes_give_an_answer_per_line(self, capsys, monkeypatch, command, lines):
+        data = b"\n".join(lines)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = run(capsys, command)
+        assert code in (0, 2, 3) and "Traceback" not in err
+        ascii_space = string.whitespace.encode()
+        assert len(out.splitlines()) == sum(1 for line in data.split(b"\n") if line.strip(ascii_space))
 
 
 class TestGen:
@@ -208,6 +269,13 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--n", "3", "--suites", "bogus"])
         assert err.value.code == 2
+
+    def test_order_above_census_limit_is_usage_error(self, capsys):
+        for argv in (["--n", str(MAX_CENSUS_ORDER + 2)], ["--n-range", f"1..{MAX_CENSUS_ORDER + 1}"]):
+            with pytest.raises(SystemExit) as err:
+                main(["verify", "--suites", "", *argv])
+            assert err.value.code == 2
+            assert f"up to {MAX_CENSUS_ORDER}" in capsys.readouterr().err
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

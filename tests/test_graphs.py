@@ -93,9 +93,10 @@ class TestGraph6:
         assert err.value.reason == "length"
 
     def test_charset_error(self):
-        with pytest.raises(Graph6Error) as err:
-            parse_graph6("A\x1f")
-        assert err.value.reason == "charset"
+        for text in ("A\x1f", "\xff", "\xe9", "A\xe9", "A_\udcff", "A_\u20ac"):
+            with pytest.raises(Graph6Error) as err:
+                parse_graph6(text)
+            assert err.value.reason == "charset"
 
     def test_trailing_garbage(self):
         with pytest.raises(Graph6Error) as err:
@@ -183,6 +184,8 @@ class TestMetrics:
 
     def test_diameter_paths_respects_limit(self):
         assert len(diameter_paths(cycle_graph(6), limit=4)) == 4
+        with pytest.raises(ValueError):
+            diameter_paths(cycle_graph(6), limit=0)
 
     def test_paths_are_induced_and_diameter_length(self, census7):
         for n in range(2, 7):
