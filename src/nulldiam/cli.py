@@ -16,7 +16,6 @@ import sys
 from contextlib import nullcontext
 from functools import partial
 from itertools import islice
-from typing import Iterator
 
 from .enumeration import (
     MAX_CENSUS_ORDER,
@@ -40,14 +39,6 @@ EXIT_MISMATCH = 3
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True)
-
-
-def _read_records(path: str) -> Iterator[ParsedRecord]:
-    """Records of the input.  Lines are read as bytes and decoded one byte
-    per character, so a byte outside graph6's range is a ``charset`` error
-    for its line, never a decoding failure."""
-    with (nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")) as fh:
-        yield from ingest_graph6_stream(line.decode("latin-1") for line in fh)
 
 
 def _open_out(path: str | None):
@@ -127,12 +118,20 @@ def cmd_records(args: argparse.Namespace) -> int:
     Each line is printed as soon as it is known.  With ``--jobs`` above 1
     the records go to the pool in bounded batches.  The exit code is the
     largest of the per-record codes: 0, then 2 for an input error, then 3
-    for a mismatch.
+    for a mismatch.  An input file that cannot be opened is an input
+    error: one line on stderr and exit 2.
     """
-    records = _read_records(args.input)
+    try:
+        source = nullcontext(sys.stdin.buffer) if args.input == "-" else open(args.input, "rb")
+    except OSError as exc:
+        print(f"nulldiam {args.command}: cannot read {args.input}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
     batch_size = 1 if args.jobs <= 1 else 1024
     code = EXIT_OK
-    with ordered_map(args.jobs) as pmap, _open_out(args.out) as out:
+    with source as fh, ordered_map(args.jobs) as pmap, _open_out(args.out) as out:
+        # one character per byte: a byte outside graph6's range is a
+        # ``charset`` error for its line, never a decoding failure
+        records = ingest_graph6_stream(line.decode("latin-1") for line in fh)
         while batch := list(islice(records, batch_size)):
             for line, line_code in pmap(partial(_answer, args), batch):
                 print(line, file=out, flush=True)

@@ -11,10 +11,15 @@ prunings keep symmetric inputs tractable: branch-and-bound against the
 best encoding found so far, and skipping a candidate vertex when swapping
 it with an already-tried candidate is an automorphism.
 
-The census generator grows graphs one vertex at a time (new vertex joined
-to every nonempty subset of an existing connected graph) and rejects
-duplicates by full canonical-form comparison.  That is slower than an
-orderly algorithm but simple to audit, which matters more at this scale.
+The census generator grows graphs one vertex at a time by McKay's
+canonical construction path (McKay 1998, J. Algorithms 26:306-324): a
+canonically labelled parent gets a new vertex joined to one subset per
+orbit of the automorphisms its canonical search met, and a child is kept
+only if the parent is its canonical parent, the class left by deleting
+its canonical deletion vertex (see ``_augment_parent``).  A cheap degree
+key rejects most children before any canonical search, and since each
+class has exactly one canonical parent, parents expand independently with
+no census-wide duplicate set.
 """
 
 from __future__ import annotations
@@ -89,22 +94,30 @@ def _refinement_cells(rows: Sequence[int]) -> list[list[int]]:
 def _swap_class_ids(rows: Sequence[int]) -> list[int]:
     """Label vertices so that u, v share a label exactly when the
     transposition (u v) is an automorphism (equal neighbourhoods apart
-    from each other)."""
-    n = len(rows)
-    ids = list(range(n))
-    for u in range(n):
-        if ids[u] != u:
-            continue
-        for v in range(u + 1, n):
-            if ids[v] == v and rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
-                ids[v] = u
+    from each other).  Such a pair has equal open neighbourhoods if it is
+    non-adjacent and equal closed ones if adjacent; no vertex has a twin
+    of each kind, so a class is labelled by its least vertex."""
+    open_label: dict[int, int] = {}
+    closed_label: dict[int, int] = {}
+    ids = []
+    for u, r in enumerate(rows):
+        label = open_label.get(r, closed_label.get(r | 1 << u, u))
+        open_label.setdefault(r, label)
+        closed_label.setdefault(r | 1 << u, label)
+        ids.append(label)
     return ids
 
 
-def _min_columns(rows: Sequence[int]) -> list[int]:
+def _min_columns(rows: Sequence[int]) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
     """Smallest upper-triangle column encoding over refinement-respecting
-    labelings.  Entry j-1 holds the adjacency bits of position j to
+    labelings, the labelling that gives it, and automorphisms met on the way.
+
+    Entry j-1 of the encoding holds the adjacency bits of position j to
     positions 0..j-1, earliest position in the highest bit (graph6 order).
+    The labelling lists the vertex at each position.  The automorphisms,
+    as image lists, generate a subgroup of the automorphism group: the
+    swap transpositions the search prunes, and for every leaf that ties
+    the best encoding, the map from the best labelling to that leaf's.
     """
     n = len(rows)
     cells = _refinement_cells(rows)
@@ -112,19 +125,32 @@ def _min_columns(rows: Sequence[int]) -> list[int]:
     for cell in cells:
         pos_cells.extend([cell] * len(cell))
     swap = _swap_class_ids(rows)
+    autos = []
+    for u, cls in enumerate(swap):
+        if cls != u:
+            perm = list(range(n))
+            perm[u], perm[cls] = cls, u
+            autos.append(tuple(perm))
 
     best: list[int] | None = None
+    best_lab: list[int] = []
     cols: list[int] = []
     placed: list[int] = []
     used = 0
     version = 0
 
     def dfs(j: int, tight: bool) -> None:
-        nonlocal best, used, version
+        nonlocal best, best_lab, used, version
         if j == n:
             if best is None or not tight:
                 best = cols.copy()
+                best_lab = placed.copy()
                 version += 1
+            else:
+                perm = [0] * n
+                for a, b in zip(best_lab, placed):
+                    perm[a] = b
+                autos.append(tuple(perm))
             return
         cands = []
         seen_classes = set()
@@ -163,18 +189,11 @@ def _min_columns(rows: Sequence[int]) -> list[int]:
 
     dfs(0, True)
     assert best is not None
-    return best
+    return best, best_lab, autos
 
 
-def _canonical_rows(rows: Sequence[int], limit: int) -> tuple[int, ...]:
-    n = len(rows)
-    if n > limit:
-        raise CanonicalSizeError(
-            f"{n} vertices exceeds the canonical search limit of {limit}"
-        )
-    if n <= 1:
-        return tuple(rows)
-    cols = _min_columns(rows)
+def _rows_from_columns(cols: Sequence[int]) -> tuple[int, ...]:
+    n = len(cols) + 1
     out = [0] * n
     for j in range(1, n):
         c = cols[j - 1]
@@ -183,6 +202,17 @@ def _canonical_rows(rows: Sequence[int], limit: int) -> tuple[int, ...]:
                 out[i] |= 1 << j
                 out[j] |= 1 << i
     return tuple(out)
+
+
+def _canonical_rows(rows: Sequence[int], limit: int = CANONICAL_TIER_LIMIT) -> tuple[int, ...]:
+    n = len(rows)
+    if n > limit:
+        raise CanonicalSizeError(
+            f"{n} vertices exceeds the canonical search limit of {limit}"
+        )
+    if n <= 1:
+        return tuple(rows)
+    return _rows_from_columns(_min_columns(rows)[0])
 
 
 def canonical_graph(g: Graph, limit: int = CANONICAL_TIER_LIMIT) -> Graph:
@@ -200,22 +230,131 @@ def canonical_form(g: Graph, limit: int = CANONICAL_TIER_LIMIT) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _augment_parent(rows: tuple[int, ...]) -> list[tuple[bytes, tuple[int, ...]]]:
-    """All one-vertex extensions of a connected graph, canonically labelled.
+def _mask_orbit_reps(k: int, autos: Sequence[Sequence[int]]) -> list[int]:
+    """The least member of each orbit of the nonempty subsets of ``0..k-1``
+    under the group that the permutations ``autos`` generate."""
+    size = 1 << k
+    images = []
+    for perm in dict.fromkeys(autos):
+        img = [0] * size
+        for m in range(1, size):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(img)
+    seen = bytearray(size)
+    reps = []
+    for m in range(1, size):
+        if seen[m]:
+            continue
+        reps.append(m)
+        seen[m] = 1
+        stack = [m]
+        while stack:
+            x = stack.pop()
+            for img in images:
+                y = img[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return reps
 
-    The new vertex is joined to every nonempty subset of the old ones, so
-    children stay connected; every connected (k+1)-vertex class arises
-    this way from some connected k-vertex parent (delete a non-cut vertex).
-    Children are returned in canonical labelling, so the census emits
-    graphs whose graph6 string equals their canonical form.
+
+def _neighbour_degrees(rows: Sequence[int], v: int, deg: Sequence[int]) -> list[int]:
+    """Second part of the census's vertex key: the sorted degrees of the
+    neighbours of ``v`` (the first part is its degree)."""
+    out = []
+    m = rows[v]
+    while m:
+        low = m & -m
+        m ^= low
+        out.append(deg[low.bit_length() - 1])
+    out.sort()
+    return out
+
+
+def _is_cut_vertex(rows: Sequence[int], v: int) -> bool:
+    rest = (1 << len(rows)) - 1 & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= rows[low.bit_length() - 1]
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen != rest
+
+
+def _delete_vertex(rows: Sequence[int], v: int) -> tuple[int, ...]:
+    """``rows`` without vertex ``v``, later vertices shifted down by one."""
+    low = (1 << v) - 1
+    return tuple((r & low) | (r >> (v + 1) << v) for u, r in enumerate(rows) if u != v)
+
+
+def _augment_parent(rows: tuple[int, ...]) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """The children of a canonically labelled connected graph that have it
+    as their canonical parent, in canonical labelling, with the counts
+    ``(masks, rejected by key, canonical searches, deletion checks,
+    accepted)``.
+
+    The new vertex ``k`` is joined to one subset per orbit of the parent's
+    known automorphisms.  A child's canonical deletion vertex ``v*`` is,
+    among its non-cut vertices with the largest key (degree, then sorted
+    neighbour degrees), the one last in canonical labelling; the child is
+    kept only when deleting ``v*`` leaves the parent's class.  A child in
+    which a non-cut vertex outranks ``k`` fails that test with no search.
+    Every connected class arises from its canonical parent, the class of
+    ``child - v*``, and from no other.  So the only repeats are those of
+    one parent, whose known automorphisms may generate less than its full
+    group and whose deletion test accepts by class, and a per-parent set
+    of canonical rows removes them.
     """
     k = len(rows)
-    out = []
-    for mask in range(1, 1 << k):
-        child = tuple(r | ((mask >> v & 1) << k) for v, r in enumerate(rows)) + (mask,)
-        canon = _canonical_rows(child, k + 1)
-        out.append((to_graph6(Graph(canon)).encode("ascii"), canon))
-    return out
+    verdicts: dict[tuple[int, ...], bool] = {}
+    masks = _mask_orbit_reps(k, _min_columns(rows)[2])
+    # A non-cut vertex of the parent stays non-cut in a child whose new
+    # vertex has another neighbour.  It outranks k there if its degree in
+    # the parent exceeds the mask's size, or equals it and it is in the mask.
+    noncut_degree = {v: r.bit_count() for v, r in enumerate(rows) if not _is_cut_vertex(rows, v)}
+    floor = max(noncut_degree.values())
+    floor_mask = sum(1 << v for v, d in noncut_degree.items() if d == floor)
+    rejected = deletions = 0
+    for mask in masks:
+        size = mask.bit_count()
+        if size >= 2 and (size < floor or (size == floor and mask & floor_mask)):
+            rejected += 1
+            continue
+        child = tuple(r | (mask >> v & 1) << k for v, r in enumerate(rows)) + (mask,)
+        deg = [r.bit_count() for r in child]
+        dk = deg[k]
+        top = _neighbour_degrees(child, k, deg)
+        ties = [k]
+        for v in range(k):
+            if deg[v] < dk:
+                continue
+            if deg[v] == dk:
+                key = _neighbour_degrees(child, v, deg)
+                if key < top:
+                    continue
+                if key == top:
+                    ties.append(v)
+                    continue
+            if not _is_cut_vertex(child, v):
+                rejected += 1
+                break
+        else:
+            cols, lab, _ = _min_columns(child)
+            canon = _rows_from_columns(cols)
+            if canon not in verdicts:
+                star = max(
+                    (v for v in ties if v == k or not _is_cut_vertex(child, v)), key=lab.index
+                )
+                if star != k:
+                    deletions += 1
+                verdicts[canon] = star == k or _canonical_rows(_delete_vertex(child, star)) == rows
+    kept = [canon for canon, ok in verdicts.items() if ok]
+    return kept, (len(masks), rejected, len(masks) - rejected, deletions, len(kept))
 
 
 @contextmanager
@@ -238,23 +377,27 @@ def ordered_map(jobs: int) -> Iterator[Callable]:
         yield pool_map
 
 
-def _children(parents: list[Graph], pmap: Callable) -> Iterator[Graph]:
-    """Deduplicated one-vertex extensions of ``parents``, in deterministic
-    order.  Parents are expanded in bounded chunks, so memory stays flat
-    while the children are only streamed."""
-    seen: set[bytes] = set()
+def _children(parents: list[tuple[int, ...]], pmap: Callable) -> Iterator[tuple[int, ...]]:
+    """The next census level: the accepted children of each parent, in
+    parent order.  Parents expand independently, in bounded chunks, so
+    memory stays flat while the children are only streamed."""
+    totals = [0] * 5
     for i in range(0, len(parents), 256):
-        for batch in pmap(_augment_parent, [g.rows for g in parents[i : i + 256]]):
-            for key, child_rows in batch:
-                if key not in seen:
-                    seen.add(key)
-                    yield Graph(child_rows)
+        for kept, counts in pmap(_augment_parent, parents[i : i + 256]):
+            totals = [a + b for a, b in zip(totals, counts)]
+            yield from kept
+    log.info(
+        "census n=%d: %d parents, %d masks after orbit pruning, %d rejected by key, "
+        "%d canonical searches, %d deletion checks, %d accepted",
+        len(parents[0]) + 1, len(parents), *totals,
+    )
 
 
-def _census_levels(n_max: int, pmap: Callable) -> Iterator[Iterable[Graph]]:
-    """The census levels ``1..n_max`` in order.  Every level but the last
-    is a list, since it grows the next; the last is only streamed."""
-    level: Iterable[Graph] = [Graph((0,))]
+def _census_levels(n_max: int, pmap: Callable) -> Iterator[Iterable[tuple[int, ...]]]:
+    """The census levels ``1..n_max`` in order, as canonical adjacency
+    rows.  Every level but the last is a list, since it grows the next;
+    the last is only streamed."""
+    level: Iterable[tuple[int, ...]] = [(0,)]
     for k in range(1, n_max + 1):
         if k > 1:
             level = _children(level, pmap)
@@ -265,13 +408,14 @@ def _census_levels(n_max: int, pmap: Callable) -> Iterator[Iterable[Graph]]:
 
 def connected_graphs(n: int, jobs: int = 1) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on
-    exactly ``n`` vertices, streamed in deterministic order."""
+    exactly ``n`` vertices, in canonical labelling, streamed in
+    deterministic order."""
     if not 1 <= n <= MAX_CENSUS_ORDER:
         raise ValueError(f"census supports 1..{MAX_CENSUS_ORDER} vertices, got {n}")
     with ordered_map(jobs) as pmap:
         for level in _census_levels(n, pmap):
             pass  # walk to level n, which is streamed
-        yield from level
+        yield from map(Graph, level)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +630,7 @@ def verify_theorem(
                 # evaluate in bounded lists: the pool must not be fed from
                 # the census stream, which uses the same pool
                 graphs = iter(level)
-                while batch := [(g.rows, suites_t, path_limit) for g in islice(graphs, 20_000)]:
+                while batch := [(rows, suites_t, path_limit) for rows in islice(graphs, 20_000)]:
                     for rec in pmap(_evaluate_graph, batch):
                         _fold_record(report, rec)
                 report.timings[f"n={k}"] = time.perf_counter() - level_start

@@ -279,12 +279,26 @@ def bfs_distances(g: Graph, v: int) -> list[int | float]:
 def diameter(g: Graph) -> int:
     if g.n == 0:
         raise DisconnectedGraphError("diameter of the empty graph is undefined")
+    rows = g.rows
+    everyone = (1 << g.n) - 1
     best = 0
     for v in range(g.n):
-        ecc = max(bfs_distances(g, v))
-        if ecc == math.inf:
+        # breadth-first layers as bitmasks; the eccentricity of v is the
+        # number of nonempty layers after {v}
+        seen = frontier = 1 << v
+        ecc = -1
+        while frontier:
+            ecc += 1
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= rows[low.bit_length() - 1]
+            frontier = reach & ~seen
+            seen |= frontier
+        if seen != everyone:
             raise DisconnectedGraphError("graph is disconnected")
-        best = max(best, int(ecc))
+        best = max(best, ecc)
     return best
 
 

@@ -1,13 +1,15 @@
 import pytest
 
-from nulldiam import connected_graphs
+from nulldiam import Graph
+from nulldiam.enumeration import _census_levels
 
 
 @pytest.fixture(scope="session")
 def census8() -> dict[int, list]:
     """One representative per isomorphism class of connected graphs, n <= 8,
-    built once per test session."""
-    return {n: list(connected_graphs(n)) for n in range(1, 9)}
+    from one walk of the census levels, built once per test session."""
+    levels = _census_levels(8, map)
+    return {n: [Graph(rows) for rows in level] for n, level in enumerate(levels, start=1)}
 
 
 @pytest.fixture(scope="session")

@@ -191,6 +191,13 @@ class TestRecordInput:
         assert [rec["line"] for rec in bad] == [2, 3, 4]
         assert all(rec["error"].startswith("charset:") for rec in bad)
 
+    @pytest.mark.parametrize("command", RECORD_COMMANDS)
+    def test_unreadable_input_is_input_error(self, capsys, tmp_path, command):
+        for where in (str(tmp_path / "missing.g6"), str(tmp_path)):
+            code, out, err = run(capsys, command, "--input", where)
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and where in err and "Traceback" not in err
+
     def test_output_streams_before_input_ends(self, capsys, monkeypatch):
         printed = []
 

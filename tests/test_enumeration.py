@@ -1,5 +1,6 @@
 import io
 import itertools
+import logging
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from nulldiam import (
     to_graph6,
     verify_theorem,
 )
-from nulldiam.enumeration import _refinement_cells, _swap_class_ids
+from nulldiam.enumeration import _canonical_rows, _min_columns, _refinement_cells, _swap_class_ids
 
 from helpers import (
     automorphism_count,
@@ -138,9 +139,33 @@ class TestCensus:
             list(connected_graphs(10))
 
     def test_parallel_census_matches_serial(self):
-        serial = [to_graph6(g) for g in connected_graphs(6)]
-        parallel = [to_graph6(g) for g in connected_graphs(6, jobs=2)]
+        serial = [to_graph6(g) for g in connected_graphs(7)]
+        parallel = [to_graph6(g) for g in connected_graphs(7, jobs=2)]
         assert serial == parallel
+
+    def test_census_graphs_are_canonically_labelled(self, census8):
+        for n in range(1, 9):
+            for g in census8[n]:
+                assert _canonical_rows(g.rows) == g.rows
+
+    def test_matches_networkx_atlas(self, census7):
+        # independent oracle: the atlas lists every graph on up to 7 vertices
+        nx = pytest.importorskip("networkx")
+        atlas: dict[int, set[bytes]] = {}
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() and nx.is_connected(h):
+                g = Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+                atlas.setdefault(g.n, set()).add(canonical_form(g))
+        assert len(atlas[7]) == 853
+        for n in range(1, 8):
+            assert {canonical_form(g) for g in census7[n]} == atlas[n]
+
+    def test_level_counters_are_logged(self, caplog):
+        with caplog.at_level(logging.INFO, logger="nulldiam.enumeration"):
+            assert sum(1 for _ in connected_graphs(5)) == 21
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("census n=")]
+        assert len(lines) == 4
+        assert lines[-1].startswith("census n=5: 6 parents,") and lines[-1].endswith(" 21 accepted")
 
 
 class TestIngest:
@@ -201,6 +226,24 @@ class TestVerifyTheorem:
     def test_census_cap(self):
         with pytest.raises(ValueError, match="census"):
             verify_theorem(1, 10)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_min_columns_labelling_and_automorphisms(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    rows = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1]).rows
+    cols, lab, autos = _min_columns(rows)
+    # the labelling lists the vertex at each canonical position
+    assert sorted(lab) == list(range(n))
+    assert relabel(Graph(rows), lab).rows == _canonical_rows(rows)
+    for perm in autos:
+        assert sorted(perm) == list(range(n))
+        assert all(
+            (rows[u] >> v & 1) == (rows[perm[u]] >> perm[v] & 1) for u in range(n) for v in range(n)
+        )
 
 
 @settings(max_examples=30)

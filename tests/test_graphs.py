@@ -162,6 +162,17 @@ class TestMetrics:
         with pytest.raises(DisconnectedGraphError):
             diameter(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
+    @settings(max_examples=60)
+    @given(graphs(max_n=24))
+    def test_diameter_is_largest_bfs_distance(self, g):
+        # independent of diameter's own layer walk: bfs_distances per vertex
+        ecc = max(max(bfs_distances(g, v)) for v in range(g.n))
+        if ecc == math.inf:
+            with pytest.raises(DisconnectedGraphError):
+                diameter(g)
+        else:
+            assert diameter(g) == ecc
+
     def test_diameter_paths_on_a_path(self):
         assert diameter_paths(path_graph(5)) == [DiameterPath((0, 1, 2, 3, 4))]
 
