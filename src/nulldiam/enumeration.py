@@ -528,7 +528,7 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...], int]) -> dict:
     even_candidate = reduced and extremal and d >= 2 and d % 2 == 0
     rec = {
         "n": g.n,
-        "graph6": to_graph6(g),
+        "graph6": None,
         "d": d,
         "eta": eta,
         "reduced": reduced,
@@ -545,15 +545,15 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...], int]) -> dict:
         if result.verdict is Verdict.EVEN_EXTREMAL:
             rec["recognition"] = result.to_dict()
     elif extremal and not reduced and d >= 2 and d % 2 == 0:
-        shrunk = reduce(g).graph
-        if (
-            nullity(shrunk) == shrunk.n - diameter(shrunk) - 1
-            and diameter(shrunk) % 2 == 0
-            and diameter(shrunk) >= 2
-        ):
+        red = reduce(g)
+        shrunk, d_shrunk = red.graph, red.reduced_diameter
+        if nullity(shrunk) == shrunk.n - d_shrunk - 1 and d_shrunk % 2 == 0 and d_shrunk >= 2:
             rec["unreduced_failure"] = (
                 recognize(shrunk, path_limit=path_limit).verdict is not Verdict.EVEN_EXTREMAL
             )
+    witness_verdicts = (Verdict.MISMATCH.value, Verdict.INCONCLUSIVE.value)
+    if rec["verdict"] in witness_verdicts or rec["unreduced_failure"]:
+        rec["graph6"] = to_graph6(g)  # read only by the witness lists
     if suites:
         rec["lemma_reports"] = {
             name: lemmas.run_suite(name, g).to_dict() for name in suites
@@ -630,9 +630,13 @@ def verify_theorem(
                 # evaluate in bounded lists: the pool must not be fed from
                 # the census stream, which uses the same pool
                 graphs = iter(level)
+                done = 0
                 while batch := [(rows, suites_t, path_limit) for rows in islice(graphs, 20_000)]:
                     for rec in pmap(_evaluate_graph, batch):
                         _fold_record(report, rec)
+                    done += len(batch)
+                    rate = done / (time.perf_counter() - level_start)
+                    log.info("sweep n=%d: %d graphs evaluated, %.0f graphs/s", k, done, rate)
                 report.timings[f"n={k}"] = time.perf_counter() - level_start
                 log.info("sweep level n=%d done in %.2fs", k, report.timings[f"n={k}"])
             level_start = time.perf_counter()

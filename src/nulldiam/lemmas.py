@@ -34,10 +34,11 @@ from .graphs import (
     twin_classes,
 )
 from .linalg import (
+    IntMatrix,
     adjacency_matrix,
-    integer_eigenvalue_multiplicity,
     nullity,
     rank_exact,
+    shifted_adjacency,
 )
 
 SUITE_INTERLACING = "interlacing"
@@ -120,13 +121,27 @@ class ViolationReport:
         }
 
 
+def _kept(n: int, *drop: int) -> list[int]:
+    """The vertices ``0..n-1`` left after deleting ``drop``, in order, as
+    ``Graph.without`` keeps them."""
+    return [v for v in range(n) if v not in drop]
+
+
 def check_interlacing(g: Graph, mu_values: Sequence[int] = DEFAULT_MU_VALUES) -> ViolationReport:
-    """Deleting one vertex moves any eigenvalue multiplicity by at most 1."""
+    """Deleting one vertex moves any eigenvalue multiplicity by at most 1.
+
+    Each multiplicity is n - rank(A - mu*I), and A(G-v) - mu*I is the
+    principal submatrix of A(G) - mu*I without row and column v, so the
+    shifted matrix is built once per mu and every deletion is ranked on
+    its own submatrix.
+    """
     report = ViolationReport(SUITE_INTERLACING, to_graph6(g))
+    deletions = [_kept(g.n, v) for v in range(g.n)]
     for mu in sorted(set(mu_values)):
-        m_full = integer_eigenvalue_multiplicity(g, mu)
-        for v in range(g.n):
-            m_del = integer_eigenvalue_multiplicity(g.without(v), mu)
+        shifted = shifted_adjacency(g, mu)
+        m_full = g.n - rank_exact(shifted)
+        for v, keep in enumerate(deletions):
+            m_del = g.n - 1 - rank_exact(shifted.principal(keep))
             report.checked += 1
             if abs(m_full - m_del) > 1:
                 report.violations.append(
@@ -144,12 +159,13 @@ def check_interlacing(g: Graph, mu_values: Sequence[int] = DEFAULT_MU_VALUES) ->
 def check_twin_deletion(g: Graph) -> ViolationReport:
     """Deleting either vertex of a twin pair lowers the nullity by exactly 1."""
     report = ViolationReport(SUITE_TWIN_DELETION, to_graph6(g))
-    eta = nullity(g)
+    a = adjacency_matrix(g)
+    eta = g.n - rank_exact(a)
     for cls in twin_classes(g):
         for i, u in enumerate(cls):
             for v in cls[i + 1 :]:
                 for victim in (u, v):
-                    eta_del = nullity(g.without(victim))
+                    eta_del = g.n - 1 - rank_exact(a.principal(_kept(g.n, victim)))
                     report.checked += 1
                     if eta != eta_del + 1:
                         report.violations.append(
@@ -173,10 +189,11 @@ def check_pendant_deletion(g: Graph) -> ViolationReport:
     """
     report = ViolationReport(SUITE_PENDANT_DELETION, to_graph6(g))
     instances = []
-    eta = nullity(g)
+    a = adjacency_matrix(g)
+    eta = g.n - rank_exact(a)
     for u, w in pendant_pairs(g):
-        eta_pair = nullity(g.without(u, w))
-        eta_support = nullity(g.without(w))
+        eta_pair = g.n - 2 - rank_exact(a.principal(_kept(g.n, u, w)))
+        eta_support = g.n - 1 - rank_exact(a.principal(_kept(g.n, w)))
         report.checked += 1
         if eta != eta_pair:
             report.violations.append(
@@ -202,26 +219,29 @@ def check_pendant_deletion(g: Graph) -> ViolationReport:
     return report
 
 
-def _extremal_gate(g: Graph, report: ViolationReport) -> tuple[int, int] | None:
+def _extremal_gate(g: Graph, report: ViolationReport) -> tuple[IntMatrix, int] | None:
     """Hypothesis gate shared by the rank-bound and twin-extension sweeps:
-    the graph must be connected with eta = n - d - 1.  Returns (d, rank)
+    the graph must be connected with eta = n - d - 1.  Returns (A(G), rank)
     when the gate passes, otherwise marks the report skipped."""
     if not g.is_connected():
         report.skipped = "graph is disconnected"
         return None
     d = diameter(g)
-    rank = rank_exact(adjacency_matrix(g))
+    a = adjacency_matrix(g)
+    rank = rank_exact(a)
     if g.n - rank != g.n - d - 1:
         report.skipped = f"eta={g.n - rank} != n-d-1={g.n - d - 1}"
         return None
-    return d, rank
+    return a, rank
 
 
-def _outside_subsets(g: Graph, path: DiameterPath, report: ViolationReport):
-    """Yield (subset, induced graph on path+subset, vertex list) for every
-    subset of the vertices outside the path, or mark the report truncated."""
+def _outside_subsets(a: IntMatrix, path: DiameterPath, report: ViolationReport):
+    """Yield (subset, adjacency matrix of the subgraph induced on
+    path+subset, vertex list) for every subset of the vertices outside the
+    path, or mark the report truncated.  ``a`` is A(G); each subgraph's
+    matrix is its principal submatrix."""
     on_path = set(path.vertices)
-    outside = [v for v in range(g.n) if v not in on_path]
+    outside = [v for v in range(a.order) if v not in on_path]
     if len(outside) > MAX_OUTSIDE_SWEEP:
         report.truncated = True
         return
@@ -229,7 +249,7 @@ def _outside_subsets(g: Graph, path: DiameterPath, report: ViolationReport):
     for mask in range(1 << len(outside)):
         chosen = [outside[i] for i in range(len(outside)) if mask >> i & 1]
         keep = base + chosen
-        yield chosen, g.induced(keep), keep
+        yield chosen, a.principal(keep), keep
 
 
 def check_rank_bound_diam(g: Graph) -> ViolationReport:
@@ -239,10 +259,10 @@ def check_rank_bound_diam(g: Graph) -> ViolationReport:
     gate = _extremal_gate(g, report)
     if gate is None:
         return report
-    _, rank_g = gate
+    a, rank_g = gate
     path = diameter_paths(g, limit=1)[0]
-    for chosen, sub, _keep in _outside_subsets(g, path, report):
-        rank_h = rank_exact(adjacency_matrix(sub))
+    for chosen, sub, _keep in _outside_subsets(a, path, report):
+        rank_h = rank_exact(sub)
         report.checked += 1
         if rank_h < rank_g - 1:
             report.violations.append(
@@ -266,10 +286,10 @@ def check_twin_extension(g: Graph) -> ViolationReport:
     gate = _extremal_gate(g, report)
     if gate is None:
         return report
-    _, rank_g = gate
+    a, rank_g = gate
     path = diameter_paths(g, limit=1)[0]
-    for chosen, sub, keep in _outside_subsets(g, path, report):
-        if rank_exact(adjacency_matrix(sub)) < rank_g - 1:
+    for chosen, sub, keep in _outside_subsets(a, path, report):
+        if rank_exact(sub) < rank_g - 1:
             continue
         h_mask = 0
         for v in keep:

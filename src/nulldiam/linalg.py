@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .graphs import Graph
@@ -38,6 +39,15 @@ class IntMatrix:
     def order(self) -> int:
         return len(self.entries)
 
+    def principal(self, keep: Sequence[int]) -> "IntMatrix":
+        """The principal submatrix on rows and columns ``keep``, in that
+        order.  For the matrix of a graph this is the matrix of the subgraph
+        induced on ``keep``, relabelled as ``Graph.induced`` relabels it."""
+        if len(keep) < 2:  # itemgetter takes one index or more, and one gives no tuple
+            return IntMatrix(tuple((self.entries[i][i],) for i in keep))
+        pick = itemgetter(*keep)
+        return IntMatrix(tuple(map(pick, pick(self.entries))))
+
 
 @dataclass(frozen=True)
 class IntPolynomial:
@@ -55,19 +65,18 @@ class IntPolynomial:
 
 
 def adjacency_matrix(g: Graph) -> IntMatrix:
-    return IntMatrix(
-        tuple(tuple(g.rows[i] >> j & 1 for j in range(g.n)) for i in range(g.n))
-    )
+    return shifted_adjacency(g, 0)
 
 
 def shifted_adjacency(g: Graph, mu: int) -> IntMatrix:
     """A(g) - mu*I as an exact integer matrix."""
-    return IntMatrix(
-        tuple(
-            tuple((g.rows[i] >> j & 1) - (mu if i == j else 0) for j in range(g.n))
-            for i in range(g.n)
-        )
-    )
+    columns = range(len(g.rows))
+    entries = []
+    for i, mask in enumerate(g.rows):
+        row = [mask >> j & 1 for j in columns]
+        row[i] -= mu
+        entries.append(tuple(row))
+    return IntMatrix(tuple(entries))
 
 
 def rank_exact(m: IntMatrix) -> int:

@@ -2,6 +2,7 @@ import io
 import itertools
 import logging
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +16,16 @@ from nulldiam import (
     connected_graphs,
     cycle_graph,
     ingest_graph6_stream,
+    is_reduced,
     parse_graph6,
     path_graph,
     star_graph,
     to_graph6,
     verify_theorem,
 )
+from nulldiam import enumeration
 from nulldiam.enumeration import _canonical_rows, _min_columns, _refinement_cells, _swap_class_ids
+from nulldiam.families import Verdict
 
 from helpers import (
     automorphism_count,
@@ -203,6 +207,29 @@ class TestVerifyTheorem:
         [rec] = report.recognized
         expected = canonical_form(path_graph(5).with_vertex(0b00111)).decode()
         assert rec["graph6"] == expected
+
+    def test_progress_is_logged_after_each_batch(self, caplog):
+        with caplog.at_level(logging.INFO, logger="nulldiam.enumeration"):
+            verify_theorem(1, 5)
+        pattern = re.compile(r"sweep n=(\d+): (\d+) graphs evaluated, \d+ graphs/s")
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep n=")]
+        progress = [pattern.fullmatch(line).groups() for line in lines]
+        assert progress == [(str(n), str(c)) for n, c in zip(range(1, 6), CONNECTED_CLASS_COUNTS)]
+
+    @pytest.mark.parametrize(
+        "verdict, field", [(Verdict.MISMATCH, "mismatches"), (Verdict.INCONCLUSIVE, "inconclusive")]
+    )
+    def test_witness_lists_carry_graph6(self, monkeypatch, verdict, field):
+        # a recognizer that accepts nothing makes every candidate a witness
+        result = type("Result", (), {"verdict": verdict})()
+        monkeypatch.setattr(enumeration, "recognize", lambda g, path_limit: result)
+        expected = canonical_form(path_graph(5).with_vertex(0b00111)).decode()
+        assert getattr(verify_theorem(6, 6), field) == [expected]
+        unreduced = verify_theorem(7, 7).unreduced_failures
+        assert unreduced
+        for text in unreduced:
+            g = parse_graph6(text)
+            assert g.n == 7 and not is_reduced(g)
 
     def test_lemma_suite_aggregation(self):
         report = verify_theorem(1, 5, suites=("reduction-equivalence",))

@@ -139,6 +139,20 @@ class TestGraph6:
     def test_round_trip_identity(self, g):
         assert parse_graph6(to_graph6(g)) == g
 
+    def test_codec_matches_networkx(self, census7):
+        nx = pytest.importorskip("networkx")
+        cases = [g for n in range(1, 8) for g in census7[n]]
+        cases += [random_graph(random.Random(100 + n), n) for n in (16, 32, 62, 63, 64)]
+        for g in cases:
+            text = to_graph6(g)
+            assert text.startswith("~") == (g.n >= 63)
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            assert nx.to_graph6_bytes(h, header=False) == text.encode() + b"\n"
+            back = nx.from_graph6_bytes(text.encode())
+            assert parse_graph6(text) == Graph.from_edges(back.number_of_nodes(), list(back.edges()))
+
 
 class TestMetrics:
     def test_bfs_along_path(self):

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -13,12 +14,21 @@ from nulldiam import (
     check_twin_extension,
     complete_graph,
     cycle_graph,
+    diameter,
+    diameter_paths,
     nullity,
     path_graph,
+    pendant_pairs,
+    rank_exact,
     run_suite,
     star_graph,
+    to_graph6,
+    twin_classes,
 )
-from nulldiam.lemmas import ALL_SUITES
+from nulldiam import lemmas
+from nulldiam.lemmas import ALL_SUITES, MAX_OUTSIDE_SWEEP
+
+from helpers import fraction_rank
 
 
 def p5_with_triple_anchor() -> Graph:
@@ -202,3 +212,192 @@ class TestReports:
         for name in ALL_SUITES:
             report = run_suite(name, path_graph(4))
             assert report.lemma == name
+
+
+# ---------------------------------------------------------------------------
+# Deletion-rank oracles: the suites rank principal submatrices of one matrix
+# per graph; these references rebuild every deleted or induced graph with
+# ``Graph.without``/``Graph.induced`` and rank it over the rationals.
+# ---------------------------------------------------------------------------
+
+
+def shifted_entries(g: Graph, mu: int = 0) -> list[list[int]]:
+    """A(g) - mu*I read off the bit rows, as plain lists."""
+    return [[(g.rows[i] >> j & 1) - (mu if i == j else 0) for j in range(g.n)] for i in range(g.n)]
+
+
+def oracle_rank(g: Graph, ranks: list) -> int:
+    """rank(A(g)) over the rationals, logged to ``ranks`` as (order, rank)."""
+    ranks.append((g.n, fraction_rank(shifted_entries(g))))
+    return ranks[-1][1]
+
+
+def oracle_report(lemma, g, checked=0, violations=(), skipped=None, notes=None) -> dict:
+    g6 = to_graph6(g)
+    return {
+        "lemma": lemma,
+        "graph6": g6,
+        "checked": checked,
+        "violations": [
+            {"lemma": lemma, "graph6": g6, "witness": w, "expected": e, "observed": o,
+             "severity": "violation"}
+            for w, e, o in violations
+        ],
+        "skipped": skipped,
+        "truncated": False,
+        "notes": notes or {},
+    }
+
+
+def oracle_twin_deletion(g: Graph, ranks: list) -> dict:
+    eta = g.n - oracle_rank(g, ranks)
+    checked, violations = 0, []
+    for cls in twin_classes(g):
+        for u, v in combinations(cls, 2):
+            for victim in (u, v):
+                eta_del = g.n - 1 - oracle_rank(g.without(victim), ranks)
+                checked += 1
+                if eta != eta_del + 1:
+                    violations.append((
+                        {"twins": [u, v], "deleted": victim},
+                        "eta(G) = eta(G - twin) + 1",
+                        f"eta(G)={eta}, eta(G-{victim})={eta_del}",
+                    ))
+    return oracle_report("twin-deletion", g, checked, violations)
+
+
+def oracle_pendant_deletion(g: Graph, ranks: list) -> dict:
+    eta = g.n - oracle_rank(g, ranks)
+    violations, instances = [], []
+    for u, w in pendant_pairs(g):
+        eta_pair = g.n - 2 - oracle_rank(g.without(u, w), ranks)
+        eta_support = g.n - 1 - oracle_rank(g.without(w), ranks)
+        if eta != eta_pair:
+            violations.append((
+                {"pendant": u, "support": w},
+                "eta(G) = eta(G - pendant - support)",
+                f"eta(G)={eta}, eta(G-u-w)={eta_pair}",
+            ))
+        instances.append({
+            "pendant": u,
+            "support": w,
+            "eta": eta,
+            "eta_without_pair": eta_pair,
+            "eta_without_support": eta_support,
+            "support_only_form_holds": eta == eta_support,
+        })
+    return oracle_report(
+        "pendant-deletion", g, len(instances), violations, notes={"instances": instances}
+    )
+
+
+def oracle_gate(g: Graph, ranks: list) -> tuple[str | None, int]:
+    """Why the rank-bound and twin-extension sweeps skip ``g`` (or None),
+    and rank(A(g)) when they do not."""
+    if not g.is_connected():
+        return "graph is disconnected", 0
+    d, rank_g = diameter(g), oracle_rank(g, ranks)
+    if rank_g != d + 1:
+        return f"eta={g.n - rank_g} != n-d-1={g.n - d - 1}", rank_g
+    return None, rank_g
+
+
+def oracle_subgraphs(g: Graph, ranks: list):
+    """(path, chosen, rank of the subgraph induced on path + chosen) for
+    every subset ``chosen`` of the vertices off one diameter path."""
+    path = list(diameter_paths(g, limit=1)[0].vertices)
+    outside = [v for v in range(g.n) if v not in path]
+    assert len(outside) <= MAX_OUTSIDE_SWEEP
+    for mask in range(1 << len(outside)):
+        chosen = [v for i, v in enumerate(outside) if mask >> i & 1]
+        yield path, chosen, oracle_rank(g.induced(path + chosen), ranks)
+
+
+def oracle_rank_bound(g: Graph, ranks: list) -> dict:
+    skipped, rank_g = oracle_gate(g, ranks)
+    if skipped:
+        return oracle_report("rank-bound", g, skipped=skipped)
+    checked, violations = 0, []
+    for path, chosen, rank_h in oracle_subgraphs(g, ranks):
+        checked += 1
+        if rank_h < rank_g - 1:
+            violations.append((
+                {"path": path, "extra_vertices": chosen},
+                "rank(A(H)) >= rank(A(G)) - 1",
+                f"rank(H)={rank_h}, rank(G)={rank_g}",
+            ))
+    return oracle_report("rank-bound", g, checked, violations)
+
+
+def oracle_twin_extension(g: Graph, ranks: list) -> dict:
+    skipped, rank_g = oracle_gate(g, ranks)
+    if skipped:
+        return oracle_report("twin-extension", g, skipped=skipped)
+    checked, violations = 0, []
+    for path, chosen, rank_h in oracle_subgraphs(g, ranks):
+        if rank_h < rank_g - 1:
+            continue
+        in_h = sorted(path + chosen)
+        out_h = [v for v in range(g.n) if v not in in_h]
+        pairs = [(v, h) for v in out_h for h in in_h] + list(combinations(out_h, 2))
+        for a, b in pairs:
+            n_a, n_b = g.neighbor_list(a), g.neighbor_list(b)
+            if g.has_edge(a, b) or set(n_a) & set(in_h) != set(n_b) & set(in_h):
+                continue
+            checked += 1
+            if n_a != n_b:
+                violations.append((
+                    {"pair": [a, b], "subgraph": in_h},
+                    "equal neighbourhoods in H imply equal neighbourhoods in G",
+                    f"N({a})={n_a}, N({b})={n_b}",
+                ))
+    return oracle_report("twin-extension", g, checked, violations)
+
+
+@pytest.fixture
+def suite_ranks(monkeypatch) -> list:
+    """(order, rank) of every matrix the lemma suites rank, in call order."""
+    ranks = []
+
+    def recording_rank(m):
+        ranks.append((m.order, rank_exact(m)))
+        return ranks[-1][1]
+
+    monkeypatch.setattr(lemmas, "rank_exact", recording_rank)
+    return ranks
+
+
+class TestDeletionRankOracles:
+    def test_interlacing_deletion_multiplicities(self, census7, suite_ranks):
+        mus = (-2, -1, 0, 1, 2)
+        for n in range(1, 7):
+            for g in census7[n]:
+                suite_ranks.clear()
+                check_interlacing(g, mu_values=mus)
+                expected = []
+                for mu in mus:
+                    expected.append(shifted_entries(g, mu))
+                    expected += [shifted_entries(g.without(v), mu) for v in range(g.n)]
+                assert [order - rank for order, rank in suite_ranks] == [
+                    len(e) - fraction_rank(e) for e in expected
+                ], to_graph6(g)
+
+    @pytest.mark.parametrize(
+        "check, oracle",
+        [
+            (check_twin_deletion, oracle_twin_deletion),
+            (check_pendant_deletion, oracle_pendant_deletion),
+            (check_rank_bound_diam, oracle_rank_bound),
+            (check_twin_extension, oracle_twin_extension),
+        ],
+        ids=["twin-deletion", "pendant-deletion", "rank-bound", "twin-extension"],
+    )
+    def test_reports_match_rebuilt_subgraph_oracle(self, census7, suite_ranks, check, oracle):
+        # the reports alone cannot tell a wrong submatrix when no instance
+        # fails, so every rank taken is compared too
+        for n in range(1, 8):
+            for g in census7[n]:
+                suite_ranks.clear()
+                oracle_ranks = []
+                assert check(g).to_dict() == oracle(g, oracle_ranks), to_graph6(g)
+                assert suite_ranks == oracle_ranks, to_graph6(g)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,25 @@ class TestIntMatrix:
 
     def test_shifted_adjacency(self):
         assert shifted_adjacency(complete_graph(2), -1).entries == ((1, 1), (1, 1))
+
+    def test_principal_examples(self):
+        m = shifted_adjacency(path_graph(3), 2)
+        assert m.principal([]).entries == ()
+        assert m.principal([1]).entries == ((-2,),)
+        assert m.principal([2, 0]).entries == ((-2, 0), (0, -2))
+        assert m.principal([0, 1, 2]) == m
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_principal_is_the_induced_subgraph_matrix(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=12))
+        pairs = list(itertools.combinations(range(n), 2))
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+        g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        mu = data.draw(st.integers(min_value=-3, max_value=3))
+        keep = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+        sub = shifted_adjacency(g, mu).principal(keep)
+        assert sub.entries == shifted_adjacency(g.induced(keep), mu).entries
 
 
 class TestRank:
