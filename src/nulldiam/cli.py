@@ -54,8 +54,7 @@ def _error(record: ParsedRecord, reason: str) -> tuple[str, int]:
 
 def _answer_invariants(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
     g = record.graph
-    # the empty graph has no diameter, so it is reported as disconnected
-    connected = g.n > 0 and g.is_connected()
+    connected = g.is_connected()
     rank = rank_exact(adjacency_matrix(g))
     rec = {
         "graph6": to_graph6(g),

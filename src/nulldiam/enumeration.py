@@ -36,7 +36,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 from . import lemmas
 from .families import Verdict, recognize
 from .graphs import Graph, Graph6Error, diameter, is_reduced, parse_graph6, reduce, to_graph6
-from .linalg import adjacency_matrix, nullity, rank_exact
+from .linalg import adjacency_matrix, nullity, rank_exact, rank_gf2
 
 log = logging.getLogger(__name__)
 
@@ -518,19 +518,26 @@ class SweepReport:
 def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...], int]) -> dict:
     """Per-graph worker: invariants, recognition where applicable, and the
     selected lemma suites.  Takes plain tuples so it can cross a process
-    boundary."""
+    boundary.
+
+    Extremality (eta = n - d - 1, that is rank A = d + 1) is decided by a
+    GF(2) certificate first: the rank mod 2 of a 0/1 matrix never exceeds
+    its rational rank, because an odd minor is a nonzero minor, so
+    ``rank_gf2(rows) >= d + 2`` proves the graph is not extremal with no
+    exact arithmetic.  Only the graphs the certificate cannot rule out get
+    the exact Bareiss rank; ``exact_rank`` records which ones did.
+    """
     rows, suites, path_limit = args
     g = Graph(rows)
     d = diameter(g)
-    eta = g.n - rank_exact(adjacency_matrix(g))
     reduced = is_reduced(g)
-    extremal = eta == g.n - d - 1
+    exact_rank = rank_gf2(rows) <= d + 1
+    extremal = exact_rank and rank_exact(adjacency_matrix(g)) == d + 1
     even_candidate = reduced and extremal and d >= 2 and d % 2 == 0
     rec = {
         "n": g.n,
         "graph6": None,
         "d": d,
-        "eta": eta,
         "reduced": reduced,
         "extremal": extremal,
         "odd_extremal": extremal and d % 2 == 1,
@@ -538,6 +545,7 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...], int]) -> dict:
         "verdict": None,
         "recognition": None,
         "unreduced_failure": False,
+        "exact_rank": exact_rank,
     }
     if even_candidate:
         result = recognize(g, path_limit=path_limit)
@@ -555,9 +563,7 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...], int]) -> dict:
     if rec["verdict"] in witness_verdicts or rec["unreduced_failure"]:
         rec["graph6"] = to_graph6(g)  # read only by the witness lists
     if suites:
-        rec["lemma_reports"] = {
-            name: lemmas.run_suite(name, g).to_dict() for name in suites
-        }
+        rec["lemma_reports"] = {name: lemmas.run_suite(name, g) for name in suites}
     return rec
 
 
@@ -583,16 +589,16 @@ def _fold_record(report: SweepReport, rec: dict) -> None:
             {"graphs": 0, "instances": 0, "violations": [], "skipped": 0, "truncated": 0},
         )
         summary["graphs"] += 1
-        summary["instances"] += lr["checked"]
-        summary["violations"].extend(lr["violations"])
-        summary["skipped"] += lr["skipped"] is not None
-        summary["truncated"] += lr["truncated"]
-        if name == lemmas.SUITE_REDUCTION_EQUIVALENCE and lr["notes"].get("diameter", {}).get("changed"):
+        summary["instances"] += lr.checked
+        summary["violations"].extend(v.to_dict() for v in lr.violations)
+        summary["skipped"] += lr.skipped is not None
+        summary["truncated"] += lr.truncated
+        if name == lemmas.SUITE_REDUCTION_EQUIVALENCE and lr.notes.get("diameter", {}).get("changed"):
             summary.setdefault("diameter_changed", []).append(
-                {"graph6": lr["graph6"], **lr["notes"]["diameter"]}
+                {"graph6": lr.graph6, **lr.notes["diameter"]}
             )
         if name == lemmas.SUITE_PENDANT_DELETION:
-            for inst in lr["notes"].get("instances", ()):
+            for inst in lr.notes.get("instances", ()):
                 key = "support_only_holds" if inst["support_only_form_holds"] else "support_only_fails"
                 summary[key] = summary.get(key, 0) + 1
 
@@ -630,13 +636,17 @@ def verify_theorem(
                 # evaluate in bounded lists: the pool must not be fed from
                 # the census stream, which uses the same pool
                 graphs = iter(level)
-                done = 0
+                done = exact = 0
                 while batch := [(rows, suites_t, path_limit) for rows in islice(graphs, 20_000)]:
                     for rec in pmap(_evaluate_graph, batch):
                         _fold_record(report, rec)
+                        exact += rec["exact_rank"]
                     done += len(batch)
                     rate = done / (time.perf_counter() - level_start)
-                    log.info("sweep n=%d: %d graphs evaluated, %.0f graphs/s", k, done, rate)
+                    log.info(
+                        "sweep n=%d: %d graphs evaluated, %.0f graphs/s, %d exact ranks",
+                        k, done, rate, exact,
+                    )
                 report.timings[f"n={k}"] = time.perf_counter() - level_start
                 log.info("sweep level n=%d done in %.2fs", k, report.timings[f"n={k}"])
             level_start = time.perf_counter()

@@ -135,8 +135,10 @@ class Graph:
         return self.induced([v for v in range(self.n) if v not in gone])
 
     def is_connected(self) -> bool:
+        """Whether the graph has one component.  The empty graph has none,
+        so it is not connected (and has no diameter)."""
         if self.n == 0:
-            return True
+            return False
         seen = 1
         frontier = 1
         while frontier:

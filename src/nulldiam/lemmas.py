@@ -21,6 +21,7 @@ Two of them are expected to surface findings rather than stay empty:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .graphs import (
@@ -98,7 +99,7 @@ class ViolationReport:
     """
 
     lemma: str
-    graph6: str
+    graph: Graph
     checked: int = 0
     violations: list[Violation] = field(default_factory=list)
     skipped: str | None = None
@@ -108,6 +109,12 @@ class ViolationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @cached_property
+    def graph6(self) -> str:
+        """The graph's graph6 encoding, made when first read: a sweep reads
+        it only for violations and notes, so most reports never encode."""
+        return to_graph6(self.graph)
 
     def to_dict(self) -> dict:
         return {
@@ -135,7 +142,7 @@ def check_interlacing(g: Graph, mu_values: Sequence[int] = DEFAULT_MU_VALUES) ->
     shifted matrix is built once per mu and every deletion is ranked on
     its own submatrix.
     """
-    report = ViolationReport(SUITE_INTERLACING, to_graph6(g))
+    report = ViolationReport(SUITE_INTERLACING, g)
     deletions = [_kept(g.n, v) for v in range(g.n)]
     for mu in sorted(set(mu_values)):
         shifted = shifted_adjacency(g, mu)
@@ -158,7 +165,7 @@ def check_interlacing(g: Graph, mu_values: Sequence[int] = DEFAULT_MU_VALUES) ->
 
 def check_twin_deletion(g: Graph) -> ViolationReport:
     """Deleting either vertex of a twin pair lowers the nullity by exactly 1."""
-    report = ViolationReport(SUITE_TWIN_DELETION, to_graph6(g))
+    report = ViolationReport(SUITE_TWIN_DELETION, g)
     a = adjacency_matrix(g)
     eta = g.n - rank_exact(a)
     for cls in twin_classes(g):
@@ -187,7 +194,7 @@ def check_pendant_deletion(g: Graph) -> ViolationReport:
     the pendant as an isolated vertex, is recorded in ``notes`` but never
     counted as the property under test.
     """
-    report = ViolationReport(SUITE_PENDANT_DELETION, to_graph6(g))
+    report = ViolationReport(SUITE_PENDANT_DELETION, g)
     instances = []
     a = adjacency_matrix(g)
     eta = g.n - rank_exact(a)
@@ -255,7 +262,7 @@ def _outside_subsets(a: IntMatrix, path: DiameterPath, report: ViolationReport):
 def check_rank_bound_diam(g: Graph) -> ViolationReport:
     """On graphs with eta = n - d - 1, every induced supergraph H of a
     diameter path satisfies rank(A(H)) >= rank(A(G)) - 1."""
-    report = ViolationReport(SUITE_RANK_BOUND, to_graph6(g))
+    report = ViolationReport(SUITE_RANK_BOUND, g)
     gate = _extremal_gate(g, report)
     if gate is None:
         return report
@@ -282,7 +289,7 @@ def check_twin_extension(g: Graph) -> ViolationReport:
     has equal neighbourhoods inside an induced supergraph H of a diameter
     path with rank(A(H)) >= rank(A(G)) - 1 (one vertex outside H, or both),
     the pair has equal neighbourhoods in the whole graph."""
-    report = ViolationReport(SUITE_TWIN_EXTENSION, to_graph6(g))
+    report = ViolationReport(SUITE_TWIN_EXTENSION, g)
     gate = _extremal_gate(g, report)
     if gate is None:
         return report
@@ -323,7 +330,7 @@ def check_reduction_equivalence(g: Graph) -> ViolationReport:
     twin-reduced graph?  Reported, never asserted: the equivalence fails
     whenever reduction shrinks the diameter (C_4 is the smallest case), and
     ``notes['diameter']`` records both diameters for every input."""
-    report = ViolationReport(SUITE_REDUCTION_EQUIVALENCE, to_graph6(g))
+    report = ViolationReport(SUITE_REDUCTION_EQUIVALENCE, g)
     if g.n < 2:
         report.skipped = "needs at least two vertices"
         return report
@@ -368,7 +375,7 @@ def check_reduction_equivalence(g: Graph) -> ViolationReport:
 def check_rank_lower_bound(g: Graph) -> ViolationReport:
     """Odd diameter forces rank(A(G)) >= d + 1; equality cases are flagged
     as odd-extremal in ``notes`` (they are not violations)."""
-    report = ViolationReport(SUITE_RANK_LOWER_BOUND, to_graph6(g))
+    report = ViolationReport(SUITE_RANK_LOWER_BOUND, g)
     if not g.is_connected():
         report.skipped = "graph is disconnected"
         return report

@@ -8,6 +8,8 @@ division-free characteristic polynomial for cross checks, so a bug in one
 cannot silently confirm itself through the other.  The number of distinct
 eigenvalues comes from the characteristic polynomial by a primitive
 pseudo-remainder gcd with its derivative, again over the integers.
+``rank_gf2`` is only a lower bound on the rational rank: the sweep uses it
+to rule graphs out before an exact rank, never in place of one.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ class IntMatrix:
                 raise ValueError("matrix must be square")
 
     @classmethod
+    def _square(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap ``entries`` that are square by construction, skipping the
+        shape check (a principal submatrix of a square matrix is square)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         return cls(tuple(tuple(int(x) for x in row) for row in rows))
 
@@ -44,9 +54,9 @@ class IntMatrix:
         order.  For the matrix of a graph this is the matrix of the subgraph
         induced on ``keep``, relabelled as ``Graph.induced`` relabels it."""
         if len(keep) < 2:  # itemgetter takes one index or more, and one gives no tuple
-            return IntMatrix(tuple((self.entries[i][i],) for i in keep))
+            return IntMatrix._square(tuple((self.entries[i][i],) for i in keep))
         pick = itemgetter(*keep)
-        return IntMatrix(tuple(map(pick, pick(self.entries))))
+        return IntMatrix._square(tuple(map(pick, pick(self.entries))))
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,7 @@ def shifted_adjacency(g: Graph, mu: int) -> IntMatrix:
         row = [mask >> j & 1 for j in columns]
         row[i] -= mu
         entries.append(tuple(row))
-    return IntMatrix(tuple(entries))
+    return IntMatrix._square(tuple(entries))
 
 
 def rank_exact(m: IntMatrix) -> int:
@@ -141,6 +151,29 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
                 a[i] = [(x - f * t) % p for x, t in zip(a[i], top)]
         rank += 1
     return rank
+
+
+def rank_gf2(rows: Sequence[int]) -> int:
+    """Rank over GF(2) of the 0/1 matrix whose row ``i`` has the bits of
+    ``rows[i]`` (a graph's adjacency bitmasks), by XOR elimination.
+
+    This is a lower bound on the rational rank, never a substitute for it.
+    A k x k minor that is odd is not zero, so k rows independent mod 2 are
+    independent over the rationals: rank_GF2 <= rank_Q.  The bound can be
+    strict: K_3 has rank 2 mod 2 and 3 over the rationals.  So
+    rank_GF2 >= d + 2 certifies rank > d + 1, that is eta < n - d - 1,
+    while rank_GF2 <= d + 1 decides nothing and needs ``rank_exact``.
+    """
+    basis: dict[int, int] = {}  # leading bit -> reduced row
+    for r in rows:
+        while r:
+            lead = r.bit_length()
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = r
+                break
+            r ^= pivot
+    return len(basis)
 
 
 def _is_prime(p: int) -> bool:

@@ -1,9 +1,9 @@
 """Independent oracles for the tests.
 
 Everything here is computed from first principles (plain Gaussian
-elimination over Fractions, Leibniz determinants, permutation search) so
-the package's production code paths are checked against genuinely
-different implementations, not against themselves.
+elimination over Fractions and over GF(2), Leibniz determinants,
+permutation search) so the package's production code paths are checked
+against genuinely different implementations, not against themselves.
 """
 
 from __future__ import annotations
@@ -33,6 +33,25 @@ def fraction_rank(entries) -> int:
             if r != rank and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+def gf2_rank(entries) -> int:
+    """Row reduction over GF(2) on lists of 0/1 entries (no bitmasks)."""
+    a = [[x % 2 for x in row] for row in entries]
+    if not a:
+        return 0
+    rows, cols = len(a), len(a[0])
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for r in range(rows):
+            if r != rank and a[r][col]:
+                a[r] = [(x + y) % 2 for x, y in zip(a[r], a[rank])]
         rank += 1
     return rank
 

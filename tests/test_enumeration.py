@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 from nulldiam import (
     CanonicalSizeError,
     Graph,
+    adjacency_matrix,
     canonical_form,
     canonical_graph,
+    complete_graph,
     connected_graphs,
     cycle_graph,
+    diameter,
     ingest_graph6_stream,
     is_reduced,
+    nullity,
     parse_graph6,
     path_graph,
     star_graph,
@@ -29,6 +33,7 @@ from nulldiam.families import Verdict
 
 from helpers import (
     automorphism_count,
+    gf2_rank,
     labeled_connected_count,
     min_perm_graph6,
     random_graph,
@@ -208,13 +213,22 @@ class TestVerifyTheorem:
         expected = canonical_form(path_graph(5).with_vertex(0b00111)).decode()
         assert rec["graph6"] == expected
 
-    def test_progress_is_logged_after_each_batch(self, caplog):
+    def test_progress_is_logged_after_each_batch(self, caplog, census7):
         with caplog.at_level(logging.INFO, logger="nulldiam.enumeration"):
             verify_theorem(1, 5)
-        pattern = re.compile(r"sweep n=(\d+): (\d+) graphs evaluated, \d+ graphs/s")
+        pattern = re.compile(
+            r"sweep n=(\d+): (\d+) graphs evaluated, \d+ graphs/s, (\d+) exact ranks"
+        )
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep n=")]
         progress = [pattern.fullmatch(line).groups() for line in lines]
-        assert progress == [(str(n), str(c)) for n, c in zip(range(1, 6), CONNECTED_CLASS_COUNTS)]
+        assert [p[:2] for p in progress] == [
+            (str(n), str(c)) for n, c in zip(range(1, 6), CONNECTED_CLASS_COUNTS)
+        ]
+        # an exact rank is taken where the GF(2) rank leaves rank = d + 1 open
+        assert [int(p[2]) for p in progress] == [
+            sum(gf2_rank(adjacency_matrix(g).entries) <= diameter(g) + 1 for g in census7[n])
+            for n in range(1, 6)
+        ]
 
     @pytest.mark.parametrize(
         "verdict, field", [(Verdict.MISMATCH, "mismatches"), (Verdict.INCONCLUSIVE, "inconclusive")]
@@ -230,6 +244,18 @@ class TestVerifyTheorem:
         for text in unreduced:
             g = parse_graph6(text)
             assert g.n == 7 and not is_reduced(g)
+
+    def test_extremal_flag_matches_nullity_on_census8(self, census8):
+        for level in census8.values():
+            for g in level:
+                rec = enumeration._evaluate_graph((g.rows, (), 10_000))
+                assert rec["extremal"] == (nullity(g) == g.n - diameter(g) - 1), to_graph6(g)
+
+    def test_certificate_falls_through_to_the_exact_rank(self):
+        # K_3: d = 1 and rank_GF2 = 2 = d + 1 rule nothing out, and only the
+        # rational rank 3 shows that it is not extremal
+        rec = enumeration._evaluate_graph((complete_graph(3).rows, (), 10_000))
+        assert rec["exact_rank"] and not rec["extremal"]
 
     def test_lemma_suite_aggregation(self):
         report = verify_theorem(1, 5, suites=("reduction-equivalence",))

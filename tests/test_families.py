@@ -137,6 +137,8 @@ class TestRecognize:
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             recognize(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        with pytest.raises(DisconnectedGraphError, match="recognition is defined"):
+            recognize(Graph(()))
 
     def test_duplicated_triple_anchor_is_a_mismatch(self):
         # a twin of z keeps eta = n - d - 1 but breaks the reduced-shape

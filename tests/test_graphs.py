@@ -74,7 +74,7 @@ class TestGraphType:
     def test_connectivity(self):
         assert path_graph(5).is_connected()
         assert not Graph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
-        assert Graph(()).is_connected()
+        assert not Graph(()).is_connected()
 
 
 class TestGraph6:
@@ -249,6 +249,8 @@ class TestTwinsAndReduction:
     def test_reduce_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             reduce(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        with pytest.raises(DisconnectedGraphError, match="reduction is defined"):
+            reduce(Graph(()))
 
     def test_reduce_is_idempotent(self, census7):
         for n in range(1, 7):

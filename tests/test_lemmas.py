@@ -208,6 +208,10 @@ class TestReports:
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nonsense", path_graph(3))
 
+    def test_empty_graph_is_skipped_at_the_connectivity_gate(self):
+        for name in ("rank-bound", "twin-extension", "rank-lower-bound"):
+            assert run_suite(name, Graph(())).skipped == "graph is disconnected"
+
     def test_all_suites_cover_every_checker(self):
         for name in ALL_SUITES:
             report = run_suite(name, path_graph(4))

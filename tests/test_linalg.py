@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,9 @@ from nulldiam import (
     zero_root_multiplicity,
 )
 
-from helpers import char_poly_leibniz, fraction_rank, root_multiplicity
+from nulldiam.linalg import rank_gf2
+
+from helpers import char_poly_leibniz, fraction_rank, gf2_rank, random_graph, root_multiplicity
 
 
 @st.composite
@@ -59,6 +62,12 @@ class TestIntMatrix:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError, match="square"):
             IntMatrix.from_rows([[0, 1], [1]])
+
+    def test_constructor_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            IntMatrix(((0, 1, 0), (1, 0, 1)))
+        with pytest.raises(ValueError, match="square"):
+            IntMatrix(((0, 1),))
 
     def test_adjacency_examples(self):
         assert adjacency_matrix(complete_graph(2)).entries == ((0, 1), (1, 0))
@@ -125,6 +134,25 @@ class TestRank:
         for g in census7[5]:
             m = adjacency_matrix(g)
             assert rank_mod_p(m, 65521) == rank_exact(m) == fraction_rank(m.entries)
+
+    def test_gf2_examples(self):
+        assert rank_gf2(()) == 0
+        assert rank_gf2(path_graph(4).rows) == 4
+        assert rank_gf2(cycle_graph(4).rows) == 2
+        # odd cycles: full rank over the rationals, one less mod 2
+        assert rank_gf2(complete_graph(3).rows) == 2 < rank_exact(adjacency_matrix(complete_graph(3)))
+        assert rank_gf2(cycle_graph(5).rows) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=64),
+        st.floats(min_value=0, max_value=1),
+        st.integers(min_value=0),
+    )
+    def test_gf2_matches_oracle_and_never_exceeds_exact(self, n, p, seed):
+        g = random_graph(random.Random(seed), n, p)
+        m = adjacency_matrix(g)
+        assert rank_gf2(g.rows) == gf2_rank(m.entries) <= rank_exact(m)
 
 
 class TestNullity:
