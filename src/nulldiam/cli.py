@@ -25,7 +25,7 @@ from .enumeration import (
     verify_theorem,
 )
 from .families import Verdict, enumerate_family, recognize
-from .graphs import DisconnectedGraphError, diameter, is_reduced, reduce, to_graph6
+from .graphs import MAX_VERTICES, DisconnectedGraphError, diameter, is_reduced, reduce, to_graph6
 from .lemmas import ALL_SUITES
 from .linalg import adjacency_matrix, distinct_eigenvalue_count, rank_exact
 
@@ -41,11 +41,25 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _open_out(path: str | None):
-    """Context manager for the output sink; never closes stdout."""
-    if not path:
-        return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+class _CannotOpen(Exception):
+    """An ``--input`` or ``--out`` path that cannot be opened: an input
+    error, reported in one stderr line."""
+
+
+def _open(args: argparse.Namespace, path: str, mode: str):
+    """Open ``--input`` (mode ``"rb"``) or ``--out`` (mode ``"w"``)."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        verb = "read" if "r" in mode else "write"
+        reason = exc.strerror or exc
+        raise _CannotOpen(f"nulldiam {args.command}: cannot {verb} {path}: {reason}") from None
+
+
+def _open_out(args: argparse.Namespace):
+    """Context manager for the output sink; never closes stdout.  Commands
+    open it before any work, so an unwritable ``--out`` costs nothing."""
+    return _open(args, args.out, "w") if args.out else nullcontext(sys.stdout)
 
 
 def _error(record: ParsedRecord, reason: str) -> tuple[str, int]:
@@ -117,17 +131,13 @@ def cmd_records(args: argparse.Namespace) -> int:
     Each line is printed as soon as it is known.  With ``--jobs`` above 1
     the records go to the pool in bounded batches.  The exit code is the
     largest of the per-record codes: 0, then 2 for an input error, then 3
-    for a mismatch.  An input file that cannot be opened is an input
-    error: one line on stderr and exit 2.
+    for a mismatch.  An ``--input`` or ``--out`` that cannot be opened is
+    an input error: one line on stderr and exit 2.
     """
-    try:
-        source = nullcontext(sys.stdin.buffer) if args.input == "-" else open(args.input, "rb")
-    except OSError as exc:
-        print(f"nulldiam {args.command}: cannot read {args.input}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_INPUT
+    source = nullcontext(sys.stdin.buffer) if args.input == "-" else _open(args, args.input, "rb")
     batch_size = 1 if args.jobs <= 1 else 1024
     code = EXIT_OK
-    with source as fh, ordered_map(args.jobs) as pmap, _open_out(args.out) as out:
+    with source as fh, _open_out(args) as out, ordered_map(args.jobs) as pmap:
         # one character per byte: a byte outside graph6's range is a
         # ``charset`` error for its line, never a decoding failure
         records = ingest_graph6_stream(line.decode("latin-1") for line in fh)
@@ -140,7 +150,7 @@ def cmd_records(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     n_max = args.n_max if args.n_max is not None else args.d + 5
-    with _open_out(args.out) as out:
+    with _open_out(args) as out:
         for g in enumerate_family(args.d, n_max):
             print(to_graph6(g), file=out)
     return EXIT_OK
@@ -152,10 +162,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         n_min, n_max = args.n_range
     suites = ALL_SUITES if args.suites is None else tuple(args.suites)
-    report = verify_theorem(
-        n_min, n_max, suites=suites, jobs=args.jobs, path_limit=args.path_limit
-    )
-    with _open_out(args.out) as out:
+    with _open_out(args) as out:
+        report = verify_theorem(
+            n_min, n_max, suites=suites, jobs=args.jobs, path_limit=args.path_limit
+        )
         print(json.dumps(report.to_dict(), sort_keys=True, indent=2), file=out)
     for n in sorted(report.per_n):
         t = report.per_n[n]
@@ -217,6 +227,11 @@ def _even(text: str) -> int:
     value = int(text)
     if value < 2 or value % 2:
         raise argparse.ArgumentTypeError("diameter must be even and >= 2")
+    if value > MAX_VERTICES - 2:
+        raise argparse.ArgumentTypeError(
+            f"a member has at least d + 2 vertices and at most {MAX_VERTICES} are "
+            f"supported, so d <= {MAX_VERTICES - 2}, got {value}"
+        )
     return value
 
 
@@ -248,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate the even-diameter extremal family")
     p.add_argument("--d", type=_even, required=True, help="even diameter >= 2")
-    p.add_argument("--n-max", type=int, default=None, help="max vertices (default d+5)")
+    p.add_argument(
+        "--n-max", type=int, default=None, help=f"max vertices (default d+5, at most {MAX_VERTICES})"
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -273,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    except _CannotOpen as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INPUT
     except Exception:  # pragma: no cover - defensive catch-all for exit code 1
         log.exception("internal error")
         return EXIT_INTERNAL

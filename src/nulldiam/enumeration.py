@@ -36,7 +36,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 from . import lemmas
 from .families import Verdict, recognize
 from .graphs import Graph, Graph6Error, diameter, is_reduced, parse_graph6, reduce, to_graph6
-from .linalg import adjacency_matrix, nullity, rank_exact, rank_gf2
+from .linalg import adjacency_matrix, rank_exact, rank_gf2
 
 log = logging.getLogger(__name__)
 
@@ -553,12 +553,8 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...], int]) -> dict:
         if result.verdict is Verdict.EVEN_EXTREMAL:
             rec["recognition"] = result.to_dict()
     elif extremal and not reduced and d >= 2 and d % 2 == 0:
-        red = reduce(g)
-        shrunk, d_shrunk = red.graph, red.reduced_diameter
-        if nullity(shrunk) == shrunk.n - d_shrunk - 1 and d_shrunk % 2 == 0 and d_shrunk >= 2:
-            rec["unreduced_failure"] = (
-                recognize(shrunk, path_limit=path_limit).verdict is not Verdict.EVEN_EXTREMAL
-            )
+        verdict = recognize(reduce(g).graph, path_limit=path_limit).verdict
+        rec["unreduced_failure"] = verdict in (Verdict.MISMATCH, Verdict.INCONCLUSIVE)
     witness_verdicts = (Verdict.MISMATCH.value, Verdict.INCONCLUSIVE.value)
     if rec["verdict"] in witness_verdicts or rec["unreduced_failure"]:
         rec["graph6"] = to_graph6(g)  # read only by the witness lists

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import (
     DEFAULT_PATH_LIMIT,
+    MAX_VERTICES,
     DiameterPath,
     DisconnectedGraphError,
     Graph,
@@ -138,30 +140,36 @@ def generate_family(params: FamilyParams) -> Graph | FamilyRejection:
 
 def enumerate_family(d: int, n_max: int) -> list[Graph]:
     """All validated family members with diameter ``d`` and at most
-    ``n_max`` vertices, one representative per isomorphism class.
+    ``n_max`` vertices (capped at ``MAX_VERTICES``), one per isomorphism
+    class, in order of ``(b, mask)``; ``mask`` has bit ``a - 1`` set for
+    each single-anchor index ``a``.
 
-    Mirrored parameter choices produce isomorphic graphs, so results are
-    deduplicated by canonical form; order follows the parameter sweep.
+    Two valid parameter choices give isomorphic members exactly when they
+    are equal or mirrored, ``(b, A)`` and ``(d/2 - 1 - b, {d/2 + 1 - a})``.
+    A valid member has all ``a`` in ``2..d/2 - 1`` (``a = 1`` or ``d/2``
+    makes a twin of a path end), so its only pair at distance ``d`` is
+    ``{v_1, v_(d+1)}``.  The diameter paths are then ``P`` and ``P`` with
+    ``z`` in place of ``v_(2b+2)``, in either direction, and both paths
+    read back the same ``(b, A)``; an isomorphism maps diameter paths to
+    diameter paths, so it keeps the parameters or mirrors them.  Each
+    class is therefore kept at the smaller of its two parameter choices.
     """
     if d < 2 or d % 2:
         raise FamilyParamError(f"diameter must be even and >= 2, got {d}")
-    from .enumeration import canonical_form
-
+    half = d // 2
+    max_singles = min(n_max, MAX_VERTICES) - d - 2
+    slots = sorted(
+        (sum(1 << i for i in combo), sum(1 << (half - 1 - i) for i in combo), combo)
+        for size in range(max_singles + 1)
+        for combo in combinations(range(half), size)
+    )
     out: list[Graph] = []
-    seen: set[bytes] = set()
-    spots = list(range(1, d // 2 + 1))
-    max_singles = max(0, n_max - d - 2)
-    for b in range((d - 2) // 2 + 1):
-        for mask in range(1 << len(spots)):
-            if mask.bit_count() > max_singles:
+    for b in range(half):
+        for mask, mirror, combo in slots:
+            if (half - 1 - b, mirror) < (b, mask):
                 continue
-            singles = frozenset(spots[i] for i in range(len(spots)) if mask >> i & 1)
-            built = generate_family(FamilyParams(d, b, singles))
-            if isinstance(built, FamilyRejection):
-                continue
-            key = canonical_form(built, limit=built.n)
-            if key not in seen:
-                seen.add(key)
+            built = generate_family(FamilyParams(d, b, frozenset(i + 1 for i in combo)))
+            if isinstance(built, Graph):
                 out.append(built)
     return out
 

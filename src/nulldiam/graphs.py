@@ -389,17 +389,8 @@ def twin_classes(g: Graph) -> list[list[int]]:
     return sorted(groups.values())
 
 
-def _twin_victim(g: Graph) -> int | None:
-    """Lowest-indexed vertex that has a twin, or None when reduced."""
-    best: int | None = None
-    for cls in twin_classes(g):
-        if len(cls) >= 2 and (best is None or cls[0] < best):
-            best = cls[0]
-    return best
-
-
 def is_reduced(g: Graph) -> bool:
-    return _twin_victim(g) is None
+    return len(set(g.rows)) == g.n
 
 
 @dataclass(frozen=True, slots=True)
@@ -411,25 +402,22 @@ class ReductionResult:
 
 
 def reduce(g: Graph) -> ReductionResult:
-    """Delete twins until none remain, lowest-indexed victim first.
+    """Delete twins until none remain, keeping the last vertex of each twin
+    class (in order).
 
-    Twin deletion keeps the graph connected, so both diameters are well
-    defined; they are reported side by side because reduction can shrink
-    the diameter (C_4 reduces to K_2, dropping it from 2 to 1), and no
-    equality between them is ever assumed.
+    One pass suffices: deleting a vertex ``w`` that has a twin ``w'``
+    never makes two other vertices twins, because if ``w`` is adjacent to
+    exactly one of them, so is ``w'``.  Twin deletion keeps the graph
+    connected, so both diameters are well defined; they are reported side
+    by side because reduction can shrink the diameter (C_4 reduces to K_2,
+    dropping it from 2 to 1), and no equality between them is ever
+    assumed.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("reduction is defined for connected graphs")
-    original_d = diameter(g)
-    cur = g
-    removed = 0
-    while True:
-        victim = _twin_victim(cur)
-        if victim is None:
-            break
-        cur = cur.without(victim)
-        removed += 1
-    return ReductionResult(cur, removed, original_d, diameter(cur))
+    last = {row: v for v, row in enumerate(g.rows)}
+    cur = g.induced(sorted(last.values()))
+    return ReductionResult(cur, g.n - cur.n, diameter(g), diameter(cur))
 
 
 def pendant_pairs(g: Graph) -> list[tuple[int, int]]:

@@ -4,6 +4,9 @@ Everything here is computed from first principles (plain Gaussian
 elimination over Fractions and over GF(2), Leibniz determinants,
 permutation search) so the package's production code paths are checked
 against genuinely different implementations, not against themselves.
+The two exceptions keep a replaced algorithm as the reference for its
+replacement: ``reduce_by_rescan`` (twin deletion one vertex at a time)
+and ``family_by_mask_walk`` (every mask, deduplicated by canonical form).
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from nulldiam import Graph, to_graph6
+from nulldiam import FamilyParams, Graph, generate_family, to_graph6, twin_classes
+from nulldiam.enumeration import canonical_form
 
 
 def fraction_rank(entries) -> int:
@@ -195,3 +199,36 @@ def labeled_connected_count_vectorized(n: int) -> int:
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def reduce_by_rescan(g: Graph) -> tuple[Graph, int]:
+    """Twin reduction by rescanning: delete the lowest-indexed vertex that
+    has a twin until none has; returns the graph and the deletion count."""
+    removed = 0
+    while True:
+        victims = [cls[0] for cls in twin_classes(g) if len(cls) >= 2]
+        if not victims:
+            return g, removed
+        g = g.without(min(victims))
+        removed += 1
+
+
+def family_by_mask_walk(d: int, n_max: int) -> list[Graph]:
+    """Family members by trying every single-anchor mask for every triple
+    index and keeping the first of each canonical form (exponential in d)."""
+    out: list[Graph] = []
+    seen: set[bytes] = set()
+    spots = list(range(1, d // 2 + 1))
+    for b in range(d // 2):
+        for mask in range(1 << len(spots)):
+            if mask.bit_count() > n_max - d - 2:
+                continue
+            singles = frozenset(spots[i] for i in range(len(spots)) if mask >> i & 1)
+            built = generate_family(FamilyParams(d, b, singles))
+            if not isinstance(built, Graph):
+                continue
+            key = canonical_form(built, limit=built.n)
+            if key not in seen:
+                seen.add(key)
+                out.append(built)
+    return out

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nulldiam import MAX_CENSUS_ORDER, schemas, to_graph6
+from nulldiam import MAX_CENSUS_ORDER, MAX_VERTICES, cli, schemas, to_graph6
 from nulldiam.cli import main
 from nulldiam.enumeration import canonical_form
 from nulldiam.graphs import cycle_graph, path_graph
@@ -198,6 +198,24 @@ class TestRecordInput:
             assert code == 2 and out == ""
             assert len(err.splitlines()) == 1 and where in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [(command,) for command in RECORD_COMMANDS]
+        + [("gen", "--d", "4"), ("verify", "--n", "4", "--suites", "")],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_is_input_error(self, capsys, monkeypatch, tmp_path, g6_file, argv):
+        started = []
+        monkeypatch.setattr(cli, "verify_theorem", lambda *a, **k: started.append("verify"))
+        monkeypatch.setattr(cli, "enumerate_family", lambda *a: started.append("gen") or [])
+        if argv[0] in RECORD_COMMANDS:
+            argv += ("--input", g6_file("A_"))
+        for where in (str(tmp_path / "missing" / "out.txt"), str(tmp_path)):
+            code, out, err = run(capsys, *argv, "--out", where)
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and where in err and "Traceback" not in err
+        assert started == []
+
     def test_output_streams_before_input_ends(self, capsys, monkeypatch):
         printed = []
 
@@ -238,6 +256,24 @@ class TestGen:
         with pytest.raises(SystemExit) as err:
             main(["gen", "--d", "5"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("n_max", ["5", "-5"])
+    def test_n_max_below_the_smallest_member_prints_nothing(self, capsys, n_max):
+        code, out, _ = run(capsys, "gen", "--d", "4", "--n-max", n_max)
+        assert code == 0
+        assert out == ""
+
+    def test_d_beyond_the_vertex_cap_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["gen", "--d", str(MAX_VERTICES)])
+        assert err.value.code == 2
+        assert f"at most {MAX_VERTICES}" in capsys.readouterr().err
+
+    def test_out_file(self, capsys, tmp_path):
+        out_path = tmp_path / "family.g6"
+        code, out, _ = run(capsys, "gen", "--d", "6", "--out", str(out_path))
+        assert code == 0 and out == ""
+        assert out_path.read_text() == run(capsys, "gen", "--d", "6")[1]
 
     def test_gen_output_recognized(self, capsys):
         code, out, _ = run(capsys, "gen", "--d", "6")

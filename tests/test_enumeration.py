@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import logging
@@ -37,6 +38,7 @@ from helpers import (
     labeled_connected_count,
     min_perm_graph6,
     random_graph,
+    reduce_by_rescan,
     relabel,
 )
 
@@ -244,6 +246,31 @@ class TestVerifyTheorem:
         for text in unreduced:
             g = parse_graph6(text)
             assert g.n == 7 and not is_reduced(g)
+
+    def test_unreduced_failures_follow_the_reduced_verdict(self, monkeypatch, census7):
+        # with a recognizer that rejects every even-diameter extremal graph,
+        # the witnesses are exactly the unreduced even-diameter extremal
+        # graphs whose reduction is even-diameter extremal
+        real = enumeration.recognize
+
+        def rejecting(g, path_limit):
+            result = real(g, path_limit=path_limit)
+            if result.verdict is Verdict.EVEN_EXTREMAL:
+                return dataclasses.replace(result, verdict=Verdict.MISMATCH)
+            return result
+
+        def even_extremal(g):
+            d = diameter(g)
+            return d >= 2 and d % 2 == 0 and nullity(g) == g.n - d - 1
+
+        expected = sorted(
+            to_graph6(g)
+            for g in census7[7]
+            if not is_reduced(g) and even_extremal(g) and even_extremal(reduce_by_rescan(g)[0])
+        )
+        monkeypatch.setattr(enumeration, "recognize", rejecting)
+        assert expected
+        assert sorted(verify_theorem(7, 7).unreduced_failures) == expected
 
     def test_extremal_flag_matches_nullity_on_census8(self, census8):
         for level in census8.values():

@@ -6,6 +6,7 @@ from nulldiam import (
     FamilyParams,
     FamilyRejection,
     Graph,
+    MAX_VERTICES,
     Verdict,
     cycle_graph,
     complete_graph,
@@ -17,8 +18,11 @@ from nulldiam import (
     nullity,
     path_graph,
     recognize,
+    to_graph6,
 )
 from nulldiam.enumeration import canonical_form
+
+from helpers import family_by_mask_walk
 
 
 def build(d, b, singles=()):
@@ -105,6 +109,30 @@ class TestEnumerate:
     def test_rejects_odd_diameter(self):
         with pytest.raises(FamilyParamError):
             enumerate_family(5, 9)
+
+    @pytest.mark.parametrize("d", range(2, 15, 2))
+    def test_matches_the_mask_walk(self, d):
+        # the mask walk at 2d + 2 tries every mask; at a smaller n_max it
+        # keeps exactly its members with at most n_max vertices, in the same
+        # order, because isomorphic members have the same order
+        walked = family_by_mask_walk(d, 2 * d + 2)
+        for n_max in range(d + 2, 2 * d + 3):
+            expected = [to_graph6(g) for g in walked if g.n <= n_max]
+            assert [to_graph6(g) for g in enumerate_family(d, n_max)] == expected, n_max
+
+    def test_matches_the_mask_walk_at_diameter_sixteen(self):
+        expected = [to_graph6(g) for g in family_by_mask_walk(16, 21)]
+        assert [to_graph6(g) for g in enumerate_family(16, 21)] == expected
+
+    @pytest.mark.parametrize("d, n_max", [(4, 5), (6, 7), (4, -5)])
+    def test_below_the_smallest_member_is_empty(self, d, n_max):
+        assert enumerate_family(d, n_max) == []
+
+    def test_order_is_capped_at_the_vertex_limit(self):
+        members = enumerate_family(62, 70)
+        assert len(members) == 16
+        assert {g.n for g in members} == {MAX_VERTICES}
+        assert enumerate_family(64, 70) == []
 
 
 class TestRecognize:

@@ -29,7 +29,7 @@ from nulldiam import (
 )
 from nulldiam.enumeration import canonical_form
 
-from helpers import random_graph
+from helpers import random_graph, reduce_by_rescan, relabel
 
 
 @st.composite
@@ -251,6 +251,17 @@ class TestTwinsAndReduction:
             reduce(Graph.from_edges(4, [(0, 1), (2, 3)]))
         with pytest.raises(DisconnectedGraphError, match="reduction is defined"):
             reduce(Graph(()))
+
+    def test_one_pass_matches_rescanning(self, census8):
+        # every connected class with n <= 8, and relabelled copies of some,
+        # since which twin survives depends on the labels
+        rng = random.Random(5)
+        graphs = [g for level in census8.values() for g in level]
+        graphs += [relabel(g, rng.sample(range(g.n), g.n)) for g in graphs[::5]]
+        for g in graphs:
+            res = reduce(g)
+            assert (res.graph, res.removed) == reduce_by_rescan(g), to_graph6(g)
+            assert is_reduced(g) == (res.removed == 0)
 
     def test_reduce_is_idempotent(self, census7):
         for n in range(1, 7):
