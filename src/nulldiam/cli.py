@@ -111,7 +111,7 @@ def _answer_check(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, 
     g = record.graph
     if g.n == 0 or not g.is_connected():
         return _error(record, "graph is empty" if g.n == 0 else "graph is disconnected")
-    rec = recognize(g, path_limit=args.path_limit).to_dict()
+    rec = recognize(g).to_dict()
     code = EXIT_MISMATCH if rec["verdict"] == Verdict.MISMATCH.value else EXIT_OK
     if args.format == "json":
         return _dump(rec), code
@@ -163,9 +163,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_min, n_max = args.n_range
     suites = ALL_SUITES if args.suites is None else tuple(args.suites)
     with _open_out(args) as out:
-        report = verify_theorem(
-            n_min, n_max, suites=suites, jobs=args.jobs, path_limit=args.path_limit
-        )
+        report = verify_theorem(n_min, n_max, suites=suites, jobs=args.jobs)
         print(json.dumps(report.to_dict(), sort_keys=True, indent=2), file=out)
     for n in sorted(report.per_n):
         t = report.per_n[n]
@@ -181,8 +179,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     print(
-        f"mismatches={len(report.mismatches)} inconclusive={len(report.inconclusive)} "
-        f"unreduced-failures={len(report.unreduced_failures)}",
+        f"mismatches={len(report.mismatches)} unreduced-failures={len(report.unreduced_failures)}",
         file=sys.stderr,
     )
     return EXIT_MISMATCH if report.mismatches else EXIT_OK
@@ -190,9 +187,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _census_order(text: str | int) -> int:
     value = int(text)
-    if value > MAX_CENSUS_ORDER:
+    if not 1 <= value <= MAX_CENSUS_ORDER:
         raise argparse.ArgumentTypeError(
-            f"census supports orders up to {MAX_CENSUS_ORDER}, got {value}"
+            f"census orders run from 1 up to {MAX_CENSUS_ORDER} "
+            f"(1..{MAX_CENSUS_ORDER}), got {value}"
         )
     return value
 
@@ -203,14 +201,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
-    return lo, _census_order(hi)
-
-
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _census_order(lo), _census_order(hi)
 
 
 def _parse_suites(text: str) -> list[str]:
@@ -258,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="recognize extremal structure per graph")
     add_io(p)
-    p.add_argument("--path-limit", type=_positive, default=10_000)
     p.set_defaults(func=cmd_records, answer=_answer_check)
 
     p = sub.add_parser("gen", help="generate the even-diameter extremal family")
@@ -275,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n-range", type=_parse_range, default=None, metavar="A..B")
     p.add_argument("--suites", type=_parse_suites, default=None, help="comma-separated suite list")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--path-limit", type=_positive, default=10_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

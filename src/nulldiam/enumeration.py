@@ -482,9 +482,11 @@ class SweepReport:
     ``mismatches`` lists reduced even-diameter extremal graphs the
     recognizer rejected (a counterexample to the characterization if ever
     nonempty); ``unreduced_failures`` lists non-reduced extremal graphs
-    whose twin reduction was not recognized.  Lemma summaries aggregate
-    the per-graph checker reports for the selected suites.  Timing fields
-    are informational and excluded from reproducibility comparisons.
+    whose twin reduction was not recognized; ``inconclusive`` is always
+    empty, since the recognizer always decides, and is kept for readers of
+    the key.  Lemma summaries aggregate the per-graph checker reports for
+    the selected suites.  Timing fields are informational and excluded
+    from reproducibility comparisons.
     """
 
     n_min: int
@@ -515,7 +517,7 @@ class SweepReport:
         return out
 
 
-def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...], int]) -> dict:
+def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...]]) -> dict:
     """Per-graph worker: invariants, recognition where applicable, and the
     selected lemma suites.  Takes plain tuples so it can cross a process
     boundary.
@@ -527,7 +529,7 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...], int]) -> dict:
     exact arithmetic.  Only the graphs the certificate cannot rule out get
     the exact Bareiss rank; ``exact_rank`` records which ones did.
     """
-    rows, suites, path_limit = args
+    rows, suites = args
     g = Graph(rows)
     d = diameter(g)
     reduced = is_reduced(g)
@@ -548,15 +550,13 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...], int]) -> dict:
         "exact_rank": exact_rank,
     }
     if even_candidate:
-        result = recognize(g, path_limit=path_limit)
+        result = recognize(g)
         rec["verdict"] = result.verdict.value
         if result.verdict is Verdict.EVEN_EXTREMAL:
             rec["recognition"] = result.to_dict()
     elif extremal and not reduced and d >= 2 and d % 2 == 0:
-        verdict = recognize(reduce(g).graph, path_limit=path_limit).verdict
-        rec["unreduced_failure"] = verdict in (Verdict.MISMATCH, Verdict.INCONCLUSIVE)
-    witness_verdicts = (Verdict.MISMATCH.value, Verdict.INCONCLUSIVE.value)
-    if rec["verdict"] in witness_verdicts or rec["unreduced_failure"]:
+        rec["unreduced_failure"] = recognize(reduce(g).graph).verdict is Verdict.MISMATCH
+    if rec["verdict"] == Verdict.MISMATCH.value or rec["unreduced_failure"]:
         rec["graph6"] = to_graph6(g)  # read only by the witness lists
     if suites:
         rec["lemma_reports"] = {name: lemmas.run_suite(name, g) for name in suites}
@@ -575,8 +575,6 @@ def _fold_record(report: SweepReport, rec: dict) -> None:
         report.recognized.append(rec["recognition"])
     elif rec["verdict"] == Verdict.MISMATCH.value:
         report.mismatches.append(rec["graph6"])
-    elif rec["verdict"] == Verdict.INCONCLUSIVE.value:
-        report.inconclusive.append(rec["graph6"])
     if rec["unreduced_failure"]:
         report.unreduced_failures.append(rec["graph6"])
     for name, lr in rec.get("lemma_reports", {}).items():
@@ -604,7 +602,6 @@ def verify_theorem(
     n_max: int,
     suites: Sequence[str] = (),
     jobs: int = 1,
-    path_limit: int = 10_000,
 ) -> SweepReport:
     """Exhaustive sweep over all connected graphs with n_min <= n <= n_max.
 
@@ -633,7 +630,7 @@ def verify_theorem(
                 # the census stream, which uses the same pool
                 graphs = iter(level)
                 done = exact = 0
-                while batch := [(rows, suites_t, path_limit) for rows in islice(graphs, 20_000)]:
+                while batch := [(rows, suites_t) for rows in islice(graphs, 20_000)]:
                     for rec in pmap(_evaluate_graph, batch):
                         _fold_record(report, rec)
                         exact += rec["exact_rank"]

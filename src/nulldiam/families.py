@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (
-    DEFAULT_PATH_LIMIT,
     MAX_VERTICES,
     DiameterPath,
     DisconnectedGraphError,
@@ -153,6 +152,8 @@ def enumerate_family(d: int, n_max: int) -> list[Graph]:
     read back the same ``(b, A)``; an isomorphism maps diameter paths to
     diameter paths, so it keeps the parameters or mirrors them.  Each
     class is therefore kept at the smaller of its two parameter choices.
+    The walk takes ``a`` from ``2..d/2 - 1`` only, a range the mirror maps
+    to itself, so no twin collapse is ever built.
     """
     if d < 2 or d % 2:
         raise FamilyParamError(f"diameter must be even and >= 2, got {d}")
@@ -161,7 +162,7 @@ def enumerate_family(d: int, n_max: int) -> list[Graph]:
     slots = sorted(
         (sum(1 << i for i in combo), sum(1 << (half - 1 - i) for i in combo), combo)
         for size in range(max_singles + 1)
-        for combo in combinations(range(half), size)
+        for combo in combinations(range(1, half - 1), size)
     )
     out: list[Graph] = []
     for b in range(half):
@@ -179,7 +180,6 @@ class Verdict(enum.Enum):
     ODD_EXTREMAL = "OddExtremal"
     EVEN_EXTREMAL = "EvenExtremal"
     MISMATCH = "Mismatch"
-    INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,7 @@ class RecognitionResult:
     diameter and nullity n - d - 1 yet no diameter path satisfies the
     family shape; on a twin-reduced input that contradicts the
     characterization this package exists to verify, so it is the highest
-    severity outcome.  ``INCONCLUSIVE`` is returned when the diameter-path
-    enumeration hit its cap before any path passed (never silently
-    downgraded to a negative verdict).
+    severity outcome.
     """
 
     verdict: Verdict
@@ -275,14 +273,27 @@ def _claims_on_path(g: Graph, path: DiameterPath, d: int) -> FamilyParams | str:
     return FamilyParams(d, b, frozenset(singles.values()))
 
 
-def recognize(g: Graph, path_limit: int = DEFAULT_PATH_LIMIT) -> RecognitionResult:
+def recognize(g: Graph) -> RecognitionResult:
     """Classify a connected graph against the extremal structure.
 
     The arithmetic gate (nullity = n - d - 1) decides extremality; odd
-    diameter needs nothing further.  For even diameter every diameter path
-    is tried in turn, because the structural conditions are stated relative
-    to a path and could in principle depend on the choice; the first path
-    that fits yields the verdict.
+    diameter needs nothing further.  For even diameter the family shape is
+    checked on one diameter path, the first that ``diameter_paths`` finds;
+    a fit yields the verdict with that path's parameters, and a failure is
+    a ``MISMATCH`` whose witness names the path and the failed condition.
+
+    One path decides, because the fit does not depend on the path.  The
+    shape fixes every edge relative to the path, so if some diameter path
+    fits, ``g`` is the candidate ``F(d, b, A)`` built from its parameters,
+    with any ``A``, including ``a = 1`` or ``a = d/2``.  Every diameter
+    path of ``F`` is the base path ``P``, or an image of ``P`` under
+    reversal and the automorphisms of ``F``: the swap of ``z`` with
+    ``v_(2b+2)``, and, when ``a = 1`` or ``a = d/2``, the swap of that
+    single-anchor vertex with its twin at the path end.  The fit test does
+    not change under an automorphism, and a reversal only mirrors the
+    parameters to ``(d/2 - 1 - b, {d/2 + 1 - a})``.  So if one diameter
+    path fits, every diameter path fits, and if the first does not, none
+    does.  This extends the argument in :func:`enumerate_family`.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("recognition is defined for connected graphs")
@@ -290,47 +301,17 @@ def recognize(g: Graph, path_limit: int = DEFAULT_PATH_LIMIT) -> RecognitionResu
     d = diameter(g)
     eta = nullity(g)
     if eta != g.n - d - 1:
-        return RecognitionResult(
-            Verdict.NOT_EXTREMAL,
-            g6,
-            g.n,
-            d,
-            eta,
-            witness={"expected_nullity": g.n - d - 1},
-        )
+        witness = {"expected_nullity": g.n - d - 1}
+        return RecognitionResult(Verdict.NOT_EXTREMAL, g6, g.n, d, eta, witness=witness)
     if d % 2:
         return RecognitionResult(Verdict.ODD_EXTREMAL, g6, g.n, d, eta)
-    paths = diameter_paths(g, limit=path_limit)
-    failures: list[dict] = []
-    for path in paths:
-        outcome = _claims_on_path(g, path, d)
-        if isinstance(outcome, FamilyParams):
-            variant = "G3" if outcome.triple_index + 1 in outcome.single_indices else "G2"
-            return RecognitionResult(
-                Verdict.EVEN_EXTREMAL,
-                g6,
-                g.n,
-                d,
-                eta,
-                params=outcome,
-                variant=variant,
-                path=path,
-            )
-        failures.append({"path": list(path.vertices), "failed": outcome})
-    if len(paths) == path_limit:
-        return RecognitionResult(
-            Verdict.INCONCLUSIVE,
-            g6,
-            g.n,
-            d,
-            eta,
-            witness={"path_limit": path_limit, "paths_checked": len(paths)},
-        )
+    path = diameter_paths(g, limit=1)[0]
+    outcome = _claims_on_path(g, path, d)
+    if isinstance(outcome, str):
+        failures = [{"path": list(path.vertices), "failed": outcome}]
+        witness = {"reduced": is_reduced(g), "failures": failures}
+        return RecognitionResult(Verdict.MISMATCH, g6, g.n, d, eta, witness=witness)
+    variant = "G3" if outcome.triple_index + 1 in outcome.single_indices else "G2"
     return RecognitionResult(
-        Verdict.MISMATCH,
-        g6,
-        g.n,
-        d,
-        eta,
-        witness={"reduced": is_reduced(g), "failures": failures},
+        Verdict.EVEN_EXTREMAL, g6, g.n, d, eta, params=outcome, variant=variant, path=path
     )

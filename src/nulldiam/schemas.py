@@ -1,7 +1,10 @@
 """JSON Schemas for the stable machine-readable outputs.
 
-The CLI's JSON lines and the sweep report validate against these; text
-output is for humans and carries no compatibility promise.
+The CLI's JSON lines (``invariants``, ``check``, ``reduce --format
+json``) and the sweep report validate against these; text output is for
+humans and carries no compatibility promise.  The report's
+``inconclusive`` list is always empty: the recognizer reads one diameter
+path and always decides, and the key stays for readers of the report.
 
 The empty graph (graph6 ``?``, n = 0) is valid input.  ``invariants``
 answers it with ``connected`` false, ``d`` null and ``rank``, ``nullity``
@@ -50,9 +53,7 @@ RECOGNITION_RESULT = {
     "type": "object",
     "properties": {
         "graph6": {"type": "string"},
-        "verdict": {
-            "enum": ["NotExtremal", "OddExtremal", "EvenExtremal", "Mismatch", "Inconclusive"]
-        },
+        "verdict": {"enum": ["NotExtremal", "OddExtremal", "EvenExtremal", "Mismatch"]},
         "n": {
             "type": "integer",
             "minimum": 1,
@@ -65,6 +66,20 @@ RECOGNITION_RESULT = {
         "witness": {"type": ["object", "null"]},
     },
     "required": ["graph6", "verdict", "n", "d", "nullity", "params", "variant", "witness"],
+    "additionalProperties": False,
+}
+
+REDUCTION_RECORD = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "properties": {
+        "graph6": {"type": "string"},
+        "reduced_graph6": {"type": "string"},
+        "removed": {"type": "integer", "minimum": 0},
+        "d": {"type": "integer", "minimum": 0},
+        "d_reduced": {"type": "integer", "minimum": 0, "description": "can be below d"},
+    },
+    "required": ["graph6", "reduced_graph6", "removed", "d", "d_reduced"],
     "additionalProperties": False,
 }
 
@@ -122,7 +137,7 @@ SWEEP_REPORT = {
         "suites": {"type": "array", "items": {"type": "string"}},
         "per_n": {"type": "object", "additionalProperties": SWEEP_TOTALS},
         "mismatches": {"type": "array", "items": {"type": "string"}},
-        "inconclusive": {"type": "array", "items": {"type": "string"}},
+        "inconclusive": {"type": "array", "items": {"type": "string"}, "maxItems": 0},
         "recognized": {"type": "array", "items": {"type": "object"}},
         "unreduced_failures": {"type": "array", "items": {"type": "string"}},
         "lemma_summaries": {"type": "object"},

@@ -4,19 +4,32 @@ Everything here is computed from first principles (plain Gaussian
 elimination over Fractions and over GF(2), Leibniz determinants,
 permutation search) so the package's production code paths are checked
 against genuinely different implementations, not against themselves.
-The two exceptions keep a replaced algorithm as the reference for its
-replacement: ``reduce_by_rescan`` (twin deletion one vertex at a time)
-and ``family_by_mask_walk`` (every mask, deduplicated by canonical form).
+The exceptions keep a replaced algorithm as the reference for its
+replacement: ``reduce_by_rescan`` (twin deletion one vertex at a time),
+``family_by_mask_walk`` (every mask, deduplicated by canonical form) and
+``recognize_on_every_path`` (the family shape tried on every diameter
+path).
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from nulldiam import FamilyParams, Graph, generate_family, to_graph6, twin_classes
+from nulldiam import (
+    FamilyParams,
+    Graph,
+    Verdict,
+    diameter,
+    diameter_paths,
+    generate_family,
+    to_graph6,
+    twin_classes,
+)
 from nulldiam.enumeration import canonical_form
+from nulldiam.families import _claims_on_path
 
 
 def fraction_rank(entries) -> int:
@@ -232,3 +245,18 @@ def family_by_mask_walk(d: int, n_max: int) -> list[Graph]:
                 seen.add(key)
                 out.append(built)
     return out
+
+
+def recognize_on_every_path(g: Graph) -> tuple[Verdict, FamilyParams | None, bool]:
+    """The recognizer's step for an even-diameter extremal graph as it was
+    before it read one diameter path: try the family shape on every
+    diameter path, uncapped, and take the first that fits, or ``Mismatch``
+    when none does.  The flag says whether every path gave the same fit
+    outcome."""
+    d = diameter(g)
+    outcomes = [_claims_on_path(g, p, d) for p in diameter_paths(g, limit=sys.maxsize)]
+    fits = [o for o in outcomes if isinstance(o, FamilyParams)]
+    agree = len(fits) in (0, len(outcomes))
+    if fits:
+        return Verdict.EVEN_EXTREMAL, fits[0], agree
+    return Verdict.MISMATCH, None, agree

@@ -1,7 +1,10 @@
+import argparse
 import io
 import json
+import re
 import string
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import jsonschema
@@ -116,6 +119,7 @@ class TestReduce:
         code, out, _ = run(capsys, "reduce", "--format", "json", "--input", g6_file(c4))
         rec = json.loads(out)
         assert rec["removed"] == 2 and rec["d"] == 2 and rec["d_reduced"] == 1
+        jsonschema.validate(rec, schemas.REDUCTION_RECORD)
 
     def test_disconnected_is_input_error(self, capsys, g6_file):
         code, out, _ = run(capsys, "reduce", "--input", g6_file("B?"))
@@ -145,12 +149,13 @@ class TestCheck:
         assert code == 0
         assert verdicts == ["OddExtremal", "NotExtremal"]
 
-    def test_path_limit_below_one_is_usage_error(self, capsys):
-        for argv in (["check", "--path-limit", "0"], ["verify", "--n", "3", "--path-limit", "-1"]):
+    def test_path_limit_option_is_rejected(self, capsys):
+        # the recognizer reads one diameter path, so there is no cap to set
+        for argv in (["check", "--path-limit", "5"], ["verify", "--n", "3", "--path-limit", "5"]):
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2
-            assert "must be >= 1" in capsys.readouterr().err
+            assert "unrecognized arguments: --path-limit" in capsys.readouterr().err
 
     def test_mismatch_exit_code(self, capsys, g6_file):
         # a twin-doubled even-extremal graph is not isomorphic to any family
@@ -320,9 +325,32 @@ class TestVerify:
             assert err.value.code == 2
             assert f"up to {MAX_CENSUS_ORDER}" in capsys.readouterr().err
 
+    def test_order_below_one_is_usage_error(self, capsys):
+        for argv in (["--n", "0"], ["--n", "-1"], ["--n-range", "0..3"], ["--n-range", "2..0"]):
+            with pytest.raises(SystemExit) as err:
+                main(["verify", "--suites", "", *argv])
+            assert err.value.code == 2
+            assert f"1..{MAX_CENSUS_ORDER}" in capsys.readouterr().err
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, _, _ = run(capsys, "verify", "--n", "4", "--suites", "", "--out", str(out_path))
         assert code == 0
         report = json.loads(out_path.read_text())
         assert report["per_n"]["4"]["connected"] == 6
+
+
+def test_readme_names_only_accepted_options():
+    # every option the README shows, in inline code or in a ``nulldiam``
+    # command line, is accepted by some subcommand
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    shown = re.findall(r"`([^`\n]+)`", readme)
+    shown += [line for line in readme.splitlines() if re.search(r"\bnulldiam [a-z]", line)]
+    named = {flag for text in shown for flag in re.findall(r"--[a-z][a-z0-9-]*", text)}
+    [subparsers] = [
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    accepted = {flag for p in subparsers.choices.values() for flag in p._option_string_actions}
+    assert named and named <= accepted, sorted(named - accepted)

@@ -232,13 +232,11 @@ class TestVerifyTheorem:
             for n in range(1, 6)
         ]
 
-    @pytest.mark.parametrize(
-        "verdict, field", [(Verdict.MISMATCH, "mismatches"), (Verdict.INCONCLUSIVE, "inconclusive")]
-    )
+    @pytest.mark.parametrize("verdict, field", [(Verdict.MISMATCH, "mismatches")])
     def test_witness_lists_carry_graph6(self, monkeypatch, verdict, field):
         # a recognizer that accepts nothing makes every candidate a witness
         result = type("Result", (), {"verdict": verdict})()
-        monkeypatch.setattr(enumeration, "recognize", lambda g, path_limit: result)
+        monkeypatch.setattr(enumeration, "recognize", lambda g: result)
         expected = canonical_form(path_graph(5).with_vertex(0b00111)).decode()
         assert getattr(verify_theorem(6, 6), field) == [expected]
         unreduced = verify_theorem(7, 7).unreduced_failures
@@ -253,8 +251,8 @@ class TestVerifyTheorem:
         # graphs whose reduction is even-diameter extremal
         real = enumeration.recognize
 
-        def rejecting(g, path_limit):
-            result = real(g, path_limit=path_limit)
+        def rejecting(g):
+            result = real(g)
             if result.verdict is Verdict.EVEN_EXTREMAL:
                 return dataclasses.replace(result, verdict=Verdict.MISMATCH)
             return result
@@ -275,13 +273,13 @@ class TestVerifyTheorem:
     def test_extremal_flag_matches_nullity_on_census8(self, census8):
         for level in census8.values():
             for g in level:
-                rec = enumeration._evaluate_graph((g.rows, (), 10_000))
+                rec = enumeration._evaluate_graph((g.rows, ()))
                 assert rec["extremal"] == (nullity(g) == g.n - diameter(g) - 1), to_graph6(g)
 
     def test_certificate_falls_through_to_the_exact_rank(self):
         # K_3: d = 1 and rank_GF2 = 2 = d + 1 rule nothing out, and only the
         # rational rank 3 shows that it is not extremal
-        rec = enumeration._evaluate_graph((complete_graph(3).rows, (), 10_000))
+        rec = enumeration._evaluate_graph((complete_graph(3).rows, ()))
         assert rec["exact_rank"] and not rec["extremal"]
 
     def test_lemma_suite_aggregation(self):

@@ -20,9 +20,11 @@ from nulldiam import (
     recognize,
     to_graph6,
 )
+from nulldiam import families
 from nulldiam.enumeration import canonical_form
+from nulldiam.families import _build_candidate
 
-from helpers import family_by_mask_walk
+from helpers import family_by_mask_walk, recognize_on_every_path
 
 
 def build(d, b, singles=()):
@@ -178,25 +180,35 @@ class TestRecognize:
         res = recognize(g)
         assert res.verdict is Verdict.MISMATCH
         assert res.witness["reduced"] is False
-        assert res.witness["failures"]
+        assert len(res.witness["failures"]) == 1
 
-    def test_inconclusive_when_path_budget_is_exhausted(self):
-        # the twin-doubled instance has several diameter paths, all failing
-        # the claims; with a budget of one the enumeration may be incomplete,
-        # so the verdict must be inconclusive rather than a mismatch
-        g = build(4, 0).with_vertex(0b000111)
-        res = recognize(g, path_limit=1)
-        assert res.verdict is Verdict.INCONCLUSIVE
-        assert res.witness["path_limit"] == 1
-
-    def test_multiple_diameter_paths_agree(self):
-        # with the full budget every diameter path of a family member passes
-        g = build(6, 1, {2})
-        assert recognize(g, path_limit=1).verdict in (
-            Verdict.EVEN_EXTREMAL,
-            Verdict.INCONCLUSIVE,
+    def test_multiple_diameter_paths_agree(self, monkeypatch, census7):
+        # the family shape fits on every diameter path or on none, so one
+        # path gives the verdict and parameters of the walk over all paths
+        census = [g for level in census7.values() for g in level]
+        graphs = [g for g in census if diameter(g) % 2 == 0 and is_extremal(g)]
+        for d in range(2, 11, 2):
+            for b in range(d // 2):
+                for mask in range(1 << d // 2):
+                    singles = frozenset(a + 1 for a in range(d // 2) if mask >> a & 1)
+                    graphs.append(_build_candidate(FamilyParams(d, b, singles))[0])
+        for d in (2, 4, 6):
+            for g in enumerate_family(d, d + 5):
+                once = [g.with_vertex(row) for row in g.rows]
+                graphs += once
+                graphs += [h.with_vertex(h.rows[v]) for h in once for v in range(g.n)]
+        calls = []
+        real = families._claims_on_path
+        monkeypatch.setattr(
+            families, "_claims_on_path", lambda *args: calls.append(args) or real(*args)
         )
-        assert recognize(g).verdict is Verdict.EVEN_EXTREMAL
+        for g in graphs:
+            calls.clear()
+            res = recognize(g)
+            assert len(calls) == 1, to_graph6(g)
+            verdict, params, agree = recognize_on_every_path(g)
+            assert agree, to_graph6(g)
+            assert (res.verdict, res.params) == (verdict, params), to_graph6(g)
 
     def test_result_serialization(self):
         payload = recognize(build(4, 0)).to_dict()
