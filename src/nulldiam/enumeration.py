@@ -25,7 +25,6 @@ no census-wide duplicate set.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import string
 import time
 from contextlib import contextmanager
@@ -369,6 +368,8 @@ def ordered_map(jobs: int) -> Iterator[Callable]:
     if jobs <= 1:
         yield map
         return
+    import multiprocessing  # only a pool needs it; a --jobs 1 run skips the import
+
     with multiprocessing.get_context().Pool(jobs) as pool:
 
         def pool_map(func, items: list) -> Iterator:

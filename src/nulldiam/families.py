@@ -305,7 +305,7 @@ def recognize(g: Graph) -> RecognitionResult:
         return RecognitionResult(Verdict.NOT_EXTREMAL, g6, g.n, d, eta, witness=witness)
     if d % 2:
         return RecognitionResult(Verdict.ODD_EXTREMAL, g6, g.n, d, eta)
-    path = diameter_paths(g, limit=1)[0]
+    path = diameter_paths(g, 1, d)[0]
     outcome = _claims_on_path(g, path, d)
     if isinstance(outcome, str):
         failures = [{"path": list(path.vertices), "failed": outcome}]

@@ -335,39 +335,50 @@ def is_diameter_path(g: Graph, path: DiameterPath, d: int | None = None) -> bool
     return (diameter(g) if d is None else d) == path.length
 
 
-def diameter_paths(g: Graph, limit: int = DEFAULT_PATH_LIMIT) -> list[DiameterPath]:
+def diameter_paths(
+    g: Graph, limit: int = DEFAULT_PATH_LIMIT, d: int | None = None
+) -> list[DiameterPath]:
     """All shortest paths of diameter length, one orientation each.
 
     Paths are enumerated between eccentric pairs ``u < v`` (oriented from
     ``u``) by walking the BFS DAG toward ``v``; order is deterministic.
     At most ``limit`` paths are returned, so a result shorter than
     ``limit`` is guaranteed to be complete, so ``limit`` must be at least 1.
+    ``d`` is the diameter of ``g`` when the caller already holds it;
+    otherwise it is computed.  A BFS runs from a vertex only when the walk
+    first reaches it as ``u`` or as ``v``, so a small ``limit`` stops early.
     """
     if limit < 1:
         raise ValueError(f"path limit must be >= 1, got {limit}")
-    d = diameter(g)
+    if d is None:
+        d = diameter(g)
     if d == 0:
         return [DiameterPath((0,))]
-    dist = [bfs_distances(g, v) for v in range(g.n)]
+    dist: list[list[int | float] | None] = [None] * g.n
     out: list[DiameterPath] = []
 
-    def extend(prefix: list[int], target: int) -> bool:
+    def distances(v: int) -> list[int | float]:
+        if dist[v] is None:
+            dist[v] = bfs_distances(g, v)
+        return dist[v]
+
+    def extend(prefix: list[int], to_target: list[int | float]) -> bool:
         cur = prefix[-1]
-        if cur == target:
+        want = to_target[cur] - 1
+        if want < 0:  # cur is the target
             out.append(DiameterPath(tuple(prefix)))
             return len(out) < limit
-        want = dist[target][cur] - 1
         for w in _bits(g.rows[cur]):
-            if dist[target][w] == want:
-                if not extend(prefix + [w], target):
+            if to_target[w] == want:
+                if not extend(prefix + [w], to_target):
                     return False
         return True
 
     for u in range(g.n):
+        from_u = distances(u)
         for v in range(u + 1, g.n):
-            if dist[u][v] == d:
-                if not extend([u], v):
-                    return out
+            if from_u[v] == d and not extend([u], distances(v)):
+                return out
     return out
 
 

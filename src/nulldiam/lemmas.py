@@ -226,10 +226,10 @@ def check_pendant_deletion(g: Graph) -> ViolationReport:
     return report
 
 
-def _extremal_gate(g: Graph, report: ViolationReport) -> tuple[IntMatrix, int] | None:
+def _extremal_gate(g: Graph, report: ViolationReport) -> tuple[IntMatrix, int, int] | None:
     """Hypothesis gate shared by the rank-bound and twin-extension sweeps:
-    the graph must be connected with eta = n - d - 1.  Returns (A(G), rank)
-    when the gate passes, otherwise marks the report skipped."""
+    the graph must be connected with eta = n - d - 1.  Returns (A(G), rank,
+    d) when the gate passes, otherwise marks the report skipped."""
     if not g.is_connected():
         report.skipped = "graph is disconnected"
         return None
@@ -239,7 +239,7 @@ def _extremal_gate(g: Graph, report: ViolationReport) -> tuple[IntMatrix, int] |
     if g.n - rank != g.n - d - 1:
         report.skipped = f"eta={g.n - rank} != n-d-1={g.n - d - 1}"
         return None
-    return a, rank
+    return a, rank, d
 
 
 def _outside_subsets(a: IntMatrix, path: DiameterPath, report: ViolationReport):
@@ -266,8 +266,8 @@ def check_rank_bound_diam(g: Graph) -> ViolationReport:
     gate = _extremal_gate(g, report)
     if gate is None:
         return report
-    a, rank_g = gate
-    path = diameter_paths(g, limit=1)[0]
+    a, rank_g, d = gate
+    path = diameter_paths(g, 1, d)[0]
     for chosen, sub, _keep in _outside_subsets(a, path, report):
         rank_h = rank_exact(sub)
         report.checked += 1
@@ -293,8 +293,8 @@ def check_twin_extension(g: Graph) -> ViolationReport:
     gate = _extremal_gate(g, report)
     if gate is None:
         return report
-    a, rank_g = gate
-    path = diameter_paths(g, limit=1)[0]
+    a, rank_g, d = gate
+    path = diameter_paths(g, 1, d)[0]
     for chosen, sub, keep in _outside_subsets(a, path, report):
         if rank_exact(sub) < rank_g - 1:
             continue

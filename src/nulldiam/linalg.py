@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .graphs import Graph
@@ -208,23 +208,46 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     a multiplies it by the lower-triangular Toeplitz matrix with first
     column 1, -a, -r c, -r B c, ..., -r B^(k-1) c.  Only ring operations
     are used (no division, no elimination), which keeps it independent of
-    ``rank_exact``; the products run over the nonzero entries of each row.
+    ``rank_exact``.
+
+    Each row of the leading block is held sparse, in two parts: the
+    columns where it holds 1, and the columns and entries of its other
+    nonzero entries, the diagonal included.  A row times a vector is then
+    a plain sum of picked entries, plus a weighted sum only for rows with
+    other entries; an adjacency matrix has none.  The rows grow by one
+    column per step, so the border row r of step k is row k as it stands.
+    The Toeplitz product is one dot product per coefficient with the
+    reversed first column.
     """
     a = m.entries
+    ones: list[list[int]] = []  # ones[i]: the columns j < k with a[i][j] == 1
+    cols: list[list[int]] = []  # cols[i], vals[i]: the other nonzero entries
+    vals: list[list[int]] = []
     coeffs = [1]  # descending, for the leading k x k block
     for k in range(m.order):
-        block = [[(j, x) for j, x in enumerate(a[i][:k]) if x] for i in range(k)]
-        row = [(j, x) for j, x in enumerate(a[k][:k]) if x]
+        ak = a[k]
+        ones.append([j for j in range(k) if ak[j] == 1])
+        cols.append([j for j in range(k) if ak[j] and ak[j] != 1])
+        vals.append([ak[j] for j in cols[k]])
+        rows = list(zip(ones, cols, vals))  # the block's rows, then the border row r
         col = [a[i][k] for i in range(k)]
-        toeplitz = [1, -a[k][k]]
-        for step in range(k):
-            toeplitz.append(-sum(x * col[j] for j, x in row))
-            if step < k - 1:
-                col = [sum(x * col[j] for j, x in r) for r in block]
-        coeffs = [
-            sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, k) + 1))
-            for i in range(k + 2)
-        ]
+        toeplitz = [1, -ak[k]]
+        for _ in range(k):
+            get = col.__getitem__
+            col = [
+                sum(map(get, o)) + sum(map(mul, map(get, c), v)) if c else sum(map(get, o))
+                for o, c, v in rows
+            ]
+            toeplitz.append(-col.pop())  # r times the vector; B times it stays
+        toeplitz.reverse()  # toeplitz[i - j] is now toeplitz[k + 1 - i + j]
+        coeffs = [sum(map(mul, toeplitz[k + 1 - i :], coeffs)) for i in range(k + 2)]
+        for i in range(k + 1):  # every row of the next block gains column k
+            x = a[i][k]
+            if x == 1:
+                ones[i].append(k)
+            elif x:
+                cols[i].append(k)
+                vals[i].append(x)
     return IntPolynomial(tuple(reversed(coeffs)))
 
 

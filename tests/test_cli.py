@@ -1,8 +1,10 @@
 import argparse
 import io
 import json
+import os
 import re
 import string
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -331,6 +333,25 @@ class TestVerify:
                 main(["verify", "--suites", "", *argv])
             assert err.value.code == 2
             assert f"1..{MAX_CENSUS_ORDER}" in capsys.readouterr().err
+
+    def test_single_job_run_never_imports_multiprocessing(self):
+        # a --jobs 1 run opens no pool, so it should not pay the import;
+        # a fresh interpreter, since this one may have imported it already
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        script = (
+            "import sys\n"
+            "from nulldiam import cli\n"
+            "code = cli.main(['verify', '--n', '3', '--suites', '', '--jobs', '1'])\n"
+            "print(code, 'multiprocessing' in sys.modules, file=sys.stderr)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["per_n"]["3"]["connected"] == 2
+        assert done.stderr.splitlines()[-1] == "0 False"
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nulldiam.graphs
 from nulldiam import (
     DiameterPath,
     DisconnectedGraphError,
@@ -17,6 +18,7 @@ from nulldiam import (
     cycle_graph,
     diameter,
     diameter_paths,
+    enumerate_family,
     is_diameter_path,
     is_reduced,
     parse_graph6,
@@ -217,6 +219,29 @@ class TestMetrics:
             for g in census7[n]:
                 for p in diameter_paths(g, limit=64):
                     assert is_diameter_path(g, p)
+
+    def test_first_path_with_known_diameter(self, census7):
+        # members and their twin blow-ups have many diameter paths
+        cases = [g for n in range(1, 8) for g in census7[n]]
+        for d in (4, 6, 10, 14):
+            for g in enumerate_family(d, d + 4):
+                cases += [g] + [g.with_vertex(row) for row in g.rows]
+        for g in cases:
+            assert diameter_paths(g, 1, diameter(g)) == diameter_paths(g)[:1]
+
+    def test_first_path_runs_only_the_searches_it_reads(self, monkeypatch):
+        # on a path graph the first eccentric pair is (0, n - 1): two BFS
+        # runs, and no diameter when the caller passes it
+        searched = []
+
+        def counted(g, v):
+            searched.append(v)
+            return bfs_distances(g, v)
+
+        monkeypatch.setattr(nulldiam.graphs, "bfs_distances", counted)
+        monkeypatch.setattr(nulldiam.graphs, "diameter", None)
+        assert diameter_paths(path_graph(9), 1, 8) == [DiameterPath(tuple(range(9)))]
+        assert searched == [0, 8]
 
 
 class TestTwinsAndReduction:

@@ -323,6 +323,17 @@ class TestSympyOracle:
         rows = data.draw(st.lists(row, min_size=n, max_size=n))
         assert char_poly(IntMatrix.from_rows(rows)).coefficients == sympy_char_poly(rows)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_char_poly_on_ones_and_other_entries(self, sympy_char_poly, data):
+        # char_poly sums the 1 entries of a row apart from the others, so
+        # draw mostly 0 and 1, with a few other entries on and off the diagonal
+        n = data.draw(st.integers(min_value=0, max_value=12))
+        entry = st.sampled_from([0, 0, 0, 1, 1, 1, -1, 2, 10**12])
+        row = st.lists(entry, min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+        assert char_poly(IntMatrix.from_rows(rows)).coefficients == sympy_char_poly(rows)
+
     def test_distinct_eigenvalues_match_square_free_part(
         self, spectral_cases, sympy_square_free_degree
     ):
