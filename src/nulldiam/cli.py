@@ -36,6 +36,8 @@ EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
+JOBS_HELP = "worker processes, at least 1; at most the CPU count are started"
+
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True)
@@ -214,6 +216,18 @@ def _parse_suites(text: str) -> list[str]:
     return names
 
 
+def _jobs(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of worker processes, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1 worker process, got {value}")
+    return value
+
+
 def _even(text: str) -> int:
     value = int(text)
     if value < 2 or value % 2:
@@ -236,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_io(p: argparse.ArgumentParser, default_format: str = "json") -> None:
         p.add_argument("--input", default="-", help="graph6 lines file, or - for stdin")
         p.add_argument("--format", choices=("json", "text"), default=default_format)
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--jobs", type=_jobs, default=1, help=JOBS_HELP)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("invariants", help="n, d, rank, nullity, distinct eigenvalues, reducedness")
@@ -264,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=_census_order, default=None)
     group.add_argument("--n-range", type=_parse_range, default=None, metavar="A..B")
     p.add_argument("--suites", type=_parse_suites, default=None, help="comma-separated suite list")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help=JOBS_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

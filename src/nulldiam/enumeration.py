@@ -25,6 +25,7 @@ no census-wide duplicate set.
 from __future__ import annotations
 
 import logging
+import os
 import string
 import time
 from contextlib import contextmanager
@@ -358,22 +359,24 @@ def _augment_parent(rows: tuple[int, ...]) -> tuple[list[tuple[int, ...]], tuple
 
 @contextmanager
 def ordered_map(jobs: int) -> Iterator[Callable]:
-    """An ordered ``map(func, items)`` over ``jobs`` worker processes.
+    """An ordered ``map(func, items)`` over ``jobs`` worker processes, but
+    never more workers than ``os.cpu_count()``.
 
-    With ``jobs <= 1`` this is the builtin ``map``, run in this process.
+    With one worker this is the builtin ``map``, run in this process.
     Otherwise results come from a process pool, in input order, as they
     are ready.  Pass a materialized list, never a generator that itself
     uses the map: the pool's task thread would block on it for good.
     """
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1:
         yield map
         return
     import multiprocessing  # only a pool needs it; a --jobs 1 run skips the import
 
-    with multiprocessing.get_context().Pool(jobs) as pool:
+    with multiprocessing.get_context().Pool(workers) as pool:
 
         def pool_map(func, items: list) -> Iterator:
-            return pool.imap(func, items, chunksize=max(1, len(items) // (16 * jobs)))
+            return pool.imap(func, items, chunksize=max(1, len(items) // (16 * workers)))
 
         yield pool_map
 

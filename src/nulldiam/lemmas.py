@@ -21,7 +21,7 @@ Two of them are expected to surface findings rather than stay empty:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .graphs import (
@@ -34,13 +34,7 @@ from .graphs import (
     to_graph6,
     twin_classes,
 )
-from .linalg import (
-    IntMatrix,
-    adjacency_matrix,
-    nullity,
-    rank_exact,
-    shifted_adjacency,
-)
+from .linalg import IntMatrix, nullity, rank_exact, shifted_adjacency
 
 SUITE_INTERLACING = "interlacing"
 SUITE_TWIN_DELETION = "twin-deletion"
@@ -134,21 +128,85 @@ def _kept(n: int, *drop: int) -> list[int]:
     return [v for v in range(n) if v not in drop]
 
 
+def _rows_without(rows: tuple[int, ...], drop: tuple[int, ...]) -> tuple[int, ...]:
+    """The bit rows of G - drop, relabelled in order as ``Graph.without``
+    relabels them: each deleted vertex's bit is cut out of every row."""
+    kept = list(rows)
+    for v in sorted(drop, reverse=True):
+        del kept[v]
+        low = (1 << v) - 1
+        kept = [r & low | r >> 1 & ~low for r in kept]
+    return tuple(kept)
+
+
+class _GraphFacts:
+    """What the checkers share about one graph, each part made when first
+    read: the shifted matrices A - mu*I, one diameter, one diameter path,
+    and the rank of every matrix a checker asks for.
+
+    A rank is keyed by mu and the rows of G - drop, the graph left after
+    deleting ``drop``.  Those fix the entries of the shifted matrix's
+    principal submatrix, so a matrix that several checkers or deletions
+    ask for (A(G) itself, the deletion of either of two adjacent-label
+    twins, a twin's or a pendant's deletion that interlacing already
+    ranked at mu = 0) is eliminated once.  A key holds one integer per
+    kept vertex rather than the matrix, and a submatrix is built only for
+    a rank not yet known.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.graph = g
+        self._shifted: dict[int, IntMatrix] = {}
+        self._rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._ranks: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def rank(self, mu: int, *drop: int) -> int:
+        """rank(A - mu*I) without the rows and columns ``drop``, which is
+        rank(A(G - drop) - mu*I)."""
+        rows = self._rows.get(drop)
+        if rows is None:
+            rows = self._rows[drop] = _rows_without(self.graph.rows, drop)
+        key = (mu, rows)
+        r = self._ranks.get(key)
+        if r is None:
+            m = self._shifted.get(mu)
+            if m is None:
+                m = self._shifted[mu] = shifted_adjacency(self.graph, mu)
+            if drop:
+                m = m.principal(_kept(self.graph.n, *drop))
+            r = self._ranks[key] = rank_exact(m)
+        return r
+
+    @cached_property
+    def diameter(self) -> int:
+        return diameter(self.graph)
+
+    @cached_property
+    def path(self) -> DiameterPath:
+        return diameter_paths(self.graph, 1, self.diameter)[0]
+
+
+@lru_cache(maxsize=1)
+def _facts(g: Graph) -> _GraphFacts:
+    """The shared table of ``g``.  A sweep runs every suite on one graph
+    before the next, so one entry is enough, and ``run_suite`` keeps its
+    signature; the table never leaves this process."""
+    return _GraphFacts(g)
+
+
 def check_interlacing(g: Graph, mu_values: Sequence[int] = DEFAULT_MU_VALUES) -> ViolationReport:
     """Deleting one vertex moves any eigenvalue multiplicity by at most 1.
 
     Each multiplicity is n - rank(A - mu*I), and A(G-v) - mu*I is the
-    principal submatrix of A(G) - mu*I without row and column v, so the
-    shifted matrix is built once per mu and every deletion is ranked on
-    its own submatrix.
+    principal submatrix of A(G) - mu*I without row and column v, so every
+    deletion is ranked on its own submatrix of the shifted matrix.
     """
     report = ViolationReport(SUITE_INTERLACING, g)
-    deletions = [_kept(g.n, v) for v in range(g.n)]
+    facts = _facts(g)
     for mu in sorted(set(mu_values)):
-        shifted = shifted_adjacency(g, mu)
-        m_full = g.n - rank_exact(shifted)
-        for v, keep in enumerate(deletions):
-            m_del = g.n - 1 - rank_exact(shifted.principal(keep))
+        m_full = g.n - facts.rank(mu)
+        for v in range(g.n):
+            m_del = g.n - 1 - facts.rank(mu, v)
             report.checked += 1
             if abs(m_full - m_del) > 1:
                 report.violations.append(
@@ -166,13 +224,13 @@ def check_interlacing(g: Graph, mu_values: Sequence[int] = DEFAULT_MU_VALUES) ->
 def check_twin_deletion(g: Graph) -> ViolationReport:
     """Deleting either vertex of a twin pair lowers the nullity by exactly 1."""
     report = ViolationReport(SUITE_TWIN_DELETION, g)
-    a = adjacency_matrix(g)
-    eta = g.n - rank_exact(a)
+    facts = _facts(g)
+    eta = g.n - facts.rank(0)
     for cls in twin_classes(g):
         for i, u in enumerate(cls):
             for v in cls[i + 1 :]:
                 for victim in (u, v):
-                    eta_del = g.n - 1 - rank_exact(a.principal(_kept(g.n, victim)))
+                    eta_del = g.n - 1 - facts.rank(0, victim)
                     report.checked += 1
                     if eta != eta_del + 1:
                         report.violations.append(
@@ -196,11 +254,11 @@ def check_pendant_deletion(g: Graph) -> ViolationReport:
     """
     report = ViolationReport(SUITE_PENDANT_DELETION, g)
     instances = []
-    a = adjacency_matrix(g)
-    eta = g.n - rank_exact(a)
+    facts = _facts(g)
+    eta = g.n - facts.rank(0)
     for u, w in pendant_pairs(g):
-        eta_pair = g.n - 2 - rank_exact(a.principal(_kept(g.n, u, w)))
-        eta_support = g.n - 1 - rank_exact(a.principal(_kept(g.n, w)))
+        eta_pair = g.n - 2 - facts.rank(0, u, w)
+        eta_support = g.n - 1 - facts.rank(0, w)
         report.checked += 1
         if eta != eta_pair:
             report.violations.append(
@@ -226,37 +284,36 @@ def check_pendant_deletion(g: Graph) -> ViolationReport:
     return report
 
 
-def _extremal_gate(g: Graph, report: ViolationReport) -> tuple[IntMatrix, int, int] | None:
+def _extremal_gate(g: Graph, report: ViolationReport) -> tuple[_GraphFacts, int] | None:
     """Hypothesis gate shared by the rank-bound and twin-extension sweeps:
-    the graph must be connected with eta = n - d - 1.  Returns (A(G), rank,
-    d) when the gate passes, otherwise marks the report skipped."""
+    the graph must be connected with eta = n - d - 1.  Returns (the graph's
+    table, rank A(G)) when the gate passes, otherwise marks the report
+    skipped."""
     if not g.is_connected():
         report.skipped = "graph is disconnected"
         return None
-    d = diameter(g)
-    a = adjacency_matrix(g)
-    rank = rank_exact(a)
+    facts = _facts(g)
+    d = facts.diameter
+    rank = facts.rank(0)
     if g.n - rank != g.n - d - 1:
         report.skipped = f"eta={g.n - rank} != n-d-1={g.n - d - 1}"
         return None
-    return a, rank, d
+    return facts, rank
 
 
-def _outside_subsets(a: IntMatrix, path: DiameterPath, report: ViolationReport):
-    """Yield (subset, adjacency matrix of the subgraph induced on
-    path+subset, vertex list) for every subset of the vertices outside the
-    path, or mark the report truncated.  ``a`` is A(G); each subgraph's
-    matrix is its principal submatrix."""
+def _outside_subsets(n: int, path: DiameterPath, report: ViolationReport):
+    """Yield (subset, the outside vertices not in it) for every subset of
+    the vertices outside the path, in ascending order, or mark the report
+    truncated.  The subgraph H induced on the path and the subset is G
+    without the second list."""
     on_path = set(path.vertices)
-    outside = [v for v in range(a.order) if v not in on_path]
+    outside = [v for v in range(n) if v not in on_path]
     if len(outside) > MAX_OUTSIDE_SWEEP:
         report.truncated = True
         return
-    base = list(path.vertices)
     for mask in range(1 << len(outside)):
         chosen = [outside[i] for i in range(len(outside)) if mask >> i & 1]
-        keep = base + chosen
-        yield chosen, a.principal(keep), keep
+        yield chosen, [outside[i] for i in range(len(outside)) if not mask >> i & 1]
 
 
 def check_rank_bound_diam(g: Graph) -> ViolationReport:
@@ -266,10 +323,10 @@ def check_rank_bound_diam(g: Graph) -> ViolationReport:
     gate = _extremal_gate(g, report)
     if gate is None:
         return report
-    a, rank_g, d = gate
-    path = diameter_paths(g, 1, d)[0]
-    for chosen, sub, _keep in _outside_subsets(a, path, report):
-        rank_h = rank_exact(sub)
+    facts, rank_g = gate
+    path = facts.path
+    for chosen, dropped in _outside_subsets(g.n, path, report):
+        rank_h = facts.rank(0, *dropped)
         report.checked += 1
         if rank_h < rank_g - 1:
             report.violations.append(
@@ -293,33 +350,31 @@ def check_twin_extension(g: Graph) -> ViolationReport:
     gate = _extremal_gate(g, report)
     if gate is None:
         return report
-    a, rank_g, d = gate
-    path = diameter_paths(g, 1, d)[0]
-    for chosen, sub, keep in _outside_subsets(a, path, report):
-        if rank_exact(sub) < rank_g - 1:
+    facts, rank_g = gate
+    for _chosen, out_h in _outside_subsets(g.n, facts.path, report):
+        if facts.rank(0, *out_h) < rank_g - 1:
             continue
-        h_mask = 0
-        for v in keep:
-            h_mask |= 1 << v
-        in_h = sorted(keep)
-        out_h = [v for v in range(g.n) if not h_mask >> v & 1]
+        h_mask = (1 << g.n) - 1
+        for v in out_h:
+            h_mask ^= 1 << v
+        in_h = [v for v in range(g.n) if h_mask >> v & 1]
         pairs = [(v, h) for v in out_h for h in in_h] + [
             (u, v) for i, u in enumerate(out_h) for v in out_h[i + 1 :]
         ]
-        for a, b in pairs:
-            if g.has_edge(a, b):
+        for x, y in pairs:
+            if g.has_edge(x, y):
                 continue
-            if g.rows[a] & h_mask != g.rows[b] & h_mask:
+            if g.rows[x] & h_mask != g.rows[y] & h_mask:
                 continue
             report.checked += 1
-            if g.rows[a] != g.rows[b]:
+            if g.rows[x] != g.rows[y]:
                 report.violations.append(
                     Violation(
                         SUITE_TWIN_EXTENSION,
                         report.graph6,
-                        {"pair": [a, b], "subgraph": sorted(keep)},
+                        {"pair": [x, y], "subgraph": in_h},
                         "equal neighbourhoods in H imply equal neighbourhoods in G",
-                        f"N({a})={g.neighbor_list(a)}, N({b})={g.neighbor_list(b)}",
+                        f"N({x})={g.neighbor_list(x)}, N({y})={g.neighbor_list(y)}",
                     )
                 )
     return report
@@ -338,7 +393,7 @@ def check_reduction_equivalence(g: Graph) -> ViolationReport:
         report.skipped = "graph is disconnected"
         return report
     red = reduce(g)
-    eta = nullity(g)
+    eta = g.n - _facts(g).rank(0)
     eta_r = nullity(red.graph)
     lhs = eta == g.n - red.original_diameter - 1
     rhs = eta_r == red.graph.n - red.reduced_diameter - 1
@@ -379,11 +434,12 @@ def check_rank_lower_bound(g: Graph) -> ViolationReport:
     if not g.is_connected():
         report.skipped = "graph is disconnected"
         return report
-    d = diameter(g)
+    facts = _facts(g)
+    d = facts.diameter
     if d % 2 == 0:
         report.skipped = "diameter is even"
         return report
-    rank = rank_exact(adjacency_matrix(g))
+    rank = facts.rank(0)
     report.checked = 1
     report.notes["odd_extremal"] = rank == d + 1
     if rank < d + 1:

@@ -93,7 +93,9 @@ def rank_exact(m: IntMatrix) -> int:
     """Rank over the rationals via fraction-free (Bareiss) elimination.
 
     Row pivoting with column skipping; every division is exact by the
-    Sylvester identity, so intermediate entries stay integral.
+    Sylvester identity, so intermediate entries stay integral.  A row whose
+    entry in the pivot column is 0 would only be rescaled by piv / prev, so
+    it is skipped when the pivot equals the previous one.
     """
     n = m.order
     a = [list(row) for row in m.entries]
@@ -113,6 +115,8 @@ def rank_exact(m: IntMatrix) -> int:
         for i in range(rank + 1, n):
             ai = a[i]
             f = ai[col]
+            if not f and piv == prev:
+                continue
             for j in range(col + 1, n):
                 ai[j] = (ai[j] * piv - f * top[j]) // prev
             ai[col] = 0

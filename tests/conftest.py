@@ -1,6 +1,8 @@
+import multiprocessing
+
 import pytest
 
-from nulldiam import Graph
+from nulldiam import Graph, enumeration
 from nulldiam.enumeration import _census_levels
 
 
@@ -16,3 +18,19 @@ def census8() -> dict[int, list]:
 def census7(census8) -> dict[int, list]:
     """The n <= 7 levels of ``census8``."""
     return {n: census8[n] for n in range(1, 8)}
+
+
+@pytest.fixture
+def two_cpus(monkeypatch) -> list:
+    """Report two CPUs, so ``--jobs 2`` opens a real two-process pool on
+    any host, and record each pool context opened (one entry a pool)."""
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    opened = []
+    get_context = multiprocessing.get_context
+
+    def recording_context(*args):
+        opened.append(args)
+        return get_context(*args)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording_context)
+    return opened

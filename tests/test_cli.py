@@ -101,10 +101,11 @@ class TestInvariants:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("command", RECORD_COMMANDS)
-    def test_jobs_preserve_order(self, capsys, g6_file, census7, command, fmt):
+    def test_jobs_preserve_order(self, capsys, g6_file, census7, two_cpus, command, fmt):
         path = g6_file(*(to_graph6(g) for g in census7[5]), "B?", "A\x05")
         serial = run(capsys, command, "--format", fmt, "--input", path)
         parallel = run(capsys, command, "--format", fmt, "--jobs", "2", "--input", path)
+        assert len(two_cpus) == 1
         assert serial == parallel
         assert len(serial[1].splitlines()) == len(census7[5]) + 2
 
@@ -221,6 +222,22 @@ class TestRecordInput:
             code, out, err = run(capsys, *argv, "--out", where)
             assert code == 2 and out == ""
             assert len(err.splitlines()) == 1 and where in err and "Traceback" not in err
+        assert started == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(command,) for command in RECORD_COMMANDS] + [("verify", "--n", "4")],
+        ids=lambda argv: argv[0],
+    )
+    def test_jobs_below_one_or_not_a_number_is_usage_error(self, capsys, monkeypatch, argv):
+        started = []
+        monkeypatch.setattr(cli, "ordered_map", lambda jobs: started.append(jobs))
+        monkeypatch.setattr(cli, "verify_theorem", lambda *a, **k: started.append("verify"))
+        for jobs, message in (("0", "at least 1"), ("-3", "at least 1"), ("x", "a number")):
+            with pytest.raises(SystemExit) as err:
+                main([*argv, "--jobs", jobs])
+            assert err.value.code == 2
+            assert f"argument --jobs: expected {message}" in capsys.readouterr().err
         assert started == []
 
     def test_output_streams_before_input_ends(self, capsys, monkeypatch):

@@ -4,12 +4,14 @@ import itertools
 import logging
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nulldiam import (
+    ALL_SUITES,
     CanonicalSizeError,
     Graph,
     adjacency_matrix,
@@ -149,10 +151,40 @@ class TestCensus:
         with pytest.raises(ValueError):
             list(connected_graphs(10))
 
-    def test_parallel_census_matches_serial(self):
+    def test_parallel_census_matches_serial(self, two_cpus):
         serial = [to_graph6(g) for g in connected_graphs(7)]
+        assert not two_cpus
         parallel = [to_graph6(g) for g in connected_graphs(7, jobs=2)]
+        assert len(two_cpus) == 1
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, started", [(10**9, 3, 3), (2, 8, 2), (4, None, None), (5, 1, None)]
+    )
+    def test_pool_never_outnumbers_the_cpus(self, monkeypatch, jobs, cpus, started):
+        # the stub only records the pool size it is asked for; no process starts
+        import multiprocessing
+
+        sizes = []
+
+        class StubPool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, items, chunksize):
+                return map(func, items)
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: SimpleNamespace(Pool=StubPool))
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+        with enumeration.ordered_map(jobs) as pmap:
+            assert list(pmap(abs, [-2, 1, -3])) == [2, 1, 3]
+        assert sizes == ([] if started is None else [started])
 
     def test_census_graphs_are_canonically_labelled(self, census8):
         for n in range(1, 9):
@@ -292,10 +324,13 @@ class TestVerifyTheorem:
         )
         assert summary["diameter_changed"]
 
-    def test_sharded_run_folds_to_identical_report(self):
-        serial = verify_theorem(1, 6, suites=("pendant-deletion",), jobs=1)
-        sharded = verify_theorem(1, 6, suites=("pendant-deletion",), jobs=2)
-        assert serial.to_dict(include_timings=False) == sharded.to_dict(include_timings=False)
+    def test_sharded_run_folds_to_identical_report(self, two_cpus):
+        for suites in (("pendant-deletion",), ALL_SUITES):
+            serial = verify_theorem(1, 6, suites=suites, jobs=1)
+            opened = len(two_cpus)
+            sharded = verify_theorem(1, 6, suites=suites, jobs=2)
+            assert len(two_cpus) == opened + 1
+            assert serial.to_dict(include_timings=False) == sharded.to_dict(include_timings=False)
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suites"):

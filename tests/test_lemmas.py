@@ -360,14 +360,16 @@ def oracle_twin_extension(g: Graph, ranks: list) -> dict:
 
 @pytest.fixture
 def suite_ranks(monkeypatch) -> list:
-    """(order, rank) of every matrix the lemma suites rank, in call order."""
+    """(order, rank) of every matrix the lemma suites ask their graph's
+    table for, in request order, whether or not the table had it already."""
     ranks = []
+    lookup = lemmas._GraphFacts.rank
 
-    def recording_rank(m):
-        ranks.append((m.order, rank_exact(m)))
+    def recording_rank(facts, mu, *drop):
+        ranks.append((facts.graph.n - len(drop), lookup(facts, mu, *drop)))
         return ranks[-1][1]
 
-    monkeypatch.setattr(lemmas, "rank_exact", recording_rank)
+    monkeypatch.setattr(lemmas._GraphFacts, "rank", recording_rank)
     return ranks
 
 
@@ -405,3 +407,53 @@ class TestDeletionRankOracles:
                 oracle_ranks = []
                 assert check(g).to_dict() == oracle(g, oracle_ranks), to_graph6(g)
                 assert suite_ranks == oracle_ranks, to_graph6(g)
+
+
+class TestSharedTable:
+    """The suites of one graph share one table of matrices, ranks and its
+    diameter; it must never leak from one graph to the next, and it must
+    rank each distinct matrix once."""
+
+    @staticmethod
+    def all_reports(g: Graph) -> list[dict]:
+        return [run_suite(name, g).to_dict() for name in ALL_SUITES]
+
+    def test_interleaved_graphs_match_fresh_calls(self, census7):
+        graphs = [g for n in range(1, 8) for g in census7[n]]
+        fresh = {}
+        for g in graphs:
+            lemmas._facts.cache_clear()
+            fresh[g] = self.all_reports(g)
+        for a, b in zip(graphs[::2], graphs[1::2]):
+            for g in (a, b, a):
+                assert self.all_reports(g) == fresh[g], to_graph6(g)
+
+    def test_each_distinct_matrix_is_eliminated_once(self, census7, monkeypatch):
+        # a request is (mu, entries): the empty matrix is the one matrix
+        # that two values of mu share, and the table ranks it once per mu
+        requested, eliminated = [], []
+        lookup = lemmas._GraphFacts.rank
+
+        def recording_lookup(facts, mu, *drop):
+            entries = shifted_entries(facts.graph.without(*drop), mu)
+            requested.append((mu, tuple(map(tuple, entries))))
+            return lookup(facts, mu, *drop)
+
+        def counting_rank(m):
+            eliminated.append(m.entries)
+            return rank_exact(m)
+
+        monkeypatch.setattr(lemmas._GraphFacts, "rank", recording_lookup)
+        monkeypatch.setattr(lemmas, "rank_exact", counting_rank)
+        shared = 0
+        for n in range(1, 8):
+            for g in census7[n]:
+                lemmas._facts.cache_clear()
+                requested.clear()
+                eliminated.clear()
+                self.all_reports(g)
+                distinct = set(requested)
+                assert len(eliminated) == len(distinct), to_graph6(g)
+                assert set(eliminated) == {entries for _mu, entries in distinct}, to_graph6(g)
+                shared += len(requested) - len(eliminated)
+        assert shared > 0

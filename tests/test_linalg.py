@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nulldiam import (
@@ -43,6 +43,12 @@ def symmetric_matrices(draw, max_n=6, lo=-3, hi=3):
         for j in range(i, n):
             entries[i][j] = entries[j][i] = draw(vals)
     return IntMatrix.from_rows(entries)
+
+
+@st.composite
+def square_rows(draw, max_n, entry):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
 
 
 def hypercube(k: int) -> Graph:
@@ -113,6 +119,15 @@ class TestRank:
     @given(symmetric_matrices())
     def test_matches_fraction_elimination_random(self, m):
         assert rank_exact(m) == fraction_rank(m.entries)
+
+    @settings(max_examples=300)
+    @given(square_rows(max_n=10, entry=st.sampled_from([0, 0, 0, 1, 1, 1, 2, -3, 10**12])))
+    @example([[2, 1, 0], [0, 1, 1], [1, 0, 1]])  # row 1 has 0 under pivot 2 after pivot 1
+    def test_matches_fraction_elimination_on_general_matrices(self, rows):
+        # rank_exact skips a row with a 0 in the pivot column when the pivot
+        # repeats, and must still rescale it when it does not: draw mostly
+        # 0 and 1, non-symmetric, with pivots other than 1 among them
+        assert rank_exact(IntMatrix.from_rows(rows)) == fraction_rank(rows)
 
     def test_mod_p_examples(self):
         assert rank_mod_p(adjacency_matrix(path_graph(4)), 65521) == 4
