@@ -187,8 +187,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_MISMATCH if report.mismatches else EXIT_OK
 
 
-def _census_order(text: str | int) -> int:
-    value = int(text)
+def _census_order(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of vertices in 1..{MAX_CENSUS_ORDER}, got {text!r}"
+        ) from None
     if not 1 <= value <= MAX_CENSUS_ORDER:
         raise argparse.ArgumentTypeError(
             f"census orders run from 1 up to {MAX_CENSUS_ORDER} "
@@ -198,12 +203,10 @@ def _census_order(text: str | int) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
-    return _census_order(lo), _census_order(hi)
+    bounds = text.split("..")
+    if len(bounds) != 2:
+        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}")
+    return _census_order(bounds[0]), _census_order(bounds[1])
 
 
 def _parse_suites(text: str) -> list[str]:
@@ -229,7 +232,10 @@ def _jobs(text: str) -> int:
 
 
 def _even(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an even diameter >= 2, got {text!r}") from None
     if value < 2 or value % 2:
         raise argparse.ArgumentTypeError("diameter must be even and >= 2")
     if value > MAX_VERTICES - 2:

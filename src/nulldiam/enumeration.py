@@ -19,7 +19,12 @@ only if the parent is its canonical parent, the class left by deleting
 its canonical deletion vertex (see ``_augment_parent``).  A cheap degree
 key rejects most children before any canonical search, and since each
 class has exactly one canonical parent, parents expand independently with
-no census-wide duplicate set.
+no census-wide duplicate set.  In the sweep, on the last level, which
+nothing extends, a child whose new vertex is its only non-cut vertex with
+the top key is kept as built with no search at all, and the sweep
+canonicalizes a graph before it reports anything that depends on the
+labelling.  ``connected_graphs`` promises canonical labelling, so it
+searches every child.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import string
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -292,26 +298,52 @@ def _delete_vertex(rows: Sequence[int], v: int) -> tuple[int, ...]:
     return tuple((r & low) | (r >> (v + 1) << v) for u, r in enumerate(rows) if u != v)
 
 
-def _augment_parent(rows: tuple[int, ...]) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+def _augment_parent(
+    rows: tuple[int, ...], last: bool = False
+) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
     """The children of a canonically labelled connected graph that have it
-    as their canonical parent, in canonical labelling, with the counts
-    ``(masks, rejected by key, canonical searches, deletion checks,
+    as their canonical parent, with the counts ``(masks, rejected by key,
+    canonical searches, accepted without search, deletion checks,
     accepted)``.
 
     The new vertex ``k`` is joined to one subset per orbit of the parent's
-    known automorphisms.  A child's canonical deletion vertex ``v*`` is,
+    automorphism group.  A child's canonical deletion vertex ``v*`` is,
     among its non-cut vertices with the largest key (degree, then sorted
     neighbour degrees), the one last in canonical labelling; the child is
     kept only when deleting ``v*`` leaves the parent's class.  A child in
     which a non-cut vertex outranks ``k`` fails that test with no search.
     Every connected class arises from its canonical parent, the class of
-    ``child - v*``, and from no other.  So the only repeats are those of
-    one parent, whose known automorphisms may generate less than its full
-    group and whose deletion test accepts by class, and a per-parent set
-    of canonical rows removes them.
+    ``child - v*``, and from no other.
+
+    The automorphisms ``_min_columns`` returns generate the full group.
+    Every labelling with the smallest encoding is the image of the best
+    one under an automorphism, so it is enough that the search reaches
+    each such leaf up to returned automorphisms.  Branch-and-bound cuts
+    only subtrees whose encodings all exceed the best found so far, so it
+    cuts none of these leaves.  A subtree the swap pruning skips is the
+    image of a tried sibling's under a swap transposition that fixes every
+    placed vertex, and every swap transposition is a product of returned
+    ones.  So every best leaf is the image of a visited best leaf under
+    returned automorphisms, and the map from the best labelling to a
+    visited one is returned.  The tests compare the orbits with networkx's
+    automorphisms on every parent up to 7 vertices, and the gated n = 9
+    class count covers the 8-vertex ones.
+
+    So two children in which ``k`` is the only non-cut vertex with the top
+    key are never isomorphic: key and cut vertices are invariants, so an
+    isomorphism fixes ``k`` and maps one mask to the other by a parent
+    automorphism.  Nor is such a child isomorphic to one with a tie.  With
+    ``last``, for the level that nothing extends, these children are kept
+    as built, with no canonical search and in no canonical labelling.  The
+    others are kept in canonical labelling, and a per-parent dict of
+    canonical rows removes their repeats: two of them from different mask
+    orbits can be isomorphic by a map that moves ``k``, and the deletion
+    test accepts both, since it accepts by class.  The children come out
+    in mask order, each tied class at its first mask.
     """
     k = len(rows)
     verdicts: dict[tuple[int, ...], bool] = {}
+    kept = []
     masks = _mask_orbit_reps(k, _min_columns(rows)[2])
     # A non-cut vertex of the parent stays non-cut in a child whose new
     # vertex has another neighbour.  It outranks k there if its degree in
@@ -319,13 +351,15 @@ def _augment_parent(rows: tuple[int, ...]) -> tuple[list[tuple[int, ...]], tuple
     noncut_degree = {v: r.bit_count() for v, r in enumerate(rows) if not _is_cut_vertex(rows, v)}
     floor = max(noncut_degree.values())
     floor_mask = sum(1 << v for v, d in noncut_degree.items() if d == floor)
-    rejected = deletions = 0
+    rejected = unsearched = deletions = 0
     for mask in masks:
         size = mask.bit_count()
         if size >= 2 and (size < floor or (size == floor and mask & floor_mask)):
             rejected += 1
             continue
-        child = tuple(r | (mask >> v & 1) << k for v, r in enumerate(rows)) + (mask,)
+        # one tuple, no intermediate: the last level keeps it, and a freed
+        # intermediate per child raised the sweep's peak RSS by 0.1 MB
+        child = (*(r | (mask >> v & 1) << k for v, r in enumerate(rows)), mask)
         deg = [r.bit_count() for r in child]
         dk = deg[k]
         top = _neighbour_degrees(child, k, deg)
@@ -338,23 +372,29 @@ def _augment_parent(rows: tuple[int, ...]) -> tuple[list[tuple[int, ...]], tuple
                 if key < top:
                     continue
                 if key == top:
-                    ties.append(v)
+                    if not _is_cut_vertex(child, v):
+                        ties.append(v)
                     continue
             if not _is_cut_vertex(child, v):
                 rejected += 1
                 break
         else:
+            if last and len(ties) == 1:
+                unsearched += 1
+                kept.append(child)
+                continue
             cols, lab, _ = _min_columns(child)
             canon = _rows_from_columns(cols)
             if canon not in verdicts:
-                star = max(
-                    (v for v in ties if v == k or not _is_cut_vertex(child, v)), key=lab.index
-                )
+                star = max(ties, key=lab.index)
                 if star != k:
                     deletions += 1
-                verdicts[canon] = star == k or _canonical_rows(_delete_vertex(child, star)) == rows
-    kept = [canon for canon, ok in verdicts.items() if ok]
-    return kept, (len(masks), rejected, len(masks) - rejected, deletions, len(kept))
+                ok = star == k or _canonical_rows(_delete_vertex(child, star)) == rows
+                verdicts[canon] = ok
+                if ok:
+                    kept.append(canon)
+    searched = len(masks) - rejected - unsearched
+    return kept, (len(masks), rejected, searched, unsearched, deletions, len(kept))
 
 
 @contextmanager
@@ -381,30 +421,39 @@ def ordered_map(jobs: int) -> Iterator[Callable]:
         yield pool_map
 
 
-def _children(parents: list[tuple[int, ...]], pmap: Callable) -> Iterator[tuple[int, ...]]:
+def _children(
+    parents: list[tuple[int, ...]], pmap: Callable, last: bool
+) -> Iterator[tuple[int, ...]]:
     """The next census level: the accepted children of each parent, in
     parent order.  Parents expand independently, in bounded chunks, so
-    memory stays flat while the children are only streamed."""
-    totals = [0] * 5
+    memory stays flat while the children are only streamed.  With
+    ``last``, some children are not canonically labelled (see
+    ``_augment_parent``)."""
+    augment = partial(_augment_parent, last=last)
+    totals = [0] * 6
     for i in range(0, len(parents), 256):
-        for kept, counts in pmap(_augment_parent, parents[i : i + 256]):
+        for kept, counts in pmap(augment, parents[i : i + 256]):
             totals = [a + b for a, b in zip(totals, counts)]
             yield from kept
     log.info(
         "census n=%d: %d parents, %d masks after orbit pruning, %d rejected by key, "
-        "%d canonical searches, %d deletion checks, %d accepted",
+        "%d canonical searches, %d accepted without search, %d deletion checks, %d accepted",
         len(parents[0]) + 1, len(parents), *totals,
     )
 
 
-def _census_levels(n_max: int, pmap: Callable) -> Iterator[Iterable[tuple[int, ...]]]:
-    """The census levels ``1..n_max`` in order, as canonical adjacency
-    rows.  Every level but the last is a list, since it grows the next;
-    the last is only streamed."""
+def _census_levels(
+    n_max: int, pmap: Callable, canonical: bool
+) -> Iterator[Iterable[tuple[int, ...]]]:
+    """The census levels ``1..n_max`` in order, as adjacency rows.  Every
+    level but the last is a list in canonical labelling, since it grows
+    the next.  The last is only streamed; unless ``canonical``, its
+    children with a unique key skip the canonical search, so their
+    labelling is as built."""
     level: Iterable[tuple[int, ...]] = [(0,)]
     for k in range(1, n_max + 1):
         if k > 1:
-            level = _children(level, pmap)
+            level = _children(level, pmap, last=k == n_max and not canonical)
             if k < n_max:
                 level = list(level)
         yield level
@@ -417,7 +466,7 @@ def connected_graphs(n: int, jobs: int = 1) -> Iterator[Graph]:
     if not 1 <= n <= MAX_CENSUS_ORDER:
         raise ValueError(f"census supports 1..{MAX_CENSUS_ORDER} vertices, got {n}")
     with ordered_map(jobs) as pmap:
-        for level in _census_levels(n, pmap):
+        for level in _census_levels(n, pmap, canonical=True):
             pass  # walk to level n, which is streamed
         yield from map(Graph, level)
 
@@ -532,6 +581,15 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...]]) -> dict:
     ``rank_gf2(rows) >= d + 2`` proves the graph is not extremal with no
     exact arithmetic.  Only the graphs the certificate cannot rule out get
     the exact Bareiss rank; ``exact_rank`` records which ones did.
+
+    The sweep's last census level is not all canonically labelled (see
+    ``_augment_parent``), and the recognition parameters, witness graph6
+    and lemma witnesses depend on the labelling.  So an extremal graph is
+    canonicalized before anything else reads it, and the suites run again
+    on the canonical copy of a graph whose reports carry a violation or a
+    changed diameter.  Everything else in the record is an isomorphism
+    invariant, including every suite's instance count: the two suites that
+    read a diameter path check only extremal graphs.
     """
     rows, suites = args
     g = Graph(rows)
@@ -539,6 +597,8 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...]]) -> dict:
     reduced = is_reduced(g)
     exact_rank = rank_gf2(rows) <= d + 1
     extremal = exact_rank and rank_exact(adjacency_matrix(g)) == d + 1
+    if extremal:
+        g = canonical_graph(g)
     even_candidate = reduced and extremal and d >= 2 and d % 2 == 0
     rec = {
         "n": g.n,
@@ -563,7 +623,12 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...]]) -> dict:
     if rec["verdict"] == Verdict.MISMATCH.value or rec["unreduced_failure"]:
         rec["graph6"] = to_graph6(g)  # read only by the witness lists
     if suites:
-        rec["lemma_reports"] = {name: lemmas.run_suite(name, g) for name in suites}
+        reports = {name: lemmas.run_suite(name, g) for name in suites}
+        if any(lr.violations or lr.notes.get("diameter", {}).get("changed") for lr in reports.values()):
+            canon = canonical_graph(g)
+            if canon != g:
+                reports = {name: lemmas.run_suite(name, canon) for name in suites}
+        rec["lemma_reports"] = reports
     return rec
 
 
@@ -628,7 +693,7 @@ def verify_theorem(
 
     with ordered_map(jobs) as pmap:
         level_start = started
-        for k, level in enumerate(_census_levels(n_max, pmap), start=1):
+        for k, level in enumerate(_census_levels(n_max, pmap, canonical=False), start=1):
             if k >= n_min:
                 # evaluate in bounded lists: the pool must not be fed from
                 # the census stream, which uses the same pool

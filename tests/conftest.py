@@ -3,15 +3,24 @@ import multiprocessing
 import pytest
 
 from nulldiam import Graph, enumeration
-from nulldiam.enumeration import _census_levels
+from nulldiam.enumeration import _canonical_rows, _census_levels
 
 
 @pytest.fixture(scope="session")
-def census8() -> dict[int, list]:
+def census_rows8() -> dict[int, list[tuple[int, ...]]]:
+    """The census levels n <= 8 as adjacency rows, from one walk of
+    ``_census_levels``, built once per test session.  Levels below 8 are
+    canonically labelled; the last one is partly as built."""
+    levels = _census_levels(8, map, canonical=False)
+    return {n: list(level) for n, level in enumerate(levels, start=1)}
+
+
+@pytest.fixture(scope="session")
+def census8(census_rows8) -> dict[int, list]:
     """One representative per isomorphism class of connected graphs, n <= 8,
-    from one walk of the census levels, built once per test session."""
-    levels = _census_levels(8, map)
-    return {n: [Graph(rows) for rows in level] for n, level in enumerate(levels, start=1)}
+    in canonical labelling and census order, as ``connected_graphs`` yields
+    them."""
+    return {n: [Graph(_canonical_rows(rows)) for rows in level] for n, level in census_rows8.items()}
 
 
 @pytest.fixture(scope="session")

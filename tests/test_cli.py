@@ -287,6 +287,12 @@ class TestGen:
         assert code == 0
         assert out == ""
 
+    def test_d_that_is_not_a_number_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["gen", "--d", "x"])
+        assert err.value.code == 2
+        assert "argument --d: expected an even diameter >= 2, got 'x'" in capsys.readouterr().err
+
     def test_d_beyond_the_vertex_cap_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["gen", "--d", str(MAX_VERTICES)])
@@ -350,6 +356,21 @@ class TestVerify:
                 main(["verify", "--suites", "", *argv])
             assert err.value.code == 2
             assert f"1..{MAX_CENSUS_ORDER}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [("--n", "x"), ("--n-range", "3..x"), ("--n-range", "x..3")])
+    def test_order_that_is_not_a_number_is_usage_error(self, capsys, option, value):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suites", "", option, value])
+        assert err.value.code == 2
+        expected = f"argument {option}: expected a number of vertices in 1..{MAX_CENSUS_ORDER}, got 'x'"
+        assert expected in capsys.readouterr().err
+
+    def test_range_without_two_bounds_is_usage_error(self, capsys):
+        for value in ("3", "1..2..3"):
+            with pytest.raises(SystemExit) as err:
+                main(["verify", "--suites", "", "--n-range", value])
+            assert err.value.code == 2
+            assert f"argument --n-range: expected A..B, got {value!r}" in capsys.readouterr().err
 
     def test_single_job_run_never_imports_multiprocessing(self):
         # a --jobs 1 run opens no pool, so it should not pay the import;

@@ -31,7 +31,14 @@ from nulldiam import (
     verify_theorem,
 )
 from nulldiam import enumeration
-from nulldiam.enumeration import _canonical_rows, _min_columns, _refinement_cells, _swap_class_ids
+from nulldiam.enumeration import (
+    _augment_parent,
+    _canonical_rows,
+    _mask_orbit_reps,
+    _min_columns,
+    _refinement_cells,
+    _swap_class_ids,
+)
 from nulldiam.families import Verdict
 
 from helpers import (
@@ -186,10 +193,33 @@ class TestCensus:
             assert list(pmap(abs, [-2, 1, -3])) == [2, 1, 3]
         assert sizes == ([] if started is None else [started])
 
-    def test_census_graphs_are_canonically_labelled(self, census8):
+    def test_census_graphs_are_canonically_labelled(self):
         for n in range(1, 9):
-            for g in census8[n]:
+            for g in connected_graphs(n):
                 assert _canonical_rows(g.rows) == g.rows
+
+    def test_search_automorphisms_give_the_full_groups_orbits(self, census_rows8):
+        # the premise of the unsearched last level: on every parent the
+        # census extends up to n = 8, the automorphisms the canonical search
+        # returns have the attachment-set orbits of the full group
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        for n in range(2, 8):
+            for rows in census_rows8[n]:
+                h = nx.Graph()
+                h.add_nodes_from(range(n))
+                h.add_edges_from((u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1)
+                group = [tuple(m[v] for v in range(n)) for m in GraphMatcher(h, h).isomorphisms_iter()]
+                assert _mask_orbit_reps(n, _min_columns(rows)[2]) == _mask_orbit_reps(n, group)
+
+    def test_unsearched_last_level_matches_the_full_search(self, census_rows8):
+        raw = census_rows8[8]
+        canon = [_canonical_rows(rows) for rows in raw]
+        assert len(set(canon)) == len(raw) == 11117
+        assert sum(c != r for c, r in zip(canon, raw)) > 0  # some children skipped the search
+        # the same classes in the same order as with a search for every child
+        assert canon == [child for rows in census_rows8[7] for child in _augment_parent(rows)[0]]
 
     def test_matches_networkx_atlas(self, census7):
         # independent oracle: the atlas lists every graph on up to 7 vertices
@@ -209,6 +239,25 @@ class TestCensus:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("census n=")]
         assert len(lines) == 4
         assert lines[-1].startswith("census n=5: 6 parents,") and lines[-1].endswith(" 21 accepted")
+
+    def test_only_the_sweeps_last_level_skips_searches(self, caplog):
+        with caplog.at_level(logging.INFO, logger="nulldiam.enumeration"):
+            assert sum(1 for _ in connected_graphs(5)) == 21
+            verify_theorem(5, 5)
+        pattern = re.compile(
+            r"census n=\d+: \d+ parents, (\d+) masks after orbit pruning, (\d+) rejected by key, "
+            r"(\d+) canonical searches, (\d+) accepted without search, \d+ deletion checks, "
+            r"21 accepted"
+        )
+        counts = [
+            [int(x) for x in pattern.fullmatch(r.getMessage()).groups()]
+            for r in caplog.records
+            if r.getMessage().startswith("census n=5")
+        ]
+        for masks, rejected, searched, unsearched in counts:
+            assert masks == rejected + searched + unsearched
+        # connected_graphs promises canonical labelling, so it searches every child
+        assert [c[3] for c in counts] == [0, 4]
 
 
 class TestIngest:
@@ -307,6 +356,23 @@ class TestVerifyTheorem:
             for g in level:
                 rec = enumeration._evaluate_graph((g.rows, ()))
                 assert rec["extremal"] == (nullity(g) == g.n - diameter(g) - 1), to_graph6(g)
+
+    def test_records_do_not_depend_on_the_labelling(self, census7):
+        # the last census level is partly as built, so a folded report must
+        # come out the same from any labelling of its graphs
+        rng = random.Random(5)
+        folded = []
+        for relabelled in (False, True):
+            report = enumeration.SweepReport(6, 7, ALL_SUITES)
+            for g in census7[6] + census7[7]:
+                if relabelled:
+                    perm = list(range(g.n))
+                    rng.shuffle(perm)
+                    g = relabel(g, perm)
+                enumeration._fold_record(report, enumeration._evaluate_graph((g.rows, ALL_SUITES)))
+            folded.append(report.to_dict(include_timings=False))
+        assert folded[0]["recognized"] and folded[0]["lemma_summaries"]["reduction-equivalence"]["violations"]
+        assert folded[0] == folded[1]
 
     def test_certificate_falls_through_to_the_exact_rank(self):
         # K_3: d = 1 and rank_GF2 = 2 = d + 1 rule nothing out, and only the
