@@ -41,8 +41,8 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import lemmas
 from .families import Verdict, recognize
-from .graphs import Graph, Graph6Error, diameter, is_reduced, parse_graph6, reduce, to_graph6
-from .linalg import adjacency_matrix, rank_exact, rank_gf2
+from .graphs import Graph, Graph6Error, _rows_without, is_reduced, parse_graph6, reduce, to_graph6
+from .linalg import rank_gf2
 
 log = logging.getLogger(__name__)
 
@@ -292,12 +292,6 @@ def _is_cut_vertex(rows: Sequence[int], v: int) -> bool:
     return seen != rest
 
 
-def _delete_vertex(rows: Sequence[int], v: int) -> tuple[int, ...]:
-    """``rows`` without vertex ``v``, later vertices shifted down by one."""
-    low = (1 << v) - 1
-    return tuple((r & low) | (r >> (v + 1) << v) for u, r in enumerate(rows) if u != v)
-
-
 def _augment_parent(
     rows: tuple[int, ...], last: bool = False
 ) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
@@ -389,7 +383,7 @@ def _augment_parent(
                 star = max(ties, key=lab.index)
                 if star != k:
                     deletions += 1
-                ok = star == k or _canonical_rows(_delete_vertex(child, star)) == rows
+                ok = star == k or _canonical_rows(_rows_without(child, (star,))) == rows
                 verdicts[canon] = ok
                 if ok:
                     kept.append(canon)
@@ -580,7 +574,9 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...]]) -> dict:
     its rational rank, because an odd minor is a nonzero minor, so
     ``rank_gf2(rows) >= d + 2`` proves the graph is not extremal with no
     exact arithmetic.  Only the graphs the certificate cannot rule out get
-    the exact Bareiss rank; ``exact_rank`` records which ones did.
+    the exact Bareiss rank; ``exact_rank`` records which ones did.  ``d``
+    and the exact rank come from the graph's lemma table
+    (``lemmas._facts``), where the suites find them again.
 
     The sweep's last census level is not all canonically labelled (see
     ``_augment_parent``), and the recognition parameters, witness graph6
@@ -593,10 +589,11 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...]]) -> dict:
     """
     rows, suites = args
     g = Graph(rows)
-    d = diameter(g)
+    facts = lemmas._facts(g)
+    d = facts.diameter
     reduced = is_reduced(g)
     exact_rank = rank_gf2(rows) <= d + 1
-    extremal = exact_rank and rank_exact(adjacency_matrix(g)) == d + 1
+    extremal = exact_rank and facts.rank(0) == d + 1
     if extremal:
         g = canonical_graph(g)
     even_candidate = reduced and extremal and d >= 2 and d % 2 == 0
@@ -619,7 +616,7 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...]]) -> dict:
         if result.verdict is Verdict.EVEN_EXTREMAL:
             rec["recognition"] = result.to_dict()
     elif extremal and not reduced and d >= 2 and d % 2 == 0:
-        rec["unreduced_failure"] = recognize(reduce(g).graph).verdict is Verdict.MISMATCH
+        rec["unreduced_failure"] = recognize(reduce(g, d).graph).verdict is Verdict.MISMATCH
     if rec["verdict"] == Verdict.MISMATCH.value or rec["unreduced_failure"]:
         rec["graph6"] = to_graph6(g)  # read only by the witness lists
     if suites:

@@ -45,6 +45,17 @@ def _bits(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
+def _rows_without(rows: Sequence[int], drop: Sequence[int]) -> tuple[int, ...]:
+    """The bit rows left after deleting the vertices ``drop``, relabelled in
+    order as ``Graph.without`` relabels them: each deleted vertex's bit is
+    cut out of every row."""
+    kept = [r for v, r in enumerate(rows) if v not in drop]
+    for v in sorted(drop, reverse=True):
+        low = (1 << v) - 1
+        kept = [r & low | r >> 1 & ~low for r in kept]
+    return tuple(kept)
+
+
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
@@ -406,13 +417,27 @@ def is_reduced(g: Graph) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class ReductionResult:
+    """The twin-reduced graph, the vertices of ``g`` deleted to reach it
+    (ascending), and both diameters.
+
+    The reduced graph is ``g.without(*deleted)``: the survivors keep their
+    order, so A(reduced) is the principal submatrix of A(g) without
+    ``deleted``, and the lemma table ranks it as one.  ``removed`` is the
+    number of deleted vertices.
+    """
+
     graph: Graph
-    removed: int
+    deleted: tuple[int, ...]
     original_diameter: int
     reduced_diameter: int
 
+    @property
+    def removed(self) -> int:
+        """How many vertices reduction deleted."""
+        return len(self.deleted)
 
-def reduce(g: Graph) -> ReductionResult:
+
+def reduce(g: Graph, d: int | None = None) -> ReductionResult:
     """Delete twins until none remain, keeping the last vertex of each twin
     class (in order).
 
@@ -422,13 +447,15 @@ def reduce(g: Graph) -> ReductionResult:
     connected, so both diameters are well defined; they are reported side
     by side because reduction can shrink the diameter (C_4 reduces to K_2,
     dropping it from 2 to 1), and no equality between them is ever
-    assumed.
+    assumed.  ``d`` is the diameter of ``g`` when the caller already
+    holds it; otherwise it is computed.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("reduction is defined for connected graphs")
     last = {row: v for v, row in enumerate(g.rows)}
-    cur = g.induced(sorted(last.values()))
-    return ReductionResult(cur, g.n - cur.n, diameter(g), diameter(cur))
+    deleted = tuple(v for v, row in enumerate(g.rows) if last[row] != v)
+    cur = g.without(*deleted)
+    return ReductionResult(cur, deleted, diameter(g) if d is None else d, diameter(cur))
 
 
 def pendant_pairs(g: Graph) -> list[tuple[int, int]]:

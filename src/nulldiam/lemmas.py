@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 from .graphs import (
     DiameterPath,
     Graph,
+    _rows_without,
     diameter,
     diameter_paths,
     pendant_pairs,
@@ -34,7 +35,7 @@ from .graphs import (
     to_graph6,
     twin_classes,
 )
-from .linalg import IntMatrix, nullity, rank_exact, shifted_adjacency
+from .linalg import IntMatrix, rank_exact, shifted_adjacency
 
 SUITE_INTERLACING = "interlacing"
 SUITE_TWIN_DELETION = "twin-deletion"
@@ -122,27 +123,15 @@ class ViolationReport:
         }
 
 
-def _kept(n: int, *drop: int) -> list[int]:
-    """The vertices ``0..n-1`` left after deleting ``drop``, in order, as
-    ``Graph.without`` keeps them."""
-    return [v for v in range(n) if v not in drop]
-
-
-def _rows_without(rows: tuple[int, ...], drop: tuple[int, ...]) -> tuple[int, ...]:
-    """The bit rows of G - drop, relabelled in order as ``Graph.without``
-    relabels them: each deleted vertex's bit is cut out of every row."""
-    kept = list(rows)
-    for v in sorted(drop, reverse=True):
-        del kept[v]
-        low = (1 << v) - 1
-        kept = [r & low | r >> 1 & ~low for r in kept]
-    return tuple(kept)
-
-
 class _GraphFacts:
-    """What the checkers share about one graph, each part made when first
-    read: the shifted matrices A - mu*I, one diameter, one diameter path,
-    and the rank of every matrix a checker asks for.
+    """What the sweep and the checkers share about one graph, each part
+    made when first read: the shifted matrices A - mu*I, one diameter, one
+    diameter path, and the rank of every matrix asked for.  The sweep
+    (``enumeration._evaluate_graph``) reads the diameter and rank A(G)
+    here before the suites run, and ``reduction-equivalence`` passes the
+    diameter to ``reduce`` and ranks the reduced graph as A(G) without the
+    deleted twins, so each of these facts is computed once per labelled
+    graph.
 
     A rank is keyed by mu and the rows of G - drop, the graph left after
     deleting ``drop``.  Those fix the entries of the shifted matrix's
@@ -172,8 +161,7 @@ class _GraphFacts:
             m = self._shifted.get(mu)
             if m is None:
                 m = self._shifted[mu] = shifted_adjacency(self.graph, mu)
-            if drop:
-                m = m.principal(_kept(self.graph.n, *drop))
+            m = m.principal([v for v in range(self.graph.n) if v not in drop])
             r = self._ranks[key] = rank_exact(m)
         return r
 
@@ -188,9 +176,10 @@ class _GraphFacts:
 
 @lru_cache(maxsize=1)
 def _facts(g: Graph) -> _GraphFacts:
-    """The shared table of ``g``.  A sweep runs every suite on one graph
-    before the next, so one entry is enough, and ``run_suite`` keeps its
-    signature; the table never leaves this process."""
+    """The shared table of ``g``.  A sweep evaluates one graph and runs
+    every suite on it before the next, so one entry is enough, and
+    ``run_suite`` keeps its signature; the table never leaves this
+    process."""
     return _GraphFacts(g)
 
 
@@ -392,9 +381,10 @@ def check_reduction_equivalence(g: Graph) -> ViolationReport:
     if not g.is_connected():
         report.skipped = "graph is disconnected"
         return report
-    red = reduce(g)
-    eta = g.n - _facts(g).rank(0)
-    eta_r = nullity(red.graph)
+    facts = _facts(g)
+    red = reduce(g, facts.diameter)
+    eta = g.n - facts.rank(0)
+    eta_r = red.graph.n - facts.rank(0, *red.deleted)
     lhs = eta == g.n - red.original_diameter - 1
     rhs = eta_r == red.graph.n - red.reduced_diameter - 1
     report.checked = 1

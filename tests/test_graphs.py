@@ -288,6 +288,20 @@ class TestTwinsAndReduction:
             assert (res.graph, res.removed) == reduce_by_rescan(g), to_graph6(g)
             assert is_reduced(g) == (res.removed == 0)
 
+    def test_reduction_records_the_deleted_vertices(self, census7):
+        # the lemma table ranks the reduced graph as a principal submatrix
+        # of A(G), which holds only when the survivors keep their order;
+        # a diameter the caller passes in changes nothing
+        deleted = 0
+        for level in census7.values():
+            for g in level:
+                res = reduce(g)
+                assert reduce(g, diameter(g)) == res, to_graph6(g)
+                assert g.without(*res.deleted) == res.graph, to_graph6(g)
+                assert res.removed == len(res.deleted) == g.n - res.graph.n
+                deleted += res.removed
+        assert deleted > 0
+
     def test_reduce_is_idempotent(self, census7):
         for n in range(1, 7):
             for g in census7[n]:

@@ -1,10 +1,13 @@
 import json
+import random
+import sys
 from itertools import combinations
 
 import pytest
 
 from nulldiam import (
     Graph,
+    canonical_graph,
     check_interlacing,
     check_pendant_deletion,
     check_rank_bound_diam,
@@ -24,11 +27,12 @@ from nulldiam import (
     star_graph,
     to_graph6,
     twin_classes,
+    verify_theorem,
 )
-from nulldiam import lemmas
+from nulldiam import enumeration, lemmas
 from nulldiam.lemmas import ALL_SUITES, MAX_OUTSIDE_SWEEP
 
-from helpers import fraction_rank
+from helpers import fraction_rank, relabel
 
 
 def p5_with_triple_anchor() -> Graph:
@@ -409,10 +413,27 @@ class TestDeletionRankOracles:
                 assert suite_ranks == oracle_ranks, to_graph6(g)
 
 
+def count_calls(monkeypatch, fn) -> list:
+    """Replace ``fn`` in every nulldiam module that holds it with a wrapper
+    that records the arguments of each call, and return the record."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nulldiam":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
 class TestSharedTable:
-    """The suites of one graph share one table of matrices, ranks and its
-    diameter; it must never leak from one graph to the next, and it must
-    rank each distinct matrix once."""
+    """The sweep and the suites of one graph share one table of matrices,
+    ranks and its diameter; it must never leak from one graph to the next,
+    and it must rank each distinct matrix once."""
 
     @staticmethod
     def all_reports(g: Graph) -> list[dict]:
@@ -427,6 +448,52 @@ class TestSharedTable:
         for a, b in zip(graphs[::2], graphs[1::2]):
             for g in (a, b, a):
                 assert self.all_reports(g) == fresh[g], to_graph6(g)
+
+    def test_sweep_records_match_fresh_calls(self, census7):
+        # the sweep reads d and rank A(G) from the table before the suites,
+        # and an extremal graph is canonicalized in between, so relabelled
+        # copies of the extremal graphs give it a table for each labelling
+        rng = random.Random(3)
+        inputs = [g for n in range(1, 8) for g in census7[n]]
+        inputs += [
+            relabel(g, rng.sample(range(g.n), g.n))
+            for g in inputs
+            if g.n > 1 and enumeration._evaluate_graph((g.rows, ()))["extremal"]
+        ]
+        fresh = {}
+        for g in inputs:
+            lemmas._facts.cache_clear()
+            fresh[g] = enumeration._evaluate_graph((g.rows, ALL_SUITES))
+        assert any(fresh[g]["extremal"] and canonical_graph(g) != g for g in inputs)
+        for a, b in zip(inputs[::2], inputs[1::2]):
+            for g in (a, b, a):
+                assert enumeration._evaluate_graph((g.rows, ALL_SUITES)) == fresh[g], to_graph6(g)
+
+    def test_sweep_computes_each_diameter_once(self, monkeypatch):
+        # a graph that is not extremal is never canonicalized, so its
+        # diameter is computed once for the graph and once for its twin
+        # reduction (a single vertex has no reduction), and no suite takes
+        # a nullity outside the table
+        diameters = count_calls(monkeypatch, diameter)
+        nullities = count_calls(monkeypatch, nullity)
+        evaluate = enumeration._evaluate_graph
+        per_graph = []
+
+        def counting_evaluate(args):
+            before = len(diameters)
+            rec = evaluate(args)
+            per_graph.append((rec, len(diameters) - before))
+            return rec
+
+        monkeypatch.setattr(enumeration, "_evaluate_graph", counting_evaluate)
+        verify_theorem(1, 6, suites=ALL_SUITES)
+        with_suites = len(nullities)
+        plain = [(rec["n"], calls) for rec, calls in per_graph if not rec["extremal"]]
+        assert len(plain) == 120
+        assert plain == [(n, 1 if n == 1 else 2) for n, _ in plain]
+        nullities.clear()
+        verify_theorem(1, 6)
+        assert with_suites == len(nullities) > 0
 
     def test_each_distinct_matrix_is_eliminated_once(self, census7, monkeypatch):
         # a request is (mu, entries): the empty matrix is the one matrix
