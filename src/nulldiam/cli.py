@@ -15,7 +15,6 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import partial
-from itertools import islice
 
 from .enumeration import (
     MAX_CENSUS_ORDER,
@@ -130,23 +129,22 @@ def _answer(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
 def cmd_records(args: argparse.Namespace) -> int:
     """Answer every input record with one output line, in input order.
 
-    Each line is printed as soon as it is known.  With ``--jobs`` above 1
-    the records go to the pool in bounded batches.  The exit code is the
-    largest of the per-record codes: 0, then 2 for an input error, then 3
-    for a mismatch.  An ``--input`` or ``--out`` that cannot be opened is
-    an input error: one line on stderr and exit 2.
+    Each line is printed as soon as it is known.  With ``--jobs`` 1 each
+    record is answered as it is read; above 1 the pool takes 1024 records
+    at a time (see ``ordered_map``).  The exit code is the largest of the
+    per-record codes: 0, then 2 for an input error, then 3 for a mismatch.
+    An ``--input`` or ``--out`` that cannot be opened is an input error:
+    one line on stderr and exit 2.
     """
     source = nullcontext(sys.stdin.buffer) if args.input == "-" else _open(args, args.input, "rb")
-    batch_size = 1 if args.jobs <= 1 else 1024
     code = EXIT_OK
     with source as fh, _open_out(args) as out, ordered_map(args.jobs) as pmap:
         # one character per byte: a byte outside graph6's range is a
         # ``charset`` error for its line, never a decoding failure
         records = ingest_graph6_stream(line.decode("latin-1") for line in fh)
-        while batch := list(islice(records, batch_size)):
-            for line, line_code in pmap(partial(_answer, args), batch):
-                print(line, file=out, flush=True)
-                code = max(code, line_code)
+        for line, line_code in pmap(partial(_answer, args), records, 1024):
+            print(line, file=out, flush=True)
+            code = max(code, line_code)
     return code
 
 

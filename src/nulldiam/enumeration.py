@@ -393,24 +393,29 @@ def _augment_parent(
 
 @contextmanager
 def ordered_map(jobs: int) -> Iterator[Callable]:
-    """An ordered ``map(func, items)`` over ``jobs`` worker processes, but
-    never more workers than ``os.cpu_count()``.
+    """A map ``pmap(func, items, window)`` over ``jobs`` worker processes,
+    but never more workers than ``os.cpu_count()``.  ``items`` may be any
+    iterable, and results come in input order.
 
-    With one worker this is the builtin ``map``, run in this process.
-    Otherwise results come from a process pool, in input order, as they
-    are ready.  Pass a materialized list, never a generator that itself
-    uses the map: the pool's task thread would block on it for good.
+    With one worker this is a lazy builtin ``map``, run in this process,
+    and ``window`` is ignored.  Otherwise this thread takes up to
+    ``window`` items at a time and a process pool maps them, yielding
+    results as they are ready; the next window is taken only after the
+    last result of this one.  So the pool reads only lists, and a
+    generator that itself uses the map runs only between windows.
     """
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
-        yield map
+        yield lambda func, items, window: map(func, items)
         return
     import multiprocessing  # only a pool needs it; a --jobs 1 run skips the import
 
     with multiprocessing.get_context().Pool(workers) as pool:
 
-        def pool_map(func, items: list) -> Iterator:
-            return pool.imap(func, items, chunksize=max(1, len(items) // (16 * workers)))
+        def pool_map(func: Callable, items: Iterable, window: int) -> Iterator:
+            items = iter(items)
+            while batch := list(islice(items, window)):
+                yield from pool.imap(func, batch, chunksize=max(1, len(batch) // (16 * workers)))
 
         yield pool_map
 
@@ -419,16 +424,14 @@ def _children(
     parents: list[tuple[int, ...]], pmap: Callable, last: bool
 ) -> Iterator[tuple[int, ...]]:
     """The next census level: the accepted children of each parent, in
-    parent order.  Parents expand independently, in bounded chunks, so
-    memory stays flat while the children are only streamed.  With
-    ``last``, some children are not canonically labelled (see
+    parent order.  Parents expand independently, at most 256 at a time in
+    a pool, so memory stays flat while the children are only streamed.
+    With ``last``, some children are not canonically labelled (see
     ``_augment_parent``)."""
-    augment = partial(_augment_parent, last=last)
     totals = [0] * 6
-    for i in range(0, len(parents), 256):
-        for kept, counts in pmap(augment, parents[i : i + 256]):
-            totals = [a + b for a, b in zip(totals, counts)]
-            yield from kept
+    for kept, counts in pmap(partial(_augment_parent, last=last), parents, 256):
+        totals = [a + b for a, b in zip(totals, counts)]
+        yield from kept
     log.info(
         "census n=%d: %d parents, %d masks after orbit pruning, %d rejected by key, "
         "%d canonical searches, %d accepted without search, %d deletion checks, %d accepted",
@@ -485,9 +488,13 @@ def ingest_graph6_stream(source: IO[str] | Iterable[str]) -> Iterator[ParsedReco
 
     Blank lines are skipped and only ASCII whitespace is stripped; a
     malformed line yields an error record and the stream continues, so one
-    bad byte cannot poison a corpus run.
+    bad byte cannot poison a corpus run.  The format's optional file
+    header ``>>graph6<<`` is removed from the start of line 1, with no
+    line break needed after it; elsewhere it is a ``charset`` error.
     """
     for line_no, raw in enumerate(source, start=1):
+        if line_no == 1:
+            raw = raw.removeprefix(">>graph6<<")
         text = raw.strip(string.whitespace)
         if not text:
             continue
@@ -564,7 +571,7 @@ class SweepReport:
         return out
 
 
-def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...]]) -> dict:
+def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
     """Per-graph worker: invariants, recognition where applicable, and the
     selected lemma suites.  Takes plain tuples so it can cross a process
     boundary.
@@ -587,7 +594,6 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...]]) -> dict:
     invariant, including every suite's instance count: the two suites that
     read a diameter path check only extremal graphs.
     """
-    rows, suites = args
     g = Graph(rows)
     facts = lemmas._facts(g)
     d = facts.diameter
@@ -600,7 +606,6 @@ def _evaluate_graph(args: tuple[tuple[int, ...], tuple[str, ...]]) -> dict:
     rec = {
         "n": g.n,
         "graph6": None,
-        "d": d,
         "reduced": reduced,
         "extremal": extremal,
         "odd_extremal": extremal and d % 2 == 1,
@@ -663,6 +668,11 @@ def _fold_record(report: SweepReport, rec: dict) -> None:
                 summary[key] = summary.get(key, 0) + 1
 
 
+def _log_progress(k: int, done: int, exact: int, level_start: float) -> None:
+    rate = done / (time.perf_counter() - level_start)
+    log.info("sweep n=%d: %d graphs evaluated, %.0f graphs/s, %d exact ranks", k, done, rate, exact)
+
+
 def verify_theorem(
     n_min: int,
     n_max: int,
@@ -692,20 +702,15 @@ def verify_theorem(
         level_start = started
         for k, level in enumerate(_census_levels(n_max, pmap, canonical=False), start=1):
             if k >= n_min:
-                # evaluate in bounded lists: the pool must not be fed from
-                # the census stream, which uses the same pool
-                graphs = iter(level)
                 done = exact = 0
-                while batch := [(rows, suites_t) for rows in islice(graphs, 20_000)]:
-                    for rec in pmap(_evaluate_graph, batch):
-                        _fold_record(report, rec)
-                        exact += rec["exact_rank"]
-                    done += len(batch)
-                    rate = done / (time.perf_counter() - level_start)
-                    log.info(
-                        "sweep n=%d: %d graphs evaluated, %.0f graphs/s, %d exact ranks",
-                        k, done, rate, exact,
-                    )
+                for rec in pmap(partial(_evaluate_graph, suites=suites_t), level, 20_000):
+                    _fold_record(report, rec)
+                    exact += rec["exact_rank"]
+                    done += 1
+                    if done % 20_000 == 0:
+                        _log_progress(k, done, exact, level_start)
+                if done % 20_000:
+                    _log_progress(k, done, exact, level_start)
                 report.timings[f"n={k}"] = time.perf_counter() - level_start
                 log.info("sweep level n=%d done in %.2fs", k, report.timings[f"n={k}"])
             level_start = time.perf_counter()

@@ -3,7 +3,7 @@ import multiprocessing
 import pytest
 
 from nulldiam import Graph, enumeration
-from nulldiam.enumeration import _canonical_rows, _census_levels
+from nulldiam.enumeration import _canonical_rows, _census_levels, ordered_map
 
 
 @pytest.fixture(scope="session")
@@ -11,8 +11,9 @@ def census_rows8() -> dict[int, list[tuple[int, ...]]]:
     """The census levels n <= 8 as adjacency rows, from one walk of
     ``_census_levels``, built once per test session.  Levels below 8 are
     canonically labelled; the last one is partly as built."""
-    levels = _census_levels(8, map, canonical=False)
-    return {n: list(level) for n, level in enumerate(levels, start=1)}
+    with ordered_map(1) as pmap:
+        levels = _census_levels(8, pmap, canonical=False)
+        return {n: list(level) for n, level in enumerate(levels, start=1)}
 
 
 @pytest.fixture(scope="session")

@@ -200,6 +200,23 @@ class TestRecordInput:
         assert all(rec["error"].startswith("charset:") for rec in bad)
 
     @pytest.mark.parametrize("command", RECORD_COMMANDS)
+    def test_graph6_file_header_is_not_a_record(self, capsys, tmp_path, command):
+        # networkx starts a file with ">>graph6<<" and no line break after it
+        nx = pytest.importorskip("networkx")
+        graphs = [nx.path_graph(4), nx.cycle_graph(5), nx.empty_graph(2)]
+        headed, plain = tmp_path / "headed.g6", tmp_path / "plain.g6"
+        nx.write_graph6(graphs[0], headed)
+        with open(headed, "ab") as fh:
+            fh.writelines(nx.to_graph6_bytes(h, header=False) for h in graphs[1:])
+        plain.write_bytes(b"".join(nx.to_graph6_bytes(h, header=False) for h in graphs))
+        assert headed.read_bytes().startswith(b">>graph6<<C")
+        results = [run(capsys, command, "--format", "json", "--input", str(path)) for path in (headed, plain)]
+        assert results[0] == results[1]
+        code, out, _ = results[0]
+        assert len(out.splitlines()) == 3
+        assert code == (0 if command == "invariants" else 2)
+
+    @pytest.mark.parametrize("command", RECORD_COMMANDS)
     def test_unreadable_input_is_input_error(self, capsys, tmp_path, command):
         for where in (str(tmp_path / "missing.g6"), str(tmp_path)):
             code, out, err = run(capsys, command, "--input", where)

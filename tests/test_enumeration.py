@@ -2,8 +2,12 @@ import dataclasses
 import io
 import itertools
 import logging
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -173,6 +177,7 @@ class TestCensus:
         import multiprocessing
 
         sizes = []
+        windows = []
 
         class StubPool:
             def __init__(self, size):
@@ -185,13 +190,37 @@ class TestCensus:
                 return False
 
             def imap(self, func, items, chunksize):
+                windows.append(items)
                 return map(func, items)
 
         monkeypatch.setattr(multiprocessing, "get_context", lambda: SimpleNamespace(Pool=StubPool))
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
         with enumeration.ordered_map(jobs) as pmap:
-            assert list(pmap(abs, [-2, 1, -3])) == [2, 1, 3]
+            assert list(pmap(abs, iter([-2, 1, -3]), 2)) == [2, 1, 3]
         assert sizes == ([] if started is None else [started])
+        # a pool takes the iterator one window at a time; one worker needs no pool
+        assert windows == ([] if started is None else [[-2, 1], [-3]])
+
+    def test_pool_map_accepts_a_generator_that_uses_it(self):
+        # the inner map's windows run while the outer one takes its items;
+        # a fresh interpreter with a timeout, so a deadlock fails the test
+        # instead of hanging the suite
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        script = (
+            "import operator, sys\n"
+            "from nulldiam import enumeration\n"
+            "enumeration.os.cpu_count = lambda: 2\n"
+            "with enumeration.ordered_map(2) as pmap:\n"
+            "    inner = pmap(operator.neg, range(100), 7)\n"
+            "    print(list(pmap(abs, inner, 5)), 'multiprocessing' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == f"{list(range(100))} True"
 
     def test_census_graphs_are_canonically_labelled(self):
         for n in range(1, 9):
@@ -278,6 +307,14 @@ class TestIngest:
     def test_empty_stream(self):
         assert list(ingest_graph6_stream(io.StringIO(""))) == []
 
+    def test_file_header_is_removed_from_line_one_only(self):
+        headed = list(ingest_graph6_stream(io.StringIO(">>graph6<<A_\n>>graph6<<A_\n")))
+        assert headed[0] == next(ingest_graph6_stream(io.StringIO("A_\n")))
+        assert headed[1].line_no == 2 and headed[1].error.startswith("charset:")
+        # a header with nothing after it is a blank line
+        alone = list(ingest_graph6_stream(io.StringIO(">>graph6<<\nA_\n")))
+        assert [(r.line_no, r.text) for r in alone] == [(2, "A_")]
+
 
 class TestVerifyTheorem:
     def test_empty_range(self):
@@ -312,6 +349,27 @@ class TestVerifyTheorem:
             sum(gf2_rank(adjacency_matrix(g).entries) <= diameter(g) + 1 for g in census7[n])
             for n in range(1, 6)
         ]
+
+    def test_single_job_sweep_streams_the_last_level(self, monkeypatch):
+        # with one job nothing is batched: the first n = 6 graph is
+        # evaluated before the last n = 5 parent is expanded
+        calls = []
+        augment, evaluate = enumeration._augment_parent, enumeration._evaluate_graph
+
+        def logged_augment(rows, **kwargs):
+            calls.append(("expand", len(rows)))
+            return augment(rows, **kwargs)
+
+        def logged_evaluate(rows, suites):
+            calls.append(("evaluate", len(rows)))
+            return evaluate(rows, suites)
+
+        monkeypatch.setattr(enumeration, "_augment_parent", logged_augment)
+        monkeypatch.setattr(enumeration, "_evaluate_graph", logged_evaluate)
+        assert verify_theorem(1, 6).per_n[6].connected == 112
+        last_expand = max(i for i, call in enumerate(calls) if call == ("expand", 5))
+        assert calls.count(("expand", 5)) == 21
+        assert calls.index(("evaluate", 6)) < last_expand
 
     @pytest.mark.parametrize("verdict, field", [(Verdict.MISMATCH, "mismatches")])
     def test_witness_lists_carry_graph6(self, monkeypatch, verdict, field):
@@ -354,7 +412,7 @@ class TestVerifyTheorem:
     def test_extremal_flag_matches_nullity_on_census8(self, census8):
         for level in census8.values():
             for g in level:
-                rec = enumeration._evaluate_graph((g.rows, ()))
+                rec = enumeration._evaluate_graph(g.rows, ())
                 assert rec["extremal"] == (nullity(g) == g.n - diameter(g) - 1), to_graph6(g)
 
     def test_records_do_not_depend_on_the_labelling(self, census7):
@@ -369,7 +427,7 @@ class TestVerifyTheorem:
                     perm = list(range(g.n))
                     rng.shuffle(perm)
                     g = relabel(g, perm)
-                enumeration._fold_record(report, enumeration._evaluate_graph((g.rows, ALL_SUITES)))
+                enumeration._fold_record(report, enumeration._evaluate_graph(g.rows, ALL_SUITES))
             folded.append(report.to_dict(include_timings=False))
         assert folded[0]["recognized"] and folded[0]["lemma_summaries"]["reduction-equivalence"]["violations"]
         assert folded[0] == folded[1]
@@ -377,7 +435,7 @@ class TestVerifyTheorem:
     def test_certificate_falls_through_to_the_exact_rank(self):
         # K_3: d = 1 and rank_GF2 = 2 = d + 1 rule nothing out, and only the
         # rational rank 3 shows that it is not extremal
-        rec = enumeration._evaluate_graph((complete_graph(3).rows, ()))
+        rec = enumeration._evaluate_graph(complete_graph(3).rows, ())
         assert rec["exact_rank"] and not rec["extremal"]
 
     def test_lemma_suite_aggregation(self):

@@ -458,16 +458,16 @@ class TestSharedTable:
         inputs += [
             relabel(g, rng.sample(range(g.n), g.n))
             for g in inputs
-            if g.n > 1 and enumeration._evaluate_graph((g.rows, ()))["extremal"]
+            if g.n > 1 and enumeration._evaluate_graph(g.rows, ())["extremal"]
         ]
         fresh = {}
         for g in inputs:
             lemmas._facts.cache_clear()
-            fresh[g] = enumeration._evaluate_graph((g.rows, ALL_SUITES))
+            fresh[g] = enumeration._evaluate_graph(g.rows, ALL_SUITES)
         assert any(fresh[g]["extremal"] and canonical_graph(g) != g for g in inputs)
         for a, b in zip(inputs[::2], inputs[1::2]):
             for g in (a, b, a):
-                assert enumeration._evaluate_graph((g.rows, ALL_SUITES)) == fresh[g], to_graph6(g)
+                assert enumeration._evaluate_graph(g.rows, ALL_SUITES) == fresh[g], to_graph6(g)
 
     def test_sweep_computes_each_diameter_once(self, monkeypatch):
         # a graph that is not extremal is never canonicalized, so its
@@ -479,9 +479,9 @@ class TestSharedTable:
         evaluate = enumeration._evaluate_graph
         per_graph = []
 
-        def counting_evaluate(args):
+        def counting_evaluate(rows, suites):
             before = len(diameters)
-            rec = evaluate(args)
+            rec = evaluate(rows, suites)
             per_graph.append((rec, len(diameters) - before))
             return rec
 
