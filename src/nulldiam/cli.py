@@ -204,7 +204,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     bounds = text.split("..")
     if len(bounds) != 2:
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}")
-    return _census_order(bounds[0]), _census_order(bounds[1])
+    low, high = _census_order(bounds[0]), _census_order(bounds[1])
+    if low > high:
+        raise argparse.ArgumentTypeError(f"expected A..B with A <= B, got {text!r}")
+    return low, high
 
 
 def _parse_suites(text: str) -> list[str]:

@@ -14,17 +14,18 @@ it with an already-tried candidate is an automorphism.
 The census generator grows graphs one vertex at a time by McKay's
 canonical construction path (McKay 1998, J. Algorithms 26:306-324): a
 canonically labelled parent gets a new vertex joined to one subset per
-orbit of the automorphisms its canonical search met, and a child is kept
-only if the parent is its canonical parent, the class left by deleting
-its canonical deletion vertex (see ``_augment_parent``).  A cheap degree
-key rejects most children before any canonical search, and since each
-class has exactly one canonical parent, parents expand independently with
-no census-wide duplicate set.  In the sweep, on the last level, which
-nothing extends, a child whose new vertex is its only non-cut vertex with
-the top key is kept as built with no search at all, and the sweep
-canonicalizes a graph before it reports anything that depends on the
-labelling.  ``connected_graphs`` promises canonical labelling, so it
-searches every child.
+orbit of its automorphism group, and a child is kept only if the new
+vertex lies in the automorphism orbit of its canonical deletion vertex
+(see ``_augment_parent``).  Each class then comes from exactly one mask
+orbit of its canonical parent, so parents expand independently with no
+duplicate set.  A child's canonical search is the only one: it gives the
+labelling, the orbit test, and the generators the child carries to
+extend it.  A cheap degree key rejects most children before any search.
+In the sweep, on the last level, which nothing extends, a child whose new
+vertex is its only non-cut vertex with the top key is kept as built with
+no search at all, and the sweep canonicalizes a graph before it reports
+anything that depends on the labelling.  ``connected_graphs`` promises
+canonical labelling, so it searches every child.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import lemmas
 from .families import Verdict, recognize
-from .graphs import Graph, Graph6Error, _rows_without, is_reduced, parse_graph6, reduce, to_graph6
+from .graphs import Graph, Graph6Error, is_reduced, parse_graph6, reduce, to_graph6
 from .linalg import rank_gf2
 
 log = logging.getLogger(__name__)
@@ -236,33 +237,38 @@ def canonical_form(g: Graph, limit: int = CANONICAL_TIER_LIMIT) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _mask_orbit_reps(k: int, autos: Sequence[Sequence[int]]) -> list[int]:
-    """The least member of each orbit of the nonempty subsets of ``0..k-1``
-    under the group that the permutations ``autos`` generate."""
-    size = 1 << k
-    images = []
-    for perm in dict.fromkeys(autos):
-        img = [0] * size
-        for m in range(1, size):
-            low = m & -m
-            img[m] = img[m ^ low] | 1 << perm[low.bit_length() - 1]
-        images.append(img)
-    seen = bytearray(size)
+def _mask_orbit_reps(masks: Sequence[int], gens: Sequence[Sequence[int]]) -> list[int]:
+    """The least member of each orbit of ``masks`` under the group that
+    the permutations ``gens`` generate.  ``masks`` are vertex subsets as
+    bitmasks, in ascending order, and the group maps them onto themselves."""
+    seen: set[int] = set()
     reps = []
-    for m in range(1, size):
-        if seen[m]:
+    for m in masks:
+        if m in seen:
             continue
         reps.append(m)
-        seen[m] = 1
+        seen.add(m)
         stack = [m]
         while stack:
             x = stack.pop()
-            for img in images:
-                y = img[x]
-                if not seen[y]:
-                    seen[y] = 1
+            for perm in gens:
+                y, rest = 0, x
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    y |= 1 << perm[low.bit_length() - 1]
+                if y not in seen:
+                    seen.add(y)
                     stack.append(y)
     return reps
+
+
+def _canonical_gens(lab: Sequence[int], autos: Sequence[Sequence[int]]) -> tuple[bytes, ...]:
+    """The automorphisms ``autos`` of a graph, conjugated into the
+    canonical labelling ``lab`` gives it: with ``pos`` the inverse of
+    ``lab``, each becomes ``i -> pos[p[lab[i]]]``, as bytes."""
+    pos = {v: i for i, v in enumerate(lab)}
+    return tuple(dict.fromkeys(bytes(pos[p[v]] for v in lab) for p in autos))
 
 
 def _neighbour_degrees(rows: Sequence[int], v: int, deg: Sequence[int]) -> list[int]:
@@ -293,21 +299,33 @@ def _is_cut_vertex(rows: Sequence[int], v: int) -> bool:
 
 
 def _augment_parent(
-    rows: tuple[int, ...], last: bool = False
-) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    parent: tuple[tuple[int, ...], tuple[bytes, ...]], last: bool = False, canonical: bool = True
+) -> tuple[list, tuple[int, ...]]:
     """The children of a canonically labelled connected graph that have it
     as their canonical parent, with the counts ``(masks, rejected by key,
-    canonical searches, accepted without search, deletion checks,
-    accepted)``.
+    canonical searches, accepted without search, orbit tests, accepted)``.
 
-    The new vertex ``k`` is joined to one subset per orbit of the parent's
-    automorphism group.  A child's canonical deletion vertex ``v*`` is,
-    among its non-cut vertices with the largest key (degree, then sorted
-    neighbour degrees), the one last in canonical labelling; the child is
-    kept only when deleting ``v*`` leaves the parent's class.  A child in
-    which a non-cut vertex outranks ``k`` fails that test with no search.
-    Every connected class arises from its canonical parent, the class of
-    ``child - v*``, and from no other.
+    ``parent`` is the graph's rows and generators of its automorphism
+    group.  The new vertex ``k`` is joined to the least subset of each
+    orbit of that group, among the subsets that pass a degree test.  A
+    child's canonical deletion vertex ``v*`` is, among its non-cut
+    vertices with the largest key (degree, then sorted neighbour degrees),
+    the one last in canonical labelling.  The child is kept iff ``k`` lies
+    in the orbit of ``v*``; a child in which a non-cut vertex outranks
+    ``k`` fails with no search.  A kept child's canonical parent, the class
+    of ``child - v*``, is then the parent's class.
+
+    Each class arises from exactly one mask orbit of its canonical parent.
+    At least one: deleting ``v*`` from a graph of the class leaves the
+    parent's class, so the graph is a child whose ``k`` plays the part of
+    ``v*``, from a mask that a parent automorphism maps to its orbit's
+    least member; no non-cut vertex outranks ``v*``, so neither test
+    rejects it.  At most one: let ``f`` map one kept child onto another.
+    The orbit of ``v*`` is an isomorphism invariant, so ``f(k)`` is in the
+    orbit of the second child's ``k``, and after an automorphism of that
+    child, ``f`` fixes ``k``.  Restricted to the parent, it is then an
+    automorphism that maps the first mask to the second, so both lie in
+    one orbit.  So the children are isomorph-free with no per-parent set.
 
     The automorphisms ``_min_columns`` returns generate the full group.
     Every labelling with the smallest encoding is the image of the best
@@ -319,38 +337,35 @@ def _augment_parent(
     placed vertex, and every swap transposition is a product of returned
     ones.  So every best leaf is the image of a visited best leaf under
     returned automorphisms, and the map from the best labelling to a
-    visited one is returned.  The tests compare the orbits with networkx's
-    automorphisms on every parent up to 7 vertices, and the gated n = 9
-    class count covers the 8-vertex ones.
+    visited one is returned.  The orbit test reads them as they are; a
+    child that will be extended carries them, conjugated into its
+    canonical labelling (``_canonical_gens``), so no parent is searched
+    again.  The tests compare the carried groups with networkx's on every
+    parent up to 7 vertices, and the gated n = 9 class count covers the
+    8-vertex ones.
 
-    So two children in which ``k`` is the only non-cut vertex with the top
-    key are never isomorphic: key and cut vertices are invariants, so an
-    isomorphism fixes ``k`` and maps one mask to the other by a parent
-    automorphism.  Nor is such a child isomorphic to one with a tie.  With
-    ``last``, for the level that nothing extends, these children are kept
-    as built, with no canonical search and in no canonical labelling.  The
-    others are kept in canonical labelling, and a per-parent dict of
-    canonical rows removes their repeats: two of them from different mask
-    orbits can be isomorphic by a map that moves ``k``, and the deletion
-    test accepts both, since it accepts by class.  The children come out
-    in mask order, each tied class at its first mask.
+    With ``last``, for the level that nothing extends, the children carry
+    no generators.  Unless ``canonical``, a child in which ``k`` is the
+    only non-cut vertex with the top key is then kept as built, with no
+    search and in no canonical labelling: ``k`` is its ``v*``.  The others
+    are kept in canonical labelling.  The children come out in mask order.
     """
+    rows, gens = parent
     k = len(rows)
-    verdicts: dict[tuple[int, ...], bool] = {}
-    kept = []
-    masks = _mask_orbit_reps(k, _min_columns(rows)[2])
     # A non-cut vertex of the parent stays non-cut in a child whose new
     # vertex has another neighbour.  It outranks k there if its degree in
-    # the parent exceeds the mask's size, or equals it and it is in the mask.
+    # the parent exceeds the mask's size, or equals it and it is in the
+    # mask, so only the largest such degree, floor, matters.  The group
+    # keeps a mask's size and whether it meets floor_mask, so the test
+    # runs before the orbits.
     noncut_degree = {v: r.bit_count() for v, r in enumerate(rows) if not _is_cut_vertex(rows, v)}
     floor = max(noncut_degree.values())
     floor_mask = sum(1 << v for v, d in noncut_degree.items() if d == floor)
-    rejected = unsearched = deletions = 0
+    survivors = [m for m in range(1, 1 << k) if not 1 < m.bit_count() < floor + bool(m & floor_mask)]
+    masks = _mask_orbit_reps(survivors, gens)
+    kept = []
+    rejected = unsearched = tests = 0
     for mask in masks:
-        size = mask.bit_count()
-        if size >= 2 and (size < floor or (size == floor and mask & floor_mask)):
-            rejected += 1
-            continue
         # one tuple, no intermediate: the last level keeps it, and a freed
         # intermediate per child raised the sweep's peak RSS by 0.1 MB
         child = (*(r | (mask >> v & 1) << k for v, r in enumerate(rows)), mask)
@@ -373,22 +388,23 @@ def _augment_parent(
                 rejected += 1
                 break
         else:
-            if last and len(ties) == 1:
+            if last and not canonical and len(ties) == 1:
                 unsearched += 1
                 kept.append(child)
                 continue
-            cols, lab, _ = _min_columns(child)
+            cols, lab, autos = _min_columns(child)
+            star = max(ties, key=lab.index)
+            if star != k:
+                tests += 1
+                orbit = [k]
+                for v in orbit:  # grows as it is read
+                    orbit.extend({p[v] for p in autos}.difference(orbit))
+                if star not in orbit:
+                    continue
             canon = _rows_from_columns(cols)
-            if canon not in verdicts:
-                star = max(ties, key=lab.index)
-                if star != k:
-                    deletions += 1
-                ok = star == k or _canonical_rows(_rows_without(child, (star,))) == rows
-                verdicts[canon] = ok
-                if ok:
-                    kept.append(canon)
+            kept.append(canon if last else (canon, _canonical_gens(lab, autos)))
     searched = len(masks) - rejected - unsearched
-    return kept, (len(masks), rejected, searched, unsearched, deletions, len(kept))
+    return kept, (len(masks), rejected, searched, unsearched, tests, len(kept))
 
 
 @contextmanager
@@ -420,40 +436,39 @@ def ordered_map(jobs: int) -> Iterator[Callable]:
         yield pool_map
 
 
-def _children(
-    parents: list[tuple[int, ...]], pmap: Callable, last: bool
-) -> Iterator[tuple[int, ...]]:
+def _children(parents: list, pmap: Callable, last: bool, canonical: bool) -> Iterator:
     """The next census level: the accepted children of each parent, in
-    parent order.  Parents expand independently, at most 256 at a time in
-    a pool, so memory stays flat while the children are only streamed.
-    With ``last``, some children are not canonically labelled (see
+    parent order, with their generators unless ``last``.  Parents expand
+    independently, at most 256 at a time in a pool, so memory stays flat
+    while the children are only streamed.  With ``last`` and not
+    ``canonical``, some children are not canonically labelled (see
     ``_augment_parent``)."""
     totals = [0] * 6
-    for kept, counts in pmap(partial(_augment_parent, last=last), parents, 256):
+    for kept, counts in pmap(partial(_augment_parent, last=last, canonical=canonical), parents, 256):
         totals = [a + b for a, b in zip(totals, counts)]
         yield from kept
     log.info(
         "census n=%d: %d parents, %d masks after orbit pruning, %d rejected by key, "
-        "%d canonical searches, %d accepted without search, %d deletion checks, %d accepted",
-        len(parents[0]) + 1, len(parents), *totals,
+        "%d canonical searches, %d accepted without search, %d orbit tests, %d accepted",
+        len(parents[0][0]) + 1, len(parents), *totals,
     )
 
 
-def _census_levels(
-    n_max: int, pmap: Callable, canonical: bool
-) -> Iterator[Iterable[tuple[int, ...]]]:
+def _census_levels(n_max: int, pmap: Callable, canonical: bool) -> Iterator[Iterable[tuple]]:
     """The census levels ``1..n_max`` in order, as adjacency rows.  Every
-    level but the last is a list in canonical labelling, since it grows
-    the next.  The last is only streamed; unless ``canonical``, its
-    children with a unique key skip the canonical search, so their
-    labelling is as built."""
-    level: Iterable[tuple[int, ...]] = [(0,)]
+    level but the last is a list in canonical labelling whose graphs carry
+    their automorphisms, since it grows the next.  The last is only
+    streamed; unless ``canonical``, its children with a unique key skip
+    the canonical search, so their labelling is as built."""
+    level: Iterable = [((0,), ())]
     for k in range(1, n_max + 1):
         if k > 1:
-            level = _children(level, pmap, last=k == n_max and not canonical)
-            if k < n_max:
-                level = list(level)
-        yield level
+            level = _children(level, pmap, k == n_max, canonical)
+        if 1 < k == n_max:
+            yield level  # plain rows: the last level carries no generators
+        else:
+            level = list(level)
+            yield (rows for rows, _ in level)
 
 
 def connected_graphs(n: int, jobs: int = 1) -> Iterator[Graph]:
@@ -616,12 +631,13 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
         "exact_rank": exact_rank,
     }
     if even_candidate:
-        result = recognize(g)
+        result = recognize(g, d)
         rec["verdict"] = result.verdict.value
         if result.verdict is Verdict.EVEN_EXTREMAL:
             rec["recognition"] = result.to_dict()
     elif extremal and not reduced and d >= 2 and d % 2 == 0:
-        rec["unreduced_failure"] = recognize(reduce(g, d).graph).verdict is Verdict.MISMATCH
+        red = reduce(g, d)
+        rec["unreduced_failure"] = recognize(red.graph, red.reduced_diameter).verdict is Verdict.MISMATCH
     if rec["verdict"] == Verdict.MISMATCH.value or rec["unreduced_failure"]:
         rec["graph6"] = to_graph6(g)  # read only by the witness lists
     if suites:

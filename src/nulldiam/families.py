@@ -273,7 +273,7 @@ def _claims_on_path(g: Graph, path: DiameterPath, d: int) -> FamilyParams | str:
     return FamilyParams(d, b, frozenset(singles.values()))
 
 
-def recognize(g: Graph) -> RecognitionResult:
+def recognize(g: Graph, d: int | None = None) -> RecognitionResult:
     """Classify a connected graph against the extremal structure.
 
     The arithmetic gate (nullity = n - d - 1) decides extremality; odd
@@ -294,11 +294,14 @@ def recognize(g: Graph) -> RecognitionResult:
     parameters to ``(d/2 - 1 - b, {d/2 + 1 - a})``.  So if one diameter
     path fits, every diameter path fits, and if the first does not, none
     does.  This extends the argument in :func:`enumerate_family`.
+
+    ``d`` is the diameter of ``g`` when the caller already holds it;
+    otherwise it is computed.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("recognition is defined for connected graphs")
     g6 = to_graph6(g)
-    d = diameter(g)
+    d = diameter(g) if d is None else d
     eta = nullity(g)
     if eta != g.n - d - 1:
         witness = {"expected_nullity": g.n - d - 1}

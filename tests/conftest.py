@@ -3,7 +3,7 @@ import multiprocessing
 import pytest
 
 from nulldiam import Graph, enumeration
-from nulldiam.enumeration import _canonical_rows, _census_levels, ordered_map
+from nulldiam.enumeration import _augment_parent, _canonical_rows, _census_levels, ordered_map
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +14,16 @@ def census_rows8() -> dict[int, list[tuple[int, ...]]]:
     with ordered_map(1) as pmap:
         levels = _census_levels(8, pmap, canonical=False)
         return {n: list(level) for n, level in enumerate(levels, start=1)}
+
+
+@pytest.fixture(scope="session")
+def carried_parents7() -> dict[int, list[tuple[tuple[int, ...], tuple[bytes, ...]]]]:
+    """The census levels n <= 7 as the census holds them to extend them:
+    canonical rows with the automorphism generators they carry."""
+    levels = {1: [((0,), ())]}
+    for n in range(2, 8):
+        levels[n] = [child for parent in levels[n - 1] for child in _augment_parent(parent)[0]]
+    return levels
 
 
 @pytest.fixture(scope="session")

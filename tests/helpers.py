@@ -6,9 +6,10 @@ permutation search) so the package's production code paths are checked
 against genuinely different implementations, not against themselves.
 The exceptions keep a replaced algorithm as the reference for its
 replacement: ``reduce_by_rescan`` (twin deletion one vertex at a time),
-``family_by_mask_walk`` (every mask, deduplicated by canonical form) and
+``family_by_mask_walk`` (every mask, deduplicated by canonical form),
 ``recognize_on_every_path`` (the family shape tried on every diameter
-path).
+path) and ``augment_by_deletion_check`` (census children accepted by the
+class of ``child - v*``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,15 @@ from nulldiam import (
     to_graph6,
     twin_classes,
 )
-from nulldiam.enumeration import canonical_form
+from nulldiam.enumeration import (
+    _canonical_rows,
+    _is_cut_vertex,
+    _min_columns,
+    _rows_from_columns,
+    canonical_form,
+)
 from nulldiam.families import _claims_on_path
+from nulldiam.graphs import _rows_without
 
 
 def fraction_rank(entries) -> int:
@@ -260,3 +268,53 @@ def recognize_on_every_path(g: Graph) -> tuple[Verdict, FamilyParams | None, boo
     if fits:
         return Verdict.EVEN_EXTREMAL, fits[0], agree
     return Verdict.MISMATCH, None, agree
+
+
+def augment_by_deletion_check(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The canonical children of a canonically labelled connected graph
+    that have it as their canonical parent, by the census's rule before
+    parents carried their automorphisms: a fresh search of the parent for
+    its group, one mask per orbit of all ``2^k`` subsets, the degree key
+    of every non-cut vertex, and a deletion check by canonical form, with
+    a per-parent dict that keeps each class once."""
+    k = len(rows)
+    size = 1 << k
+    images = []
+    for perm in _min_columns(rows)[2]:
+        img = [0] * size
+        for m in range(1, size):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(img)
+    seen = bytearray(size)
+    verdicts: dict[tuple[int, ...], bool] = {}
+    kept = []
+    for mask in range(1, size):
+        if seen[mask]:
+            continue
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for img in images:
+                if not seen[img[x]]:
+                    seen[img[x]] = 1
+                    stack.append(img[x])
+        child = tuple(r | (mask >> v & 1) << k for v, r in enumerate(rows)) + (mask,)
+        deg = [r.bit_count() for r in child]
+        keys = {
+            v: (deg[v], sorted(deg[u] for u in range(k + 1) if child[v] >> u & 1))
+            for v in range(k + 1)
+            if not _is_cut_vertex(child, v)
+        }
+        top = max(keys.values())
+        if keys[k] != top:
+            continue
+        cols, lab, _ = _min_columns(child)
+        canon = _rows_from_columns(cols)
+        if canon not in verdicts:
+            star = max((v for v, key in keys.items() if key == top), key=lab.index)
+            verdicts[canon] = star == k or _canonical_rows(_rows_without(child, (star,))) == rows
+            if verdicts[canon]:
+                kept.append(canon)
+    return kept

@@ -382,6 +382,13 @@ class TestVerify:
         expected = f"argument {option}: expected a number of vertices in 1..{MAX_CENSUS_ORDER}, got 'x'"
         assert expected in capsys.readouterr().err
 
+    def test_reversed_range_is_usage_error(self, capsys):
+        # an empty range would verify nothing and still exit 0
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suites", "", "--n-range", "5..3"])
+        assert err.value.code == 2
+        assert "argument --n-range: expected A..B with A <= B, got '5..3'" in capsys.readouterr().err
+
     def test_range_without_two_bounds_is_usage_error(self, capsys):
         for value in ("3", "1..2..3"):
             with pytest.raises(SystemExit) as err:

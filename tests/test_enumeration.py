@@ -37,15 +37,18 @@ from nulldiam import (
 from nulldiam import enumeration
 from nulldiam.enumeration import (
     _augment_parent,
+    _canonical_gens,
     _canonical_rows,
     _mask_orbit_reps,
     _min_columns,
     _refinement_cells,
+    _rows_from_columns,
     _swap_class_ids,
 )
 from nulldiam.families import Verdict
 
 from helpers import (
+    augment_by_deletion_check,
     automorphism_count,
     gf2_rank,
     labeled_connected_count,
@@ -227,28 +230,42 @@ class TestCensus:
             for g in connected_graphs(n):
                 assert _canonical_rows(g.rows) == g.rows
 
-    def test_search_automorphisms_give_the_full_groups_orbits(self, census_rows8):
-        # the premise of the unsearched last level: on every parent the
-        # census extends up to n = 8, the automorphisms the canonical search
-        # returns have the attachment-set orbits of the full group
+    def test_search_automorphisms_give_the_full_groups_orbits(self, census_rows8, carried_parents7):
+        # the premise of the mask orbits and of the unsearched last level:
+        # on every parent the census extends up to n = 8, the generators it
+        # carries from the child search have the attachment-set orbits of
+        # the full group
         nx = pytest.importorskip("networkx")
         from networkx.algorithms.isomorphism import GraphMatcher
 
         for n in range(2, 8):
-            for rows in census_rows8[n]:
+            assert [rows for rows, _ in carried_parents7[n]] == census_rows8[n]
+            for rows, gens in carried_parents7[n]:
                 h = nx.Graph()
                 h.add_nodes_from(range(n))
                 h.add_edges_from((u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1)
                 group = [tuple(m[v] for v in range(n)) for m in GraphMatcher(h, h).isomorphisms_iter()]
-                assert _mask_orbit_reps(n, _min_columns(rows)[2]) == _mask_orbit_reps(n, group)
+                masks = range(1, 1 << n)
+                assert _mask_orbit_reps(masks, gens) == _mask_orbit_reps(masks, group)
 
-    def test_unsearched_last_level_matches_the_full_search(self, census_rows8):
+    def test_orbit_rule_matches_the_deletion_check(self, carried_parents7):
+        # each parent up to n = 7 gives the classes that the deletion check
+        # by canonical form accepts, each exactly once
+        for n in range(2, 8):
+            for parent in carried_parents7[n]:
+                kept = [rows for rows, _ in _augment_parent(parent)[0]]
+                assert len(set(kept)) == len(kept)
+                assert set(kept) == set(augment_by_deletion_check(parent[0])), parent[0]
+
+    def test_unsearched_last_level_matches_the_full_search(self, census_rows8, carried_parents7):
         raw = census_rows8[8]
         canon = [_canonical_rows(rows) for rows in raw]
         assert len(set(canon)) == len(raw) == 11117
         assert sum(c != r for c, r in zip(canon, raw)) > 0  # some children skipped the search
         # the same classes in the same order as with a search for every child
-        assert canon == [child for rows in census_rows8[7] for child in _augment_parent(rows)[0]]
+        assert canon == [
+            child for parent in carried_parents7[7] for child in _augment_parent(parent, last=True)[0]
+        ]
 
     def test_matches_networkx_atlas(self, census7):
         # independent oracle: the atlas lists every graph on up to 7 vertices
@@ -275,7 +292,7 @@ class TestCensus:
             verify_theorem(5, 5)
         pattern = re.compile(
             r"census n=\d+: \d+ parents, (\d+) masks after orbit pruning, (\d+) rejected by key, "
-            r"(\d+) canonical searches, (\d+) accepted without search, \d+ deletion checks, "
+            r"(\d+) canonical searches, (\d+) accepted without search, \d+ orbit tests, "
             r"21 accepted"
         )
         counts = [
@@ -356,9 +373,9 @@ class TestVerifyTheorem:
         calls = []
         augment, evaluate = enumeration._augment_parent, enumeration._evaluate_graph
 
-        def logged_augment(rows, **kwargs):
-            calls.append(("expand", len(rows)))
-            return augment(rows, **kwargs)
+        def logged_augment(parent, **kwargs):
+            calls.append(("expand", len(parent[0])))
+            return augment(parent, **kwargs)
 
         def logged_evaluate(rows, suites):
             calls.append(("evaluate", len(rows)))
@@ -375,7 +392,7 @@ class TestVerifyTheorem:
     def test_witness_lists_carry_graph6(self, monkeypatch, verdict, field):
         # a recognizer that accepts nothing makes every candidate a witness
         result = type("Result", (), {"verdict": verdict})()
-        monkeypatch.setattr(enumeration, "recognize", lambda g: result)
+        monkeypatch.setattr(enumeration, "recognize", lambda g, d=None: result)
         expected = canonical_form(path_graph(5).with_vertex(0b00111)).decode()
         assert getattr(verify_theorem(6, 6), field) == [expected]
         unreduced = verify_theorem(7, 7).unreduced_failures
@@ -390,8 +407,8 @@ class TestVerifyTheorem:
         # graphs whose reduction is even-diameter extremal
         real = enumeration.recognize
 
-        def rejecting(g):
-            result = real(g)
+        def rejecting(g, d=None):
+            result = real(g, d)
             if result.verdict is Verdict.EVEN_EXTREMAL:
                 return dataclasses.replace(result, verdict=Verdict.MISMATCH)
             return result
@@ -492,3 +509,19 @@ def test_canonical_form_property(data):
     g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
     perm = data.draw(st.permutations(range(n)))
     assert canonical_form(g) == canonical_form(relabel(g, list(perm)))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_carried_generators_are_automorphisms_of_the_canonical_rows(data):
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    rows = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1]).rows
+    cols, lab, autos = _min_columns(rows)
+    canon = _rows_from_columns(cols)
+    for gen in _canonical_gens(lab, autos):
+        assert isinstance(gen, bytes) and sorted(gen) == list(range(n))
+        assert all(
+            (canon[u] >> v & 1) == (canon[gen[u]] >> gen[v] & 1) for u in range(n) for v in range(n)
+        )

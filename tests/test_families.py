@@ -210,6 +210,12 @@ class TestRecognize:
             assert agree, to_graph6(g)
             assert (res.verdict, res.params) == (verdict, params), to_graph6(g)
 
+    def test_known_diameter_gives_the_same_result(self, census7):
+        # the sweep passes the diameter it already holds
+        for level in census7.values():
+            for g in level:
+                assert recognize(g, diameter(g)) == recognize(g), to_graph6(g)
+
     def test_result_serialization(self):
         payload = recognize(build(4, 0)).to_dict()
         assert payload["verdict"] == "EvenExtremal"

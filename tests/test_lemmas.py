@@ -495,6 +495,21 @@ class TestSharedTable:
         verify_theorem(1, 6)
         assert with_suites == len(nullities) > 0
 
+    def test_recognizer_reads_the_known_diameters(self, monkeypatch):
+        # the sweep hands recognize the diameter of the even candidate and
+        # of the twin reduction, which a recognizer that computes its own
+        # pays for again
+        diameters = count_calls(monkeypatch, diameter)
+        real = enumeration.recognize
+        counts = []
+        for recognize in (lambda g, d=None: real(g), real):
+            monkeypatch.setattr(enumeration, "recognize", recognize)
+            lemmas._facts.cache_clear()
+            diameters.clear()
+            verify_theorem(1, 7, suites=ALL_SUITES)
+            counts.append(len(diameters))
+        assert counts[0] - counts[1] == 16
+
     def test_each_distinct_matrix_is_eliminated_once(self, census7, monkeypatch):
         # a request is (mu, entries): the empty matrix is the one matrix
         # that two values of mu share, and the table ranks it once per mu
