@@ -152,7 +152,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     n_max = args.n_max if args.n_max is not None else args.d + 5
     with _open_out(args) as out:
         for g in enumerate_family(args.d, n_max):
-            print(to_graph6(g), file=out)
+            print(to_graph6(g), file=out, flush=True)
     return EXIT_OK
 
 

@@ -700,26 +700,27 @@ def verify_theorem(
     For every graph: invariants and reducedness; for reduced graphs with
     even diameter >= 2 and nullity n - d - 1, the recognizer must accept
     (failures are collected as mismatch witnesses).  Selected lemma suites
-    run on every graph.  Results are deterministic and independent of
+    run on every graph; a suite named twice runs and is listed once, where
+    it is first named.  Results are deterministic and independent of
     ``jobs``; sharded runs fold to the same report.
     """
+    suites = tuple(dict.fromkeys(suites))
     unknown = set(suites) - set(lemmas.ALL_SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     if n_max > MAX_CENSUS_ORDER:
         raise ValueError(f"census supports n <= {MAX_CENSUS_ORDER}")
-    report = SweepReport(n_min, n_max, tuple(suites))
+    report = SweepReport(n_min, n_max, suites)
     if n_min > n_max:
         return report
     started = time.perf_counter()
-    suites_t = tuple(suites)
 
     with ordered_map(jobs) as pmap:
         level_start = started
         for k, level in enumerate(_census_levels(n_max, pmap, canonical=False), start=1):
             if k >= n_min:
                 done = exact = 0
-                for rec in pmap(partial(_evaluate_graph, suites=suites_t), level, 20_000):
+                for rec in pmap(partial(_evaluate_graph, suites=suites), level, 20_000):
                     _fold_record(report, rec)
                     exact += rec["exact_rank"]
                     done += 1

@@ -18,11 +18,14 @@ The two variants are named ``G2`` (no single-anchor vertex adjacent to
 ``z``) and ``G3`` (the a = b + 1 vertex is present, hence adjacent to
 ``z``); this split, like the shape above, is validated empirically by the
 exhaustive sweep in :mod:`nulldiam.enumeration` rather than taken on
-faith.  The generator builds candidates from parameters and then checks
-connectivity, reducedness, diameter and nullity outright, so parameter
-corner cases that collapse into twins (for example a = 1, whose pendant
-would duplicate the neighbourhood of ``v_1``) are rejected rather than
-silently mis-built.
+faith.  :func:`generate_family` is the validating constructor: it builds
+one candidate from parameters and then checks connectivity, reducedness,
+diameter and nullity outright, so parameter corner cases that collapse
+into twins (for example a = 1, whose pendant would duplicate the
+neighbourhood of ``v_1``) are rejected rather than silently mis-built.
+:func:`enumerate_family` validates nothing: it walks only parameters
+whose candidates are members by construction, and the tests check each
+of them against :func:`generate_family`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .graphs import (
     MAX_VERTICES,
@@ -137,23 +141,36 @@ def generate_family(params: FamilyParams) -> Graph | FamilyRejection:
     return g
 
 
-def enumerate_family(d: int, n_max: int) -> list[Graph]:
-    """All validated family members with diameter ``d`` and at most
-    ``n_max`` vertices (capped at ``MAX_VERTICES``), one per isomorphism
-    class, in order of ``(b, mask)``; ``mask`` has bit ``a - 1`` set for
-    each single-anchor index ``a``.
+def enumerate_family(d: int, n_max: int) -> Iterator[Graph]:
+    """The family members with diameter ``d`` and at most ``n_max``
+    vertices (capped at ``MAX_VERTICES``), one per isomorphism class, in
+    order of ``(b, mask)``; ``mask`` has bit ``a - 1`` set for each
+    single-anchor index ``a``.
 
-    Two valid parameter choices give isomorphic members exactly when they
+    ``d`` is checked at the call; the members are then built lazily by
+    :func:`_build_candidate`, and none is validated, because every
+    candidate the walk builds is a member.  By construction it is
+    connected, and with ``d >= 4`` and all ``a`` in ``2..d/2 - 1`` it has
+    no twins (``a = 1`` or ``d/2`` makes a twin of a path end, and at
+    ``d = 2`` both path ends see only ``v_2`` and ``z``, so no member
+    exists).  No off-path vertex shortens the path, since ``z`` spans
+    three consecutive positions and a single-anchor vertex has one
+    anchor, and every off-path vertex lies within ``d - 1`` of every
+    vertex; so the diameter is ``d`` and the built path is an induced
+    diameter path.  The nullity ``n - d - 1`` is the paper's theorem, not
+    the construction's: the tests check every candidate of the walk
+    against :func:`generate_family`, which validates.
+
+    Two member parameter choices give isomorphic members exactly when they
     are equal or mirrored, ``(b, A)`` and ``(d/2 - 1 - b, {d/2 + 1 - a})``.
-    A valid member has all ``a`` in ``2..d/2 - 1`` (``a = 1`` or ``d/2``
-    makes a twin of a path end), so its only pair at distance ``d`` is
+    With no twins, the only pair at distance ``d`` is
     ``{v_1, v_(d+1)}``.  The diameter paths are then ``P`` and ``P`` with
     ``z`` in place of ``v_(2b+2)``, in either direction, and both paths
     read back the same ``(b, A)``; an isomorphism maps diameter paths to
     diameter paths, so it keeps the parameters or mirrors them.  Each
     class is therefore kept at the smaller of its two parameter choices.
     The walk takes ``a`` from ``2..d/2 - 1`` only, a range the mirror maps
-    to itself, so no twin collapse is ever built.
+    to itself.
     """
     if d < 2 or d % 2:
         raise FamilyParamError(f"diameter must be even and >= 2, got {d}")
@@ -164,15 +181,12 @@ def enumerate_family(d: int, n_max: int) -> list[Graph]:
         for size in range(max_singles + 1)
         for combo in combinations(range(1, half - 1), size)
     )
-    out: list[Graph] = []
-    for b in range(half):
-        for mask, mirror, combo in slots:
-            if (half - 1 - b, mirror) < (b, mask):
-                continue
-            built = generate_family(FamilyParams(d, b, frozenset(i + 1 for i in combo)))
-            if isinstance(built, Graph):
-                out.append(built)
-    return out
+    return (
+        _build_candidate(FamilyParams(d, b, frozenset(i + 1 for i in combo)))[0]
+        for b in range(half if d > 2 else 0)
+        for mask, mirror, combo in slots
+        if (b, mask) <= (half - 1 - b, mirror)
+    )
 
 
 class Verdict(enum.Enum):

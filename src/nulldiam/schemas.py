@@ -134,7 +134,7 @@ SWEEP_REPORT = {
     "properties": {
         "n_min": {"type": "integer"},
         "n_max": {"type": "integer"},
-        "suites": {"type": "array", "items": {"type": "string"}},
+        "suites": {"type": "array", "items": {"type": "string"}, "uniqueItems": True},
         "per_n": {"type": "object", "additionalProperties": SWEEP_TOTALS},
         "mismatches": {"type": "array", "items": {"type": "string"}},
         "inconclusive": {"type": "array", "items": {"type": "string"}, "maxItems": 0},

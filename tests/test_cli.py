@@ -340,6 +340,18 @@ class TestVerify:
         assert report["per_n"]["5"]["connected"] == 21
         assert "n=5:" in err
 
+    def test_a_suite_named_twice_is_listed_once(self, capsys):
+        reports = []
+        for suites in ("interlacing", "interlacing,interlacing"):
+            code, out, _ = run(capsys, "verify", "--n", "4", "--suites", suites)
+            assert code == 0
+            report = json.loads(out)
+            jsonschema.validate(report, schemas.SWEEP_REPORT)
+            report.pop("timings")
+            reports.append(report)
+        assert reports[0]["suites"] == ["interlacing"]
+        assert reports[1] == reports[0]
+
     def test_single_n_with_recognition(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "6", "--suites", "")
         assert code == 0

@@ -473,6 +473,21 @@ class TestVerifyTheorem:
             assert len(two_cpus) == opened + 1
             assert serial.to_dict(include_timings=False) == sharded.to_dict(include_timings=False)
 
+    def test_a_suite_named_twice_runs_and_is_listed_once(self, monkeypatch):
+        calls = []
+        real = enumeration.lemmas.run_suite
+        monkeypatch.setattr(
+            enumeration.lemmas, "run_suite", lambda *args: calls.append(args[0]) or real(*args)
+        )
+        reports = []
+        once = ("interlacing", "pendant-deletion")
+        for suites in (once, once + ("interlacing",)):
+            calls.clear()
+            report = verify_theorem(1, 5, suites=suites).to_dict(include_timings=False)
+            reports.append((report, sorted(calls)))
+        assert reports[0][0]["suites"] == ["interlacing", "pendant-deletion"]
+        assert reports[1] == reports[0]
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suites"):
             verify_theorem(1, 3, suites=("bogus",))

@@ -33,6 +33,15 @@ def build(d, b, singles=()):
     return result
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The parameters of every candidate ``_build_candidate`` builds."""
+    seen = []
+    real = families._build_candidate
+    monkeypatch.setattr(families, "_build_candidate", lambda p: seen.append(p) or real(p))
+    return seen
+
+
 class TestParams:
     def test_rejects_odd_diameter(self):
         with pytest.raises(FamilyParamError, match="even"):
@@ -91,10 +100,10 @@ class TestGenerator:
 
 class TestEnumerate:
     def test_diameter_two_is_empty(self):
-        assert enumerate_family(2, 10) == []
+        assert list(enumerate_family(2, 10)) == []
 
     def test_diameter_four_has_one_class(self):
-        members = enumerate_family(4, 7)
+        members = list(enumerate_family(4, 7))
         assert len(members) == 1
         assert members[0].n == 6
 
@@ -103,7 +112,7 @@ class TestEnumerate:
         assert len(forms) == 1
 
     def test_diameter_six_within_nine_vertices(self):
-        members = enumerate_family(6, 9)
+        members = list(enumerate_family(6, 9))
         assert len(members) == 4
         g3 = build(6, 1, {2})
         assert canonical_form(g3, limit=g3.n) in {canonical_form(m, limit=m.n) for m in members}
@@ -128,13 +137,39 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("d, n_max", [(4, 5), (6, 7), (4, -5)])
     def test_below_the_smallest_member_is_empty(self, d, n_max):
-        assert enumerate_family(d, n_max) == []
+        assert list(enumerate_family(d, n_max)) == []
+
+    @pytest.mark.parametrize(
+        "d, n_max", [(18, 22), (20, 24), (24, 27), (30, 33), (40, 43), (62, 64)]
+    )
+    def test_every_candidate_passes_the_validating_constructor(self, monkeypatch, built, d, n_max):
+        # the walk builds members with no checks; beyond the mask-walk grid,
+        # each parameter choice it builds must still pass generate_family
+        members = list(enumerate_family(d, n_max))
+        monkeypatch.undo()
+        assert len(built) == len(members) > 0
+        for params, g in zip(built, members):
+            checked = generate_family(params)
+            assert isinstance(checked, Graph), checked
+            assert checked.rows == g.rows, params
+
+    def test_the_walk_is_lazy(self, built):
+        next(iter(enumerate_family(60, 64)))
+        assert len(built) == 1
+
+    def test_the_walk_validates_nothing(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the walk validated a candidate")
+
+        for name in ("generate_family", "diameter", "is_diameter_path", "nullity"):
+            monkeypatch.setattr(families, name, forbidden)
+        assert len(list(enumerate_family(30, 35))) == 2842
 
     def test_order_is_capped_at_the_vertex_limit(self):
-        members = enumerate_family(62, 70)
+        members = list(enumerate_family(62, 70))
         assert len(members) == 16
         assert {g.n for g in members} == {MAX_VERTICES}
-        assert enumerate_family(64, 70) == []
+        assert list(enumerate_family(64, 70)) == []
 
 
 class TestRecognize:

@@ -290,7 +290,7 @@ def spectral_cases() -> dict[str, Graph]:
     cases |= {f"K{a},{b}": complete_bipartite(a, b) for a, b in ((1, 7), (5, 5), (16, 48))}
     cases["Q6"] = hypercube(6)
     for d in (10, 20, 30):
-        members = enumerate_family(d, d + 3)
+        members = list(enumerate_family(d, d + 3))
         for i in (0, len(members) - 1):
             g = members[i]
             cases[f"family d={d} #{i}"] = g
