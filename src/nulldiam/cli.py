@@ -293,8 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("NULLITY_LOG", "WARNING").upper())
     parser = build_parser()
+    level = os.environ.get("NULLITY_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        parser.error(f"environment variable NULLITY_LOG: unknown log level {level!r}")
+    logging.basicConfig(level=level.upper())
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -35,14 +35,14 @@ import os
 import string
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import islice
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import lemmas
 from .families import Verdict, recognize
-from .graphs import Graph, Graph6Error, is_reduced, parse_graph6, reduce, to_graph6
+from .graphs import Graph, Graph6Error, _reach, is_reduced, parse_graph6, reduce, to_graph6
 from .linalg import rank_gf2
 
 log = logging.getLogger(__name__)
@@ -286,16 +286,7 @@ def _neighbour_degrees(rows: Sequence[int], v: int, deg: Sequence[int]) -> list[
 
 def _is_cut_vertex(rows: Sequence[int], v: int) -> bool:
     rest = (1 << len(rows)) - 1 & ~(1 << v)
-    seen = frontier = rest & -rest
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            reach |= rows[low.bit_length() - 1]
-        frontier = reach & rest & ~seen
-        seen |= frontier
-    return seen != rest
+    return _reach(rows, rest & -rest, rest)[0] != rest
 
 
 def _augment_parent(
@@ -534,14 +525,7 @@ class SweepTotals:
     recognized: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "connected": self.connected,
-            "reduced": self.reduced,
-            "extremal": self.extremal,
-            "odd_extremal": self.odd_extremal,
-            "even_extremal": self.even_extremal,
-            "recognized": self.recognized,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -148,17 +148,7 @@ class Graph:
     def is_connected(self) -> bool:
         """Whether the graph has one component.  The empty graph has none,
         so it is not connected (and has no diameter)."""
-        if self.n == 0:
-            return False
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= self.rows[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        return self.n > 0 and _reach(self.rows, 1)[0] == (1 << self.n) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -270,45 +260,55 @@ def parse_graph6(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def bfs_distances(g: Graph, v: int) -> list[int | float]:
-    """Shortest-path edge counts from ``v``; ``math.inf`` where unreachable."""
-    dist: list[int | float] = [math.inf] * g.n
-    dist[v] = 0
-    seen = 1 << v
-    frontier = seen
+def _reach(rows: Sequence[int], sources: int, within: int = -1) -> tuple[int, int]:
+    """Breadth-first search on bit rows from the vertex set ``sources``,
+    stepping only onto vertices of ``within`` (all by default), one bitmask
+    per layer.  Returns the set of vertices reached (``sources`` included)
+    and the number of steps to the farthest of them, -1 when ``sources`` is
+    empty."""
+    seen = frontier = sources
+    steps = -1
+    while frontier:
+        steps += 1
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= rows[low.bit_length() - 1]
+        frontier = reach & within & ~seen
+        seen |= frontier
+    return seen, steps
+
+
+def _distances(rows: Sequence[int], sources: int) -> list[int | float]:
+    """Edge count from the vertex set ``sources`` to each vertex of the bit
+    rows; ``math.inf`` where a vertex is unreachable."""
+    dist: list[int | float] = [math.inf] * len(rows)
+    seen = frontier = sources
     d = 0
     while frontier:
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= g.rows[u]
-        frontier = nxt & ~seen
-        seen |= frontier
-        d += 1
+        reach = 0
         for u in _bits(frontier):
             dist[u] = d
+            reach |= rows[u]
+        frontier = reach & ~seen
+        seen |= frontier
+        d += 1
     return dist
+
+
+def bfs_distances(g: Graph, v: int) -> list[int | float]:
+    """Shortest-path edge counts from ``v``; ``math.inf`` where unreachable."""
+    return _distances(g.rows, 1 << v)
 
 
 def diameter(g: Graph) -> int:
     if g.n == 0:
         raise DisconnectedGraphError("diameter of the empty graph is undefined")
-    rows = g.rows
     everyone = (1 << g.n) - 1
     best = 0
     for v in range(g.n):
-        # breadth-first layers as bitmasks; the eccentricity of v is the
-        # number of nonempty layers after {v}
-        seen = frontier = 1 << v
-        ecc = -1
-        while frontier:
-            ecc += 1
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= rows[low.bit_length() - 1]
-            frontier = reach & ~seen
-            seen |= frontier
+        seen, ecc = _reach(g.rows, 1 << v)
         if seen != everyone:
             raise DisconnectedGraphError("graph is disconnected")
         best = max(best, ecc)
@@ -338,11 +338,12 @@ def is_diameter_path(g: Graph, path: DiameterPath, d: int | None = None) -> bool
         return False
     if any(not 0 <= v < g.n for v in vs):
         return False
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            adjacent = g.has_edge(vs[i], vs[j])
-            if adjacent != (j == i + 1):
-                return False
+    # induced: on the path, each vertex sees exactly its predecessor and
+    # its successor (bits[i] and bits[i + 2], padded with 0 at the ends)
+    bits = [0, *(1 << v for v in vs), 0]
+    on_path = sum(bits)
+    if any(g.rows[v] & on_path != bits[i] | bits[i + 2] for i, v in enumerate(vs)):
+        return False
     return (diameter(g) if d is None else d) == path.length
 
 
@@ -503,21 +504,7 @@ def classify_outside(
     path_mask = 0
     for v in path.vertices:
         path_mask |= 1 << v
-
-    # multi-source BFS from the path for the remote distances
-    dist_to_path = [0 if path_mask >> v & 1 else math.inf for v in range(g.n)]
-    seen = path_mask
-    frontier = path_mask
-    d = 0
-    while frontier:
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= g.rows[u]
-        frontier = nxt & ~seen
-        seen |= frontier
-        d += 1
-        for u in _bits(frontier):
-            dist_to_path[u] = d
+    dist_to_path = _distances(g.rows, path_mask)
 
     anchored: dict[int, tuple[int, ...]] = {}
     remote: dict[int, int] = {}

@@ -20,7 +20,7 @@ Two of them are expected to surface findings rather than stay empty:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -62,14 +62,7 @@ class Violation:
     severity: str = "violation"
 
     def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "graph6": self.graph6,
-            "witness": self.witness,
-            "expected": self.expected,
-            "observed": self.observed,
-            "severity": self.severity,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -100,6 +93,10 @@ class ViolationReport:
         """The graph's graph6 encoding, made when first read: a sweep reads
         it only for violations and notes, so most reports never encode."""
         return to_graph6(self.graph)
+
+    def violate(self, witness: dict, expected: str, observed: str, severity: str = "violation") -> None:
+        """Record a violation of this report's lemma on its graph."""
+        self.violations.append(Violation(self.lemma, self.graph6, witness, expected, observed, severity))
 
     def to_dict(self) -> dict:
         return {
@@ -188,14 +185,10 @@ def check_interlacing(g: Graph, mu_values: Sequence[int] = DEFAULT_MU_VALUES) ->
             m_del = g.n - 1 - facts.rank(mu, v)
             report.checked += 1
             if abs(m_full - m_del) > 1:
-                report.violations.append(
-                    Violation(
-                        SUITE_INTERLACING,
-                        report.graph6,
-                        {"vertex": v, "mu": mu},
-                        "|m_G(mu) - m_(G-v)(mu)| <= 1",
-                        f"m_G={m_full}, m_(G-v)={m_del}",
-                    )
+                report.violate(
+                    {"vertex": v, "mu": mu},
+                    "|m_G(mu) - m_(G-v)(mu)| <= 1",
+                    f"m_G={m_full}, m_(G-v)={m_del}",
                 )
     return report
 
@@ -212,14 +205,10 @@ def check_twin_deletion(g: Graph) -> ViolationReport:
                     eta_del = g.n - 1 - facts.rank(0, victim)
                     report.checked += 1
                     if eta != eta_del + 1:
-                        report.violations.append(
-                            Violation(
-                                SUITE_TWIN_DELETION,
-                                report.graph6,
-                                {"twins": [u, v], "deleted": victim},
-                                "eta(G) = eta(G - twin) + 1",
-                                f"eta(G)={eta}, eta(G-{victim})={eta_del}",
-                            )
+                        report.violate(
+                            {"twins": [u, v], "deleted": victim},
+                            "eta(G) = eta(G - twin) + 1",
+                            f"eta(G)={eta}, eta(G-{victim})={eta_del}",
                         )
     return report
 
@@ -240,14 +229,10 @@ def check_pendant_deletion(g: Graph) -> ViolationReport:
         eta_support = g.n - 1 - facts.rank(0, w)
         report.checked += 1
         if eta != eta_pair:
-            report.violations.append(
-                Violation(
-                    SUITE_PENDANT_DELETION,
-                    report.graph6,
-                    {"pendant": u, "support": w},
-                    "eta(G) = eta(G - pendant - support)",
-                    f"eta(G)={eta}, eta(G-u-w)={eta_pair}",
-                )
+            report.violate(
+                {"pendant": u, "support": w},
+                "eta(G) = eta(G - pendant - support)",
+                f"eta(G)={eta}, eta(G-u-w)={eta_pair}",
             )
         instances.append(
             {
@@ -308,14 +293,10 @@ def check_rank_bound_diam(g: Graph) -> ViolationReport:
         rank_h = facts.rank(0, *dropped)
         report.checked += 1
         if rank_h < rank_g - 1:
-            report.violations.append(
-                Violation(
-                    SUITE_RANK_BOUND,
-                    report.graph6,
-                    {"path": list(path.vertices), "extra_vertices": chosen},
-                    "rank(A(H)) >= rank(A(G)) - 1",
-                    f"rank(H)={rank_h}, rank(G)={rank_g}",
-                )
+            report.violate(
+                {"path": list(path.vertices), "extra_vertices": chosen},
+                "rank(A(H)) >= rank(A(G)) - 1",
+                f"rank(H)={rank_h}, rank(G)={rank_g}",
             )
     return report
 
@@ -347,14 +328,10 @@ def check_twin_extension(g: Graph) -> ViolationReport:
                 continue
             report.checked += 1
             if g.rows[x] != g.rows[y]:
-                report.violations.append(
-                    Violation(
-                        SUITE_TWIN_EXTENSION,
-                        report.graph6,
-                        {"pair": [x, y], "subgraph": in_h},
-                        "equal neighbourhoods in H imply equal neighbourhoods in G",
-                        f"N({x})={g.neighbor_list(x)}, N({y})={g.neighbor_list(y)}",
-                    )
+                report.violate(
+                    {"pair": [x, y], "subgraph": in_h},
+                    "equal neighbourhoods in H imply equal neighbourhoods in G",
+                    f"N({x})={g.neighbor_list(x)}, N({y})={g.neighbor_list(y)}",
                 )
     return report
 
@@ -385,24 +362,20 @@ def check_reduction_equivalence(g: Graph) -> ViolationReport:
     }
     if lhs != rhs:
         severity = "violation" if red.reduced_diameter < red.original_diameter else "high"
-        report.violations.append(
-            Violation(
-                SUITE_REDUCTION_EQUIVALENCE,
-                report.graph6,
-                {
-                    "eta": eta,
-                    "n": g.n,
-                    "d": red.original_diameter,
-                    "reduced_graph6": to_graph6(red.graph),
-                    "eta_reduced": eta_r,
-                    "n_reduced": red.graph.n,
-                    "d_reduced": red.reduced_diameter,
-                },
-                "eta = n - d - 1 holds for G iff it holds for the reduced graph",
-                f"G: {eta} vs {g.n - red.original_diameter - 1}; "
-                f"reduced: {eta_r} vs {red.graph.n - red.reduced_diameter - 1}",
-                severity=severity,
-            )
+        report.violate(
+            {
+                "eta": eta,
+                "n": g.n,
+                "d": red.original_diameter,
+                "reduced_graph6": to_graph6(red.graph),
+                "eta_reduced": eta_r,
+                "n_reduced": red.graph.n,
+                "d_reduced": red.reduced_diameter,
+            },
+            "eta = n - d - 1 holds for G iff it holds for the reduced graph",
+            f"G: {eta} vs {g.n - red.original_diameter - 1}; "
+            f"reduced: {eta_r} vs {red.graph.n - red.reduced_diameter - 1}",
+            severity=severity,
         )
     return report
 
@@ -423,14 +396,10 @@ def check_rank_lower_bound(g: Graph) -> ViolationReport:
     report.checked = 1
     report.notes["odd_extremal"] = rank == d + 1
     if rank < d + 1:
-        report.violations.append(
-            Violation(
-                SUITE_RANK_LOWER_BOUND,
-                report.graph6,
-                {"d": d},
-                "rank(A(G)) >= d + 1",
-                f"rank={rank}, d={d}",
-            )
+        report.violate(
+            {"d": d},
+            "rank(A(G)) >= d + 1",
+            f"rank={rank}, d={d}",
         )
     return report
 

@@ -8,8 +8,9 @@ The exceptions keep a replaced algorithm as the reference for its
 replacement: ``reduce_by_rescan`` (twin deletion one vertex at a time),
 ``family_by_mask_walk`` (every mask, deduplicated by canonical form),
 ``recognize_on_every_path`` (the family shape tried on every diameter
-path) and ``augment_by_deletion_check`` (census children accepted by the
-class of ``child - v*``).
+path), ``augment_by_deletion_check`` (census children accepted by the
+class of ``child - v*``) and ``is_diameter_path_by_pairs`` (the induced
+path test on every vertex pair).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from nulldiam import (
+    DiameterPath,
     FamilyParams,
     Graph,
     Verdict,
@@ -232,6 +234,21 @@ def reduce_by_rescan(g: Graph) -> tuple[Graph, int]:
             return g, removed
         g = g.without(min(victims))
         removed += 1
+
+
+def is_diameter_path_by_pairs(g: Graph, path: DiameterPath, d: int | None = None) -> bool:
+    """``is_diameter_path`` with one ``has_edge`` per vertex pair: the pair
+    ``(i, j)`` of the path is adjacent exactly when ``j == i + 1``."""
+    vs = path.vertices
+    if len(set(vs)) != len(vs) or not vs:
+        return False
+    if any(not 0 <= v < g.n for v in vs):
+        return False
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            if g.has_edge(vs[i], vs[j]) != (j == i + 1):
+                return False
+    return (diameter(g) if d is None else d) == path.length
 
 
 def family_by_mask_walk(d: int, n_max: int) -> list[Graph]:

@@ -1,0 +1,59 @@
+"""The benchmark's per-layer trace (``bench/tracing.py``, run by
+``bench/run.py --trace 1``) and its output checks (``bench/checks.py``)
+reach into the program by name.  These tests fail when one of those names
+goes away, instead of leaving the traced run to break on its own."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from nulldiam import cli, families, graphs
+from nulldiam.enumeration import SweepReport
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    # tracing imports only the standard library at module level
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("tracing")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_every_traced_name_exists_in_its_module(tracing):
+    for mod_name, names in tracing.TRACED.items():
+        mod = importlib.import_module(f"nulldiam.{mod_name}")
+        for name in names:
+            target = mod.Graph.__post_init__ if name == "Graph" else getattr(mod, name, None)
+            assert callable(target), f"nulldiam.{mod_name}.{name}"
+
+
+def test_census_replay_resolves(tracing):
+    # the replay calls connected_graphs, canonical_form, Graph.with_vertex
+    # and parse_graph6
+    metrics = tracing.census(4)
+    assert metrics["enumeration.census.classes"] == 6
+
+
+def test_names_the_output_checks_import_exist():
+    for name in ("generate_family", "FamilyParams", "FamilyRejection"):
+        assert hasattr(families, name), name
+    assert "inconclusive" in SweepReport(1, 1, ()).to_dict()
+
+
+def test_spans_wrap_a_replayed_command_and_are_removed(tracing, tmp_path):
+    path = tmp_path / "input.g6"
+    path.write_text("Dhc\n")  # C_5
+    tracer = tracing.Tracer()
+    original = graphs.diameter
+    with tracing.installed(tracer):
+        assert cli.diameter is not original
+        assert cli.main(["check", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert cli.diameter is original and graphs.diameter is original
+    assert tracer.stats["graphs.diameter"].calls >= 1
+    assert tracer.stats["linalg.rank_exact"].calls >= 1

@@ -449,3 +449,17 @@ def test_readme_names_only_accepted_options():
     ]
     accepted = {flag for p in subparsers.choices.values() for flag in p._option_string_actions}
     assert named and named <= accepted, sorted(named - accepted)
+
+
+def test_unknown_log_level_is_usage_error(capsys, monkeypatch, g6_file):
+    path = g6_file("A_")
+    monkeypatch.setenv("NULLITY_LOG", "chatty")
+    with pytest.raises(SystemExit) as err:
+        main(["invariants", "--input", path])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "environment variable NULLITY_LOG: unknown log level 'chatty'" in stderr
+    assert "Traceback" not in stderr
+    # a known level is accepted in any case
+    monkeypatch.setenv("NULLITY_LOG", "warning")
+    assert run(capsys, "invariants", "--input", path)[0] == 0

@@ -29,9 +29,10 @@ from nulldiam import (
     to_graph6,
     twin_classes,
 )
-from nulldiam.enumeration import canonical_form
+from nulldiam.enumeration import _is_cut_vertex, canonical_form
+from nulldiam.graphs import _distances, _reach
 
-from helpers import random_graph, reduce_by_rescan, relabel
+from helpers import is_diameter_path_by_pairs, random_graph, reduce_by_rescan, relabel
 
 
 @st.composite
@@ -44,6 +45,23 @@ def graphs(draw, max_n=9):
         if draw(st.booleans())
     ]
     return Graph.from_edges(n, edges)
+
+
+def nx_graph(nx, g: Graph):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def nx_distances(nx, graph, sources) -> dict:
+    """Each vertex of ``graph`` reachable from the vertex list ``sources``,
+    mapped to the least of networkx's shortest path lengths from them."""
+    out: dict = {}
+    for s in sources:
+        for v, length in nx.shortest_path_length(graph, source=s).items():
+            out[v] = min(out.get(v, length), length)
+    return out
 
 
 class TestGraphType:
@@ -189,6 +207,46 @@ class TestMetrics:
         else:
             assert diameter(g) == ecc
 
+    @pytest.mark.parametrize(
+        "g,vs,expected",
+        [
+            (path_graph(5), (0, 1, 2, 3, 4), True),
+            (path_graph(5), (4, 3, 2, 1, 0), True),
+            (complete_graph(1), (0,), True),
+            (cycle_graph(5), (0, 1, 2), True),
+            (Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)]), (0, 1, 2, 3), False),
+            (path_graph(5), (0, 2, 1, 3, 4), False),
+            (path_graph(5), (0, 1, 2, 1, 0), False),
+            (path_graph(5), (0, 1, 2, 3, 5), False),
+            (path_graph(5), (0, 1, 2, 3), False),
+            (path_graph(5), (), False),
+        ],
+    )
+    def test_diameter_path_check_cases(self, g, vs, expected):
+        # an induced path, a chord, a non-edge, a repeat, a vertex out of
+        # range, a length below the diameter, and no vertex at all
+        path = DiameterPath(vs)
+        assert is_diameter_path(g, path) == is_diameter_path_by_pairs(g, path) == expected
+
+    @settings(max_examples=200)
+    @given(graphs(max_n=10), st.data())
+    def test_diameter_path_check_matches_the_pair_oracle(self, g, data):
+        if data.draw(st.booleans()):
+            # a walk that never revisits a vertex: an induced path, or a
+            # path with chords
+            vs = [data.draw(st.integers(0, g.n - 1))]
+            while data.draw(st.booleans()):
+                ahead = [u for u in g.neighbor_list(vs[-1]) if u not in vs]
+                if not ahead:
+                    break
+                vs.append(data.draw(st.sampled_from(ahead)))
+        else:
+            # non-edges, repeated and out-of-range vertices
+            vs = data.draw(st.lists(st.integers(-1, g.n), max_size=6))
+        path = DiameterPath(tuple(vs))
+        d = len(vs) - 1 + data.draw(st.integers(-1, 1))
+        assert is_diameter_path(g, path, d) == is_diameter_path_by_pairs(g, path, d)
+
     def test_diameter_paths_on_a_path(self):
         assert diameter_paths(path_graph(5)) == [DiameterPath((0, 1, 2, 3, 4))]
 
@@ -242,6 +300,52 @@ class TestMetrics:
         monkeypatch.setattr(nulldiam.graphs, "diameter", None)
         assert diameter_paths(path_graph(9), 1, 8) == [DiameterPath(tuple(range(9)))]
         assert searched == [0, 8]
+
+
+class TestSearchHelpers:
+    """``_reach`` and ``_distances`` against networkx, on graphs with up to
+    24 vertices, disconnected ones included."""
+
+    @settings(max_examples=80)
+    @given(graphs(max_n=24), st.data())
+    def test_distances_match_networkx(self, g, data):
+        nx = pytest.importorskip("networkx")
+        sources = data.draw(st.integers(0, (1 << g.n) - 1))
+        want = nx_distances(nx, nx_graph(nx, g), [v for v in range(g.n) if sources >> v & 1])
+        assert _distances(g.rows, sources) == [want.get(v, math.inf) for v in range(g.n)]
+
+    @settings(max_examples=80)
+    @given(graphs(max_n=24), st.data())
+    def test_reach_matches_networkx(self, g, data):
+        # through ``within`` only: the search runs in the subgraph induced
+        # on the sources and ``within``
+        nx = pytest.importorskip("networkx")
+        full = (1 << g.n) - 1
+        sources = data.draw(st.integers(0, full))
+        within = data.draw(st.one_of(st.just(-1), st.integers(0, full)))
+        kept = [v for v in range(g.n) if (sources | within) >> v & 1]
+        dist = nx_distances(
+            nx, nx_graph(nx, g).subgraph(kept), [v for v in range(g.n) if sources >> v & 1]
+        )
+        seen, steps = _reach(g.rows, sources, within)
+        assert seen == sum(1 << v for v in dist)
+        assert steps == max(dist.values(), default=-1)
+
+    @settings(max_examples=80)
+    @given(graphs(max_n=24))
+    def test_is_connected_matches_networkx(self, g):
+        nx = pytest.importorskip("networkx")
+        assert g.is_connected() == nx.is_connected(nx_graph(nx, g))
+
+    @settings(max_examples=60)
+    @given(graphs(max_n=24), st.data())
+    def test_cut_vertices_match_networkx(self, g, data):
+        nx = pytest.importorskip("networkx")
+        # a random spanning tree makes the graph connected
+        tree = [(v, data.draw(st.integers(0, v - 1))) for v in range(1, g.n)]
+        g = Graph.from_edges(g.n, g.edges() + tree)
+        cut = set(nx.articulation_points(nx_graph(nx, g)))
+        assert [_is_cut_vertex(g.rows, v) for v in range(g.n)] == [v in cut for v in range(g.n)]
 
 
 class TestTwinsAndReduction:
