@@ -134,8 +134,15 @@ def cmd_records(args: argparse.Namespace) -> int:
     at a time (see ``ordered_map``).  The exit code is the largest of the
     per-record codes: 0, then 2 for an input error, then 3 for a mismatch.
     An ``--input`` or ``--out`` that cannot be opened is an input error:
-    one line on stderr and exit 2.
+    one line on stderr and exit 2.  So is an ``--out`` that names the
+    ``--input`` file, which opening it for writing would empty before a
+    line is read.
     """
+    paths = (args.input, args.out)
+    if args.input != "-" and args.out and all(map(os.path.exists, paths)) and os.path.samefile(*paths):
+        raise _CannotOpen(
+            f"nulldiam {args.command}: --out {args.out} is the --input file, which writing would empty"
+        )
     source = nullcontext(sys.stdin.buffer) if args.input == "-" else _open(args, args.input, "rb")
     code = EXIT_OK
     with source as fh, _open_out(args) as out, ordered_map(args.jobs) as pmap:
@@ -185,13 +192,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_MISMATCH if report.mismatches else EXIT_OK
 
 
-def _census_order(text: str) -> int:
+def _integer(text: str, phrase: str) -> int:
+    """``text`` as an int, or a usage error that says it is not ``phrase``."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number of vertices in 1..{MAX_CENSUS_ORDER}, got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"expected {phrase}, got {text!r}") from None
+
+
+def _census_order(text: str) -> int:
+    value = _integer(text, f"a number of vertices in 1..{MAX_CENSUS_ORDER}")
     if not 1 <= value <= MAX_CENSUS_ORDER:
         raise argparse.ArgumentTypeError(
             f"census orders run from 1 up to {MAX_CENSUS_ORDER} "
@@ -221,22 +231,14 @@ def _parse_suites(text: str) -> list[str]:
 
 
 def _jobs(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number of worker processes, got {text!r}"
-        ) from None
+    value = _integer(text, "a number of worker processes")
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected at least 1 worker process, got {value}")
     return value
 
 
 def _even(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an even diameter >= 2, got {text!r}") from None
+    value = _integer(text, "an even diameter >= 2")
     if value < 2 or value % 2:
         raise argparse.ArgumentTypeError("diameter must be even and >= 2")
     if value > MAX_VERTICES - 2:

@@ -43,7 +43,6 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 from . import lemmas
 from .families import Verdict, recognize
 from .graphs import Graph, Graph6Error, _reach, is_reduced, parse_graph6, reduce, to_graph6
-from .linalg import rank_gf2
 
 log = logging.getLogger(__name__)
 
@@ -575,14 +574,12 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
     selected lemma suites.  Takes plain tuples so it can cross a process
     boundary.
 
-    Extremality (eta = n - d - 1, that is rank A = d + 1) is decided by a
-    GF(2) certificate first: the rank mod 2 of a 0/1 matrix never exceeds
-    its rational rank, because an odd minor is a nonzero minor, so
-    ``rank_gf2(rows) >= d + 2`` proves the graph is not extremal with no
-    exact arithmetic.  Only the graphs the certificate cannot rule out get
-    the exact Bareiss rank; ``exact_rank`` records which ones did.  ``d``
-    and the exact rank come from the graph's lemma table
-    (``lemmas._facts``), where the suites find them again.
+    Extremality (eta = n - d - 1) and ``d`` come from the graph's table
+    (``lemmas._facts``), where the suites and the recognizer find them
+    again; the table tries its GF(2) certificate before any exact rank
+    (see ``_GraphFacts.extremal``), and ``exact_rank`` records the graphs
+    it could not rule out.  The suites run before the recognizer reads the
+    twin reduction, whose table would evict G's.
 
     The sweep's last census level is not all canonically labelled (see
     ``_augment_parent``), and the recognition parameters, witness graph6
@@ -597,8 +594,7 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
     facts = lemmas._facts(g)
     d = facts.diameter
     reduced = is_reduced(g)
-    exact_rank = rank_gf2(rows) <= d + 1
-    extremal = exact_rank and facts.rank(0) == d + 1
+    extremal = facts.extremal
     if extremal:
         g = canonical_graph(g)
     even_candidate = reduced and extremal and d >= 2 and d % 2 == 0
@@ -612,18 +608,8 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
         "verdict": None,
         "recognition": None,
         "unreduced_failure": False,
-        "exact_rank": exact_rank,
+        "exact_rank": facts.rank_open,
     }
-    if even_candidate:
-        result = recognize(g, d)
-        rec["verdict"] = result.verdict.value
-        if result.verdict is Verdict.EVEN_EXTREMAL:
-            rec["recognition"] = result.to_dict()
-    elif extremal and not reduced and d >= 2 and d % 2 == 0:
-        red = reduce(g, d)
-        rec["unreduced_failure"] = recognize(red.graph, red.reduced_diameter).verdict is Verdict.MISMATCH
-    if rec["verdict"] == Verdict.MISMATCH.value or rec["unreduced_failure"]:
-        rec["graph6"] = to_graph6(g)  # read only by the witness lists
     if suites:
         reports = {name: lemmas.run_suite(name, g) for name in suites}
         if any(lr.violations or lr.notes.get("diameter", {}).get("changed") for lr in reports.values()):
@@ -631,6 +617,16 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
             if canon != g:
                 reports = {name: lemmas.run_suite(name, canon) for name in suites}
         rec["lemma_reports"] = reports
+    if even_candidate:
+        result = recognize(g)
+        rec["verdict"] = result.verdict.value
+        if result.verdict is Verdict.EVEN_EXTREMAL:
+            rec["recognition"] = result.to_dict()
+    elif extremal and not reduced and d >= 2 and d % 2 == 0:
+        red = reduce(g, d)
+        rec["unreduced_failure"] = recognize(red.graph).verdict is Verdict.MISMATCH
+    if rec["verdict"] == Verdict.MISMATCH.value or rec["unreduced_failure"]:
+        rec["graph6"] = to_graph6(g)  # read only by the witness lists
     return rec
 
 

@@ -41,13 +41,11 @@ from .graphs import (
     DisconnectedGraphError,
     Graph,
     classify_outside,
-    diameter,
-    diameter_paths,
     is_diameter_path,
     is_reduced,
     to_graph6,
 )
-from .linalg import nullity
+from .lemmas import _facts
 
 
 class FamilyParamError(ValueError):
@@ -130,13 +128,14 @@ def generate_family(params: FamilyParams) -> Graph | FamilyRejection:
         return FamilyRejection(params, "connected", "candidate is disconnected")
     if not is_reduced(g):
         return FamilyRejection(params, "reduced", "candidate contains a twin pair")
-    d = diameter(g)
+    facts = _facts(g)
+    d = facts.diameter
     if d != params.diameter:
         return FamilyRejection(params, "diameter", f"diameter {d} != {params.diameter}")
     if not is_diameter_path(g, path, d):
         return FamilyRejection(params, "diameter-path", "built path is no longer a diameter path")
-    eta = nullity(g)
-    if eta != g.n - d - 1:
+    if not facts.extremal:
+        eta = g.n - facts.rank(0)
         return FamilyRejection(params, "nullity", f"eta {eta} != n-d-1 = {g.n - d - 1}")
     return g
 
@@ -235,7 +234,7 @@ def is_extremal(g: Graph) -> bool:
     """Whether nullity equals n - d - 1 (requires a connected graph)."""
     if not g.is_connected():
         raise DisconnectedGraphError("extremality is defined for connected graphs")
-    return nullity(g) == g.n - diameter(g) - 1
+    return _facts(g).extremal
 
 
 def _claims_on_path(g: Graph, path: DiameterPath, d: int) -> FamilyParams | str:
@@ -287,14 +286,18 @@ def _claims_on_path(g: Graph, path: DiameterPath, d: int) -> FamilyParams | str:
     return FamilyParams(d, b, frozenset(singles.values()))
 
 
-def recognize(g: Graph, d: int | None = None) -> RecognitionResult:
+def recognize(g: Graph) -> RecognitionResult:
     """Classify a connected graph against the extremal structure.
 
-    The arithmetic gate (nullity = n - d - 1) decides extremality; odd
-    diameter needs nothing further.  For even diameter the family shape is
-    checked on one diameter path, the first that ``diameter_paths`` finds;
-    a fit yields the verdict with that path's parameters, and a failure is
-    a ``MISMATCH`` whose witness names the path and the failed condition.
+    The diameter, rank A(G), the extremality gate (nullity = n - d - 1)
+    and the diameter path all come from the graph's table
+    (``lemmas._facts``), so a caller that has read them there already,
+    as the sweep has when the lemma suites ran on the graph first, pays
+    for none of them again.  Odd diameter needs nothing further.  For even
+    diameter the family shape is checked on one diameter path, the first
+    that ``diameter_paths`` finds; a fit yields the verdict with that
+    path's parameters, and a failure is a ``MISMATCH`` whose witness names
+    the path and the failed condition.
 
     One path decides, because the fit does not depend on the path.  The
     shape fixes every edge relative to the path, so if some diameter path
@@ -308,21 +311,19 @@ def recognize(g: Graph, d: int | None = None) -> RecognitionResult:
     parameters to ``(d/2 - 1 - b, {d/2 + 1 - a})``.  So if one diameter
     path fits, every diameter path fits, and if the first does not, none
     does.  This extends the argument in :func:`enumerate_family`.
-
-    ``d`` is the diameter of ``g`` when the caller already holds it;
-    otherwise it is computed.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("recognition is defined for connected graphs")
     g6 = to_graph6(g)
-    d = diameter(g) if d is None else d
-    eta = nullity(g)
-    if eta != g.n - d - 1:
+    facts = _facts(g)
+    d = facts.diameter
+    eta = g.n - facts.rank(0)
+    if not facts.extremal:
         witness = {"expected_nullity": g.n - d - 1}
         return RecognitionResult(Verdict.NOT_EXTREMAL, g6, g.n, d, eta, witness=witness)
     if d % 2:
         return RecognitionResult(Verdict.ODD_EXTREMAL, g6, g.n, d, eta)
-    path = diameter_paths(g, 1, d)[0]
+    path = facts.path
     outcome = _claims_on_path(g, path, d)
     if isinstance(outcome, str):
         failures = [{"path": list(path.vertices), "failed": outcome}]

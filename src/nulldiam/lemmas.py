@@ -35,7 +35,7 @@ from .graphs import (
     to_graph6,
     twin_classes,
 )
-from .linalg import IntMatrix, rank_exact, shifted_adjacency
+from .linalg import IntMatrix, rank_exact, rank_gf2, shifted_adjacency
 
 SUITE_INTERLACING = "interlacing"
 SUITE_TWIN_DELETION = "twin-deletion"
@@ -111,14 +111,15 @@ class ViolationReport:
 
 
 class _GraphFacts:
-    """What the sweep and the checkers share about one graph, each part
-    made when first read: the shifted matrices A - mu*I, one diameter, one
-    diameter path, and the rank of every matrix asked for.  The sweep
-    (``enumeration._evaluate_graph``) reads the diameter and rank A(G)
-    here before the suites run, and ``reduction-equivalence`` passes the
-    diameter to ``reduce`` and ranks the reduced graph as A(G) without the
-    deleted twins, so each of these facts is computed once per labelled
-    graph.
+    """What the sweep, the checkers and the recognizer share about one
+    graph, each part made when first read: the shifted matrices A - mu*I,
+    one diameter, one diameter path, the rank of every matrix asked for,
+    and whether the graph is extremal.  The sweep
+    (``enumeration._evaluate_graph``) reads extremality here before the
+    suites run, ``recognize`` reads the diameter, rank A(G) and the path,
+    and ``reduction-equivalence`` passes the diameter to ``reduce`` and
+    ranks the reduced graph as A(G) without the deleted twins, so each of
+    these facts is computed once per labelled graph.
 
     A rank is keyed by mu and the rows of G - drop, the graph left after
     deleting ``drop``.  Those fix the entries of the shifted matrix's
@@ -148,7 +149,8 @@ class _GraphFacts:
             m = self._shifted.get(mu)
             if m is None:
                 m = self._shifted[mu] = shifted_adjacency(self.graph, mu)
-            m = m.principal([v for v in range(self.graph.n) if v not in drop])
+            if drop:
+                m = m.principal([v for v in range(self.graph.n) if v not in drop])
             r = self._ranks[key] = rank_exact(m)
         return r
 
@@ -159,6 +161,26 @@ class _GraphFacts:
     @cached_property
     def path(self) -> DiameterPath:
         return diameter_paths(self.graph, 1, self.diameter)[0]
+
+    @cached_property
+    def rank_open(self) -> bool:
+        """Whether the GF(2) certificate leaves extremality open, so that
+        :attr:`extremal` needs the exact rank A(G)."""
+        return rank_gf2(self.graph.rows) <= self.diameter + 1
+
+    @cached_property
+    def extremal(self) -> bool:
+        """Whether eta = n - d - 1, that is rank A(G) = d + 1; the graph must
+        be connected.  This is the one place that decides it.
+
+        A GF(2) certificate comes first: the rank mod 2 of a 0/1 matrix
+        never exceeds its rational rank, because an odd minor is a nonzero
+        minor, so ``rank_gf2(rows) >= d + 2`` proves the graph is not
+        extremal with no exact arithmetic.  The bound is one-sided (K_3 has
+        rank 2 mod 2 and 3 over the rationals), so only the graphs it
+        cannot rule out (:attr:`rank_open`) get the exact Bareiss rank.
+        """
+        return self.rank_open and self.rank(0) == self.diameter + 1
 
 
 @lru_cache(maxsize=1)
@@ -248,21 +270,18 @@ def check_pendant_deletion(g: Graph) -> ViolationReport:
     return report
 
 
-def _extremal_gate(g: Graph, report: ViolationReport) -> tuple[_GraphFacts, int] | None:
+def _extremal_gate(g: Graph, report: ViolationReport) -> _GraphFacts | None:
     """Hypothesis gate shared by the rank-bound and twin-extension sweeps:
-    the graph must be connected with eta = n - d - 1.  Returns (the graph's
-    table, rank A(G)) when the gate passes, otherwise marks the report
-    skipped."""
+    the graph must be connected with eta = n - d - 1.  Returns the graph's
+    table when the gate passes, otherwise marks the report skipped."""
     if not g.is_connected():
         report.skipped = "graph is disconnected"
         return None
     facts = _facts(g)
-    d = facts.diameter
-    rank = facts.rank(0)
-    if g.n - rank != g.n - d - 1:
-        report.skipped = f"eta={g.n - rank} != n-d-1={g.n - d - 1}"
+    if not facts.extremal:
+        report.skipped = f"eta={g.n - facts.rank(0)} != n-d-1={g.n - facts.diameter - 1}"
         return None
-    return facts, rank
+    return facts
 
 
 def _outside_subsets(n: int, path: DiameterPath, report: ViolationReport):
@@ -284,10 +303,10 @@ def check_rank_bound_diam(g: Graph) -> ViolationReport:
     """On graphs with eta = n - d - 1, every induced supergraph H of a
     diameter path satisfies rank(A(H)) >= rank(A(G)) - 1."""
     report = ViolationReport(SUITE_RANK_BOUND, g)
-    gate = _extremal_gate(g, report)
-    if gate is None:
+    facts = _extremal_gate(g, report)
+    if facts is None:
         return report
-    facts, rank_g = gate
+    rank_g = facts.rank(0)
     path = facts.path
     for chosen, dropped in _outside_subsets(g.n, path, report):
         rank_h = facts.rank(0, *dropped)
@@ -307,10 +326,10 @@ def check_twin_extension(g: Graph) -> ViolationReport:
     path with rank(A(H)) >= rank(A(G)) - 1 (one vertex outside H, or both),
     the pair has equal neighbourhoods in the whole graph."""
     report = ViolationReport(SUITE_TWIN_EXTENSION, g)
-    gate = _extremal_gate(g, report)
-    if gate is None:
+    facts = _extremal_gate(g, report)
+    if facts is None:
         return report
-    facts, rank_g = gate
+    rank_g = facts.rank(0)
     for _chosen, out_h in _outside_subsets(g.n, facts.path, report):
         if facts.rank(0, *out_h) < rank_g - 1:
             continue
@@ -352,7 +371,6 @@ def check_reduction_equivalence(g: Graph) -> ViolationReport:
     red = reduce(g, facts.diameter)
     eta = g.n - facts.rank(0)
     eta_r = red.graph.n - facts.rank(0, *red.deleted)
-    lhs = eta == g.n - red.original_diameter - 1
     rhs = eta_r == red.graph.n - red.reduced_diameter - 1
     report.checked = 1
     report.notes["diameter"] = {
@@ -360,7 +378,7 @@ def check_reduction_equivalence(g: Graph) -> ViolationReport:
         "reduced": red.reduced_diameter,
         "changed": red.original_diameter != red.reduced_diameter,
     }
-    if lhs != rhs:
+    if facts.extremal != rhs:
         severity = "violation" if red.reduced_diameter < red.original_diameter else "high"
         report.violate(
             {
@@ -394,7 +412,7 @@ def check_rank_lower_bound(g: Graph) -> ViolationReport:
         return report
     rank = facts.rank(0)
     report.checked = 1
-    report.notes["odd_extremal"] = rank == d + 1
+    report.notes["odd_extremal"] = facts.extremal
     if rank < d + 1:
         report.violate(
             {"d": d},

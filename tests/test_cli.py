@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nulldiam import MAX_CENSUS_ORDER, MAX_VERTICES, cli, schemas, to_graph6
+from nulldiam import MAX_CENSUS_ORDER, MAX_VERTICES, Verdict, cli, schemas, to_graph6
 from nulldiam.cli import main
 from nulldiam.enumeration import canonical_form
 from nulldiam.graphs import cycle_graph, path_graph
@@ -241,6 +241,20 @@ class TestRecordInput:
             assert len(err.splitlines()) == 1 and where in err and "Traceback" not in err
         assert started == []
 
+    @pytest.mark.parametrize("command", RECORD_COMMANDS)
+    def test_out_naming_the_input_is_input_error(self, capsys, tmp_path, g6_file, command):
+        # opening --out for writing would empty the input before a line is read
+        path = g6_file("A_", "C]")
+        before = Path(path).read_bytes()
+        link = tmp_path / "link.g6"
+        link.symlink_to(path)
+        for where in (path, str(link)):
+            code, out, err = run(capsys, command, "--input", path, "--out", where)
+            assert code == 2 and out == ""
+            message = f"nulldiam {command}: --out {where} is the --input file, which writing would empty"
+            assert err == message + "\n"
+            assert Path(path).read_bytes() == before
+
     @pytest.mark.parametrize(
         "argv",
         [(command,) for command in RECORD_COMMANDS] + [("verify", "--n", "4")],
@@ -449,6 +463,18 @@ def test_readme_names_only_accepted_options():
     ]
     accepted = {flag for p in subparsers.choices.values() for flag in p._option_string_actions}
     assert named and named <= accepted, sorted(named - accepted)
+
+
+def test_readme_library_tour_runs():
+    # the tour calls the public API, so a stale example fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"## Library tour\n\n```python\n(.*?)```", readme, re.S)
+    tour = {}
+    exec(block, tour)
+    g = tour["g"]
+    assert tour["nullity"](g) == 1
+    assert tour["recognize"](g).verdict is Verdict.EVEN_EXTREMAL
+    assert tour["report"].mismatches == []
 
 
 def test_unknown_log_level_is_usage_error(capsys, monkeypatch, g6_file):

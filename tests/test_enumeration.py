@@ -407,8 +407,8 @@ class TestVerifyTheorem:
         # graphs whose reduction is even-diameter extremal
         real = enumeration.recognize
 
-        def rejecting(g, d=None):
-            result = real(g, d)
+        def rejecting(g):
+            result = real(g)
             if result.verdict is Verdict.EVEN_EXTREMAL:
                 return dataclasses.replace(result, verdict=Verdict.MISMATCH)
             return result

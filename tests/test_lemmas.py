@@ -3,6 +3,7 @@ import random
 import sys
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from nulldiam import (
@@ -23,6 +24,7 @@ from nulldiam import (
     path_graph,
     pendant_pairs,
     rank_exact,
+    recognize,
     run_suite,
     star_graph,
     to_graph6,
@@ -365,15 +367,29 @@ def oracle_twin_extension(g: Graph, ranks: list) -> dict:
 @pytest.fixture
 def suite_ranks(monkeypatch) -> list:
     """(order, rank) of every matrix the lemma suites ask their graph's
-    table for, in request order, whether or not the table had it already."""
+    table for, in request order, whether or not the table had it already.
+    The extremality test's own read of rank A(G) is left out: a gated suite
+    reads A(G) again where it uses it, and the oracles rank G once."""
     ranks = []
     lookup = lemmas._GraphFacts.rank
+    extremal = lemmas._GraphFacts.extremal.func
+    paused = []
 
     def recording_rank(facts, mu, *drop):
-        ranks.append((facts.graph.n - len(drop), lookup(facts, mu, *drop)))
-        return ranks[-1][1]
+        r = lookup(facts, mu, *drop)
+        if not paused:
+            ranks.append((facts.graph.n - len(drop), r))
+        return r
+
+    def unrecorded_extremal(facts):
+        paused.append(facts)
+        try:
+            return extremal(facts)
+        finally:
+            paused.pop()
 
     monkeypatch.setattr(lemmas._GraphFacts, "rank", recording_rank)
+    monkeypatch.setattr(lemmas._GraphFacts, "extremal", property(unrecorded_extremal))
     return ranks
 
 
@@ -472,8 +488,8 @@ class TestSharedTable:
     def test_sweep_computes_each_diameter_once(self, monkeypatch):
         # a graph that is not extremal is never canonicalized, so its
         # diameter is computed once for the graph and once for its twin
-        # reduction (a single vertex has no reduction), and no suite takes
-        # a nullity outside the table
+        # reduction (a single vertex has no reduction), and neither the
+        # suites nor the recognizer take a nullity outside the table
         diameters = count_calls(monkeypatch, diameter)
         nullities = count_calls(monkeypatch, nullity)
         evaluate = enumeration._evaluate_graph
@@ -491,24 +507,42 @@ class TestSharedTable:
         plain = [(rec["n"], calls) for rec, calls in per_graph if not rec["extremal"]]
         assert len(plain) == 120
         assert plain == [(n, 1 if n == 1 else 2) for n, _ in plain]
-        nullities.clear()
         verify_theorem(1, 6)
-        assert with_suites == len(nullities) > 0
+        assert with_suites == len(nullities) == 0
 
-    def test_recognizer_reads_the_known_diameters(self, monkeypatch):
-        # the sweep hands recognize the diameter of the even candidate and
-        # of the twin reduction, which a recognizer that computes its own
-        # pays for again
-        diameters = count_calls(monkeypatch, diameter)
-        real = enumeration.recognize
-        counts = []
-        for recognize in (lambda g, d=None: real(g), real):
-            monkeypatch.setattr(enumeration, "recognize", recognize)
+    def test_extremality_matches_the_oracles(self, census7):
+        # eta = n - d - 1 by fraction-exact rank and networkx's diameter, on
+        # every class and on a relabelling of each extremal one; the GF(2)
+        # certificate decides some graphs and the exact rank the others
+        def extremal(g: Graph) -> bool:
+            d = nx.diameter(nx.from_dict_of_lists({v: g.neighbor_list(v) for v in range(g.n)}))
+            return g.n - fraction_rank(shifted_entries(g)) == g.n - d - 1
+
+        rng = random.Random(5)
+        graphs = [g for n in range(1, 8) for g in census7[n]]
+        graphs += [relabel(g, rng.sample(range(g.n), g.n)) for g in graphs if extremal(g)]
+        branches = set()
+        for g in graphs:
             lemmas._facts.cache_clear()
-            diameters.clear()
-            verify_theorem(1, 7, suites=ALL_SUITES)
-            counts.append(len(diameters))
-        assert counts[0] - counts[1] == 16
+            facts = lemmas._facts(g)
+            assert facts.extremal == extremal(g), to_graph6(g)
+            branches.add((facts.rank_open, facts.extremal))
+        assert branches == {(False, False), (True, False), (True, True)}
+
+    def test_recognizer_reads_the_table(self, census7, monkeypatch):
+        # once the sweep has read d and rank A(G), recognize takes them, and
+        # its diameter path, from the table
+        ranks = count_calls(monkeypatch, rank_exact)
+        diameters = count_calls(monkeypatch, diameter)
+        for n in range(1, 8):
+            for g in census7[n]:
+                facts = lemmas._facts(g)
+                d, rank = facts.diameter, facts.rank(0)
+                ranks.clear()
+                diameters.clear()
+                result = recognize(g)
+                assert (ranks, diameters) == ([], []), to_graph6(g)
+                assert (result.d, result.nullity) == (d, g.n - rank)
 
     def test_each_distinct_matrix_is_eliminated_once(self, census7, monkeypatch):
         # a request is (mu, entries): the empty matrix is the one matrix
