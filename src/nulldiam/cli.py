@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import os
+import stat
 import sys
 from contextlib import nullcontext
 from functools import partial
@@ -126,6 +127,17 @@ def _answer(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
     return args.answer(args, record)
 
 
+def _out_is_input(args: argparse.Namespace) -> bool:
+    """Whether the input (the ``--input`` file, or a file that standard
+    input was opened on) is the regular file that ``--out`` names, which
+    opening ``--out`` would empty."""
+    try:
+        read = os.fstat(sys.stdin.fileno()) if args.input == "-" else os.stat(args.input)
+        return stat.S_ISREG(read.st_mode) and os.path.samestat(read, os.stat(args.out))
+    except (AttributeError, OSError, ValueError):  # no such file, or stdin has no descriptor
+        return False
+
+
 def cmd_records(args: argparse.Namespace) -> int:
     """Answer every input record with one output line, in input order.
 
@@ -135,11 +147,10 @@ def cmd_records(args: argparse.Namespace) -> int:
     per-record codes: 0, then 2 for an input error, then 3 for a mismatch.
     An ``--input`` or ``--out`` that cannot be opened is an input error:
     one line on stderr and exit 2.  So is an ``--out`` that names the
-    ``--input`` file, which opening it for writing would empty before a
-    line is read.
+    input file, given as ``--input`` or on standard input, which opening
+    it for writing would empty before a line is read.
     """
-    paths = (args.input, args.out)
-    if args.input != "-" and args.out and all(map(os.path.exists, paths)) and os.path.samefile(*paths):
+    if args.out and _out_is_input(args):
         raise _CannotOpen(
             f"nulldiam {args.command}: --out {args.out} is the --input file, which writing would empty"
         )

@@ -42,7 +42,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import lemmas
 from .families import Verdict, recognize
-from .graphs import Graph, Graph6Error, _reach, is_reduced, parse_graph6, reduce, to_graph6
+from .graphs import Graph, Graph6Error, _reach, is_reduced, parse_graph6, to_graph6
 
 log = logging.getLogger(__name__)
 
@@ -574,12 +574,12 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
     selected lemma suites.  Takes plain tuples so it can cross a process
     boundary.
 
-    Extremality (eta = n - d - 1) and ``d`` come from the graph's table
-    (``lemmas._facts``), where the suites and the recognizer find them
-    again; the table tries its GF(2) certificate before any exact rank
-    (see ``_GraphFacts.extremal``), and ``exact_rank`` records the graphs
-    it could not rule out.  The suites run before the recognizer reads the
-    twin reduction, whose table would evict G's.
+    Extremality (eta = n - d - 1) is decided in three stages (see
+    ``lemmas._GraphFacts.extremal``): with no suites, the first
+    (``lemmas._ruled_out``) rules most graphs out with no table, and
+    ``exact_rank`` marks those that need an exact rank.  ``d`` is read
+    only for extremal graphs.  The suites run before the recognizer reads
+    the twin reduction, whose table would evict G's.
 
     The sweep's last census level is not all canonically labelled (see
     ``_augment_parent``), and the recognition parameters, witness graph6
@@ -591,24 +591,24 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
     read a diameter path check only extremal graphs.
     """
     g = Graph(rows)
-    facts = lemmas._facts(g)
-    d = facts.diameter
     reduced = is_reduced(g)
-    extremal = facts.extremal
+    facts = None if not suites and lemmas._ruled_out(rows) else lemmas._facts(g)
+    extremal = facts is not None and facts.extremal
+    d = facts.diameter if extremal else 0
     if extremal:
         g = canonical_graph(g)
-    even_candidate = reduced and extremal and d >= 2 and d % 2 == 0
+    even = d >= 2 and d % 2 == 0
     rec = {
         "n": g.n,
         "graph6": None,
         "reduced": reduced,
         "extremal": extremal,
-        "odd_extremal": extremal and d % 2 == 1,
-        "even_candidate": even_candidate,
+        "odd_extremal": d % 2 == 1,
+        "even_candidate": reduced and even,
         "verdict": None,
         "recognition": None,
         "unreduced_failure": False,
-        "exact_rank": facts.rank_open,
+        "exact_rank": facts is not None and facts.rank_open,
     }
     if suites:
         reports = {name: lemmas.run_suite(name, g) for name in suites}
@@ -617,14 +617,13 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
             if canon != g:
                 reports = {name: lemmas.run_suite(name, canon) for name in suites}
         rec["lemma_reports"] = reports
-    if even_candidate:
+    if reduced and even:
         result = recognize(g)
         rec["verdict"] = result.verdict.value
         if result.verdict is Verdict.EVEN_EXTREMAL:
             rec["recognition"] = result.to_dict()
-    elif extremal and not reduced and d >= 2 and d % 2 == 0:
-        red = reduce(g, d)
-        rec["unreduced_failure"] = recognize(red.graph).verdict is Verdict.MISMATCH
+    elif even:
+        rec["unreduced_failure"] = recognize(lemmas._twin_reduced(g, d)).verdict is Verdict.MISMATCH
     if rec["verdict"] == Verdict.MISMATCH.value or rec["unreduced_failure"]:
         rec["graph6"] = to_graph6(g)  # read only by the witness lists
     return rec

@@ -255,6 +255,22 @@ class TestRecordInput:
             assert err == message + "\n"
             assert Path(path).read_bytes() == before
 
+    @pytest.mark.parametrize("command", RECORD_COMMANDS)
+    def test_out_naming_the_file_on_stdin_is_input_error(self, capsys, monkeypatch, tmp_path, g6_file, command):
+        # `nulldiam invariants --out g.g6 < g.g6` would empty g.g6 the same way
+        path = g6_file("A_", "C]")
+        before = Path(path).read_bytes()
+        other = tmp_path / "out.txt"
+        for stdin, out, expected in ((path, path, 2), (path, str(other), 0), (os.devnull, os.devnull, 0)):
+            with open(stdin) as fh:
+                monkeypatch.setattr(sys, "stdin", fh)
+                code, printed, err = run(capsys, command, "--out", out)
+            assert (code, printed) == (expected, "")
+            if expected:
+                assert err == f"nulldiam {command}: --out {out} is the --input file, which writing would empty\n"
+        assert Path(path).read_bytes() == before
+        assert len(other.read_text().splitlines()) == 2
+
     @pytest.mark.parametrize(
         "argv",
         [(command,) for command in RECORD_COMMANDS] + [("verify", "--n", "4")],

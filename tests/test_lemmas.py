@@ -34,7 +34,7 @@ from nulldiam import (
 from nulldiam import enumeration, lemmas
 from nulldiam.lemmas import ALL_SUITES, MAX_OUTSIDE_SWEEP
 
-from helpers import fraction_rank, relabel
+from helpers import fraction_rank, gf2_rank, relabel
 
 
 def p5_with_triple_anchor() -> Graph:
@@ -510,6 +510,28 @@ class TestSharedTable:
         verify_theorem(1, 6)
         assert with_suites == len(nullities) == 0
 
+    def test_sweep_without_suites_reads_d_only_where_it_is_open(self, monkeypatch):
+        # with no suites a graph that the eccentricity certificate rules out
+        # gets no diameter, the others get one, and a non-reduced even
+        # extremal graph one more, for its twin reduction, which recognize
+        # takes from reduce
+        diameters = count_calls(monkeypatch, diameter)
+        evaluate = enumeration._evaluate_graph
+        calls, expected = [], []
+
+        def counting_evaluate(rows, suites):
+            before = len(diameters)
+            rec = evaluate(rows, suites)
+            calls.append(len(diameters) - before)
+            unreduced_even = rec["extremal"] and not rec["reduced"] and not rec["odd_extremal"]
+            expected.append((not lemmas._ruled_out(rows)) + unreduced_even)
+            return rec
+
+        monkeypatch.setattr(enumeration, "_evaluate_graph", counting_evaluate)
+        verify_theorem(1, 7)
+        assert calls == expected
+        assert 0 < sum(calls) < len(calls) // 2 and 2 in calls
+
     def test_extremality_matches_the_oracles(self, census7):
         # eta = n - d - 1 by fraction-exact rank and networkx's diameter, on
         # every class and on a relabelling of each extremal one; the GF(2)
@@ -573,3 +595,42 @@ class TestSharedTable:
                 assert set(eliminated) == {entries for _mu, entries in distinct}, to_graph6(g)
                 shared += len(requested) - len(eliminated)
         assert shared > 0
+
+
+class TestEccentricityCertificate:
+    """``lemmas._ruled_out`` proves a connected graph is not extremal from
+    one breadth-first search and a GF(2) rank, before any table."""
+
+    def test_never_rules_out_an_extremal_graph(self, census_rows8):
+        # extremal means fraction_rank = d + 1 with networkx's diameter; an
+        # oracle GF(2) rank of d + 2 or more already excludes that, since the
+        # rank mod 2 is at most the rational rank, and fraction_rank decides
+        # the rest
+        ruled_out = 0
+        for level in census_rows8.values():
+            for rows in level:
+                if not lemmas._ruled_out(rows):
+                    continue
+                ruled_out += 1
+                g = Graph(rows)
+                d = nx.diameter(nx.from_dict_of_lists({v: g.neighbor_list(v) for v in range(g.n)}))
+                entries = shifted_entries(g)
+                assert gf2_rank(entries) >= d + 2 or fraction_rank(entries) != d + 1, to_graph6(g)
+        # a vertex of largest degree: 6,752 from vertex 0, 11,584 from d itself
+        assert ruled_out == 10_755
+
+    def test_a_disconnected_graph_is_never_ruled_out(self):
+        # two triangles: GF(2) rank 4 = 2 ecc(0) + 2, but no diameter
+        two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert not lemmas._ruled_out(two_triangles.rows)
+        assert not lemmas._ruled_out(Graph.from_edges(1, []).rows)
+
+    def test_records_agree_with_and_without_suites(self, census7):
+        # the no-suite path skips the table for graphs the certificate rules
+        # out; everything in its record but the suites' reports must match
+        for n in range(1, 8):
+            for g in census7[n]:
+                rec = enumeration._evaluate_graph(g.rows, ())
+                with_suites = enumeration._evaluate_graph(g.rows, ALL_SUITES)
+                del with_suites["lemma_reports"]
+                assert rec == with_suites, to_graph6(g)
