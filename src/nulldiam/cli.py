@@ -241,11 +241,16 @@ def _parse_suites(text: str) -> list[str]:
     return names
 
 
-def _jobs(text: str) -> int:
-    value = _integer(text, "a number of worker processes")
+def _positive(text: str, unit: str, units: str) -> int:
+    """``text`` as an int of at least 1, or a usage error that counts ``units``."""
+    value = _integer(text, f"a number of {units}")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected at least 1 worker process, got {value}")
+        raise argparse.ArgumentTypeError(f"expected at least 1 {unit}, got {value}")
     return value
+
+
+_jobs = partial(_positive, unit="worker process", units="worker processes")
+_vertex_cap = partial(_positive, unit="vertex", units="vertices")
 
 
 def _even(text: str) -> int:
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate the even-diameter extremal family")
     p.add_argument("--d", type=_even, required=True, help="even diameter >= 2")
     p.add_argument(
-        "--n-max", type=int, default=None, help=f"max vertices (default d+5, at most {MAX_VERTICES})"
+        "--n-max", type=_vertex_cap, default=None, help=f"max vertices (default d+5, at most {MAX_VERTICES})"
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)

@@ -574,12 +574,11 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
     selected lemma suites.  Takes plain tuples so it can cross a process
     boundary.
 
-    Extremality (eta = n - d - 1) is decided in three stages (see
-    ``lemmas._GraphFacts.extremal``): with no suites, the first
-    (``lemmas._ruled_out``) rules most graphs out with no table, and
-    ``exact_rank`` marks those that need an exact rank.  ``d`` is read
-    only for extremal graphs.  The suites run before the recognizer reads
-    the twin reduction, whose table would evict G's.
+    Extremality (eta = n - d - 1) is read from the graph's table,
+    ``lemmas._GraphFacts.extremal``, with or without suites, and
+    ``exact_rank`` marks the graphs that needed an exact rank there.
+    ``d`` is read only for extremal graphs.  The suites run before the
+    recognizer reads the twin reduction, whose table would evict G's.
 
     The sweep's last census level is not all canonically labelled (see
     ``_augment_parent``), and the recognition parameters, witness graph6
@@ -592,23 +591,22 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
     """
     g = Graph(rows)
     reduced = is_reduced(g)
-    facts = None if not suites and lemmas._ruled_out(rows) else lemmas._facts(g)
-    extremal = facts is not None and facts.extremal
-    d = facts.diameter if extremal else 0
-    if extremal:
+    facts = lemmas._facts(g)
+    d = facts.diameter if facts.extremal else 0
+    if facts.extremal:
         g = canonical_graph(g)
     even = d >= 2 and d % 2 == 0
     rec = {
         "n": g.n,
         "graph6": None,
         "reduced": reduced,
-        "extremal": extremal,
+        "extremal": facts.extremal,
         "odd_extremal": d % 2 == 1,
         "even_candidate": reduced and even,
         "verdict": None,
         "recognition": None,
         "unreduced_failure": False,
-        "exact_rank": facts is not None and facts.rank_open,
+        "exact_rank": facts.rank_open,
     }
     if suites:
         reports = {name: lemmas.run_suite(name, g) for name in suites}

@@ -98,10 +98,6 @@ class Graph:
     def n(self) -> int:
         return len(self.rows)
 
-    def neighbors(self, v: int) -> int:
-        """Neighbourhood of ``v`` as a bitmask."""
-        return self.rows[v]
-
     def neighbor_list(self, v: int) -> list[int]:
         return list(_bits(self.rows[v]))
 

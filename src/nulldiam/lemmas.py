@@ -21,7 +21,7 @@ Two of them are expected to surface findings rather than stay empty:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .graphs import (
@@ -104,7 +104,7 @@ class ViolationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    @cached_property
+    @_once
     def graph6(self) -> str:
         """The graph's graph6 encoding, made when first read: a sweep reads
         it only for violations and notes, so most reports never encode."""
@@ -131,12 +131,12 @@ class _GraphFacts:
     graph, each part made when first read: the shifted matrices A - mu*I,
     one diameter, one diameter path, the rank of every matrix asked for,
     and whether the graph is extremal.  The sweep
-    (``enumeration._evaluate_graph``) reads extremality here before the
-    suites run, unless :func:`_ruled_out` has ruled the graph out first,
-    ``recognize`` reads the diameter, rank A(G) and the path, and
-    ``reduction-equivalence`` passes the diameter to ``reduce`` and ranks
-    the reduced graph as A(G) without the deleted twins, so each of these
-    facts is computed once per labelled graph.
+    (``enumeration._evaluate_graph``) reads :attr:`extremal` for every
+    graph before the suites run, ``recognize`` reads the diameter,
+    rank A(G) and the path, and ``reduction-equivalence`` passes the
+    diameter to ``reduce`` and ranks the reduced graph as A(G) without
+    the deleted twins, so each of these facts is computed once per
+    labelled graph.
 
     A rank is keyed by mu and the rows of G - drop, the graph left after
     deleting ``drop``.  Those fix the entries of the shifted matrix's
@@ -181,37 +181,39 @@ class _GraphFacts:
 
     @_once
     def rank_open(self) -> bool:
-        """Whether the GF(2) certificate leaves extremality open, so that
-        :attr:`extremal` needs the exact rank A(G)."""
-        return rank_gf2(self.graph.rows) <= self.diameter + 1
+        """Whether the GF(2) certificates leave extremality open, so that
+        :attr:`extremal` needs the exact rank A(G).  The diameter is read
+        only when the eccentricity certificate cannot rule the graph out;
+        the empty graph has no vertex to search from, and it raises there."""
+        rows = self.graph.rows
+        gf2 = rank_gf2(rows)
+        seen, ecc = _reach(rows, 1 << rows.index(max(rows, key=int.bit_count))) if rows else (0, 0)
+        return (seen != (1 << len(rows)) - 1 or gf2 < 2 * ecc + 2) and gf2 <= self.diameter + 1
 
     @_once
     def extremal(self) -> bool:
         """Whether eta = n - d - 1, that is rank A(G) = d + 1; the graph must
-        be connected.  This is the one place that decides it.
+        be connected.  This is the one place that decides it, cheapest
+        test first.
 
-        The sweep's first test, :func:`_ruled_out`, needs no table.  Then
-        a GF(2) certificate: the rank mod 2 of a 0/1 matrix never exceeds
-        its rational rank, because an odd minor is a nonzero minor, so
-        ``rank_gf2(rows) >= d + 2`` proves the graph is not extremal with
-        no exact arithmetic.  The bound is one-sided (K_3 has rank 2 mod 2
-        and 3 over the rationals), so only the graphs it cannot rule out
+        The rank mod 2 of a 0/1 matrix never exceeds its rational rank,
+        because an odd minor is a nonzero minor, and the GF(2) rank of an
+        adjacency matrix is even (the matrix is alternating mod 2).  The
+        eccentricity certificate needs no diameter: if the BFS from a
+        vertex v of largest degree reaches every vertex, the graph is
+        connected and d <= 2 ecc(v), as d(x, y) <= d(x, v) + d(v, y), so an
+        extremal graph has rank_GF2 <= rank_Q = d + 1 <= 2 ecc(v) + 1, and
+        ``rank_gf2(rows) >= 2 ecc(v) + 2`` proves the graph is not extremal.
+        On the census up to n = 8 this rules out 10,755 of 12,113 graphs
+        (6,752 from vertex 0, 11,584 from d itself).  A BFS that misses a
+        vertex proves nothing, and the diameter then raises
+        ``DisconnectedGraphError``.  Otherwise ``rank_gf2(rows) >= d + 2``
+        proves the graph is not extremal with the exact diameter.  Both
+        bounds are one-sided (K_3 has rank 2 mod 2 and 3 over the
+        rationals), so only the graphs they cannot rule out
         (:attr:`rank_open`) get the exact Bareiss rank.
         """
         return self.rank_open and self.rank(0) == self.diameter + 1
-
-
-def _ruled_out(rows: Sequence[int]) -> bool:
-    """Whether one BFS and a GF(2) rank prove that the graph on the rows
-    (n >= 1) is not extremal.  If the BFS from a vertex v of largest
-    degree reaches every vertex, the graph is connected and d <= 2 ecc(v),
-    as d(x, y) <= d(x, v) + d(v, y); an extremal graph then has rank_GF2
-    <= rank_Q = d + 1 <= 2 ecc(v) + 1.  On the census up to n = 8 this
-    rules out 10,755 of 12,113 graphs (6,752 from vertex 0, 11,584 from d
-    itself).  The GF(2) rank of an adjacency matrix is even (the matrix
-    is alternating mod 2), so 2 ecc(v) + 1 would be the same bound."""
-    seen, ecc = _reach(rows, 1 << rows.index(max(rows, key=int.bit_count)))
-    return seen == (1 << len(rows)) - 1 and rank_gf2(rows) >= 2 * ecc + 2
 
 
 @lru_cache(maxsize=1)

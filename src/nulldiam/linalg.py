@@ -8,11 +8,9 @@ division-free characteristic polynomial for cross checks, so a bug in one
 cannot silently confirm itself through the other.  The number of distinct
 eigenvalues comes from the characteristic polynomial by a primitive
 pseudo-remainder gcd with its derivative, again over the integers.
-``rank_gf2`` is only a lower bound on the rational rank: the sweep's
-extremality test uses it to rule graphs out before an exact rank, never
-in place of one, first against twice one eccentricity
-(``lemmas._ruled_out``) and then against the diameter
-(``lemmas._GraphFacts.extremal``).
+``rank_gf2`` is only a lower bound on the rational rank: the one
+extremality test, ``lemmas._GraphFacts.extremal``, uses it to rule graphs
+out before an exact rank, never in place of one.
 """
 
 from __future__ import annotations

@@ -328,11 +328,34 @@ class TestGen:
             main(["gen", "--d", "5"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("n_max", ["5", "-5"])
+    @pytest.mark.parametrize("n_max", ["5", "1"])
     def test_n_max_below_the_smallest_member_prints_nothing(self, capsys, n_max):
         code, out, _ = run(capsys, "gen", "--d", "4", "--n-max", n_max)
         assert code == 0
         assert out == ""
+
+    @pytest.mark.parametrize("d, lines", [("4", ["EhF_"]), ("6", ["GhCGN?", "GhCGHo"])])
+    def test_n_max_8_output(self, capsys, d, lines):
+        code, out, _ = run(capsys, "gen", "--d", d, "--n-max", "8")
+        assert code == 0
+        assert out.splitlines() == lines
+
+    @pytest.mark.parametrize(
+        "n_max, message",
+        [
+            ("0", "expected at least 1 vertex, got 0"),
+            ("-5", "expected at least 1 vertex, got -5"),
+            ("x", "expected a number of vertices, got 'x'"),
+        ],
+        ids=["0", "-5", "x"],
+    )
+    def test_bad_n_max_is_usage_error(self, capsys, n_max, message):
+        with pytest.raises(SystemExit) as err:
+            main(["gen", "--d", "4", "--n-max", n_max])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"nulldiam gen: error: argument --n-max: {message}"
 
     def test_d_that_is_not_a_number_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

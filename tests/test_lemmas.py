@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 
 from nulldiam import (
+    DisconnectedGraphError,
     Graph,
     canonical_graph,
     check_interlacing,
@@ -33,6 +34,7 @@ from nulldiam import (
 )
 from nulldiam import enumeration, lemmas
 from nulldiam.lemmas import ALL_SUITES, MAX_OUTSIDE_SWEEP
+from nulldiam.linalg import rank_gf2
 
 from helpers import fraction_rank, gf2_rank, relabel
 
@@ -511,10 +513,10 @@ class TestSharedTable:
         assert with_suites == len(nullities) == 0
 
     def test_sweep_without_suites_reads_d_only_where_it_is_open(self, monkeypatch):
-        # with no suites a graph that the eccentricity certificate rules out
-        # gets no diameter, the others get one, and a non-reduced even
-        # extremal graph one more, for its twin reduction, which recognize
-        # takes from reduce
+        # with no suites a graph whose table decides extremality without its
+        # diameter (the eccentricity certificate) gets no diameter, the
+        # others get one, and a non-reduced even extremal graph one more,
+        # for its twin reduction, which recognize takes from reduce
         diameters = count_calls(monkeypatch, diameter)
         evaluate = enumeration._evaluate_graph
         calls, expected = [], []
@@ -523,14 +525,31 @@ class TestSharedTable:
             before = len(diameters)
             rec = evaluate(rows, suites)
             calls.append(len(diameters) - before)
+            facts = lemmas._GraphFacts(Graph(rows))
+            assert facts.extremal == rec["extremal"]
             unreduced_even = rec["extremal"] and not rec["reduced"] and not rec["odd_extremal"]
-            expected.append((not lemmas._ruled_out(rows)) + unreduced_even)
+            expected.append(("diameter" in vars(facts)) + unreduced_even)
             return rec
 
         monkeypatch.setattr(enumeration, "_evaluate_graph", counting_evaluate)
         verify_theorem(1, 7)
         assert calls == expected
         assert 0 < sum(calls) < len(calls) // 2 and 2 in calls
+
+    @pytest.mark.parametrize(
+        "args, counts",
+        [
+            # one GF(2) rank per table whose extremality is read: the 12,113
+            # classes and the twin reductions that recognize reads
+            ((1, 8), {"rank_gf2": 12_149, "diameter": 1_394, "rank_exact": 565}),
+            ((1, 7, ALL_SUITES), {"rank_gf2": 1_021, "diameter": 2_016, "rank_exact": 33_685}),
+        ],
+        ids=["no-suites-n8", "all-suites-n7"],
+    )
+    def test_sweep_calls_each_rank_and_diameter_once(self, monkeypatch, args, counts):
+        calls = {fn.__name__: count_calls(monkeypatch, fn) for fn in (rank_gf2, diameter, rank_exact)}
+        verify_theorem(*args)
+        assert {name: len(made) for name, made in calls.items()} == counts
 
     def test_extremality_matches_the_oracles(self, census7):
         # eta = n - d - 1 by fraction-exact rank and networkx's diameter, on
@@ -598,8 +617,9 @@ class TestSharedTable:
 
 
 class TestEccentricityCertificate:
-    """``lemmas._ruled_out`` proves a connected graph is not extremal from
-    one breadth-first search and a GF(2) rank, before any table."""
+    """``lemmas._GraphFacts.extremal`` proves a connected graph is not
+    extremal from one breadth-first search and a GF(2) rank before it
+    reads the diameter."""
 
     def test_never_rules_out_an_extremal_graph(self, census_rows8):
         # extremal means fraction_rank = d + 1 with networkx's diameter; an
@@ -609,10 +629,11 @@ class TestEccentricityCertificate:
         ruled_out = 0
         for level in census_rows8.values():
             for rows in level:
-                if not lemmas._ruled_out(rows):
+                g = Graph(rows)
+                facts = lemmas._GraphFacts(g)
+                if facts.extremal or "diameter" in vars(facts):
                     continue
                 ruled_out += 1
-                g = Graph(rows)
                 d = nx.diameter(nx.from_dict_of_lists({v: g.neighbor_list(v) for v in range(g.n)}))
                 entries = shifted_entries(g)
                 assert gf2_rank(entries) >= d + 2 or fraction_rank(entries) != d + 1, to_graph6(g)
@@ -622,8 +643,16 @@ class TestEccentricityCertificate:
     def test_a_disconnected_graph_is_never_ruled_out(self):
         # two triangles: GF(2) rank 4 = 2 ecc(0) + 2, but no diameter
         two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert not lemmas._ruled_out(two_triangles.rows)
-        assert not lemmas._ruled_out(Graph.from_edges(1, []).rows)
+        for g in (two_triangles, Graph(())):
+            with pytest.raises(DisconnectedGraphError):
+                lemmas._GraphFacts(g).extremal
+            for name in ALL_SUITES:
+                assert run_suite(name, g).lemma == name
+
+    def test_a_single_vertex_reads_its_diameter(self):
+        facts = lemmas._GraphFacts(Graph.from_edges(1, []))
+        assert not facts.extremal
+        assert facts.diameter == 0 and "diameter" in vars(facts)
 
     def test_records_agree_with_and_without_suites(self, census7):
         # the no-suite path skips the table for graphs the certificate rules
