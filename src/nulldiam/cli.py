@@ -2,8 +2,9 @@
 
 Subcommands consume line-delimited graph6 (``--input PATH`` or ``-`` for
 stdin) and emit one record per line; JSON is the stable contract, text is
-for reading.  Exit codes: 0 ok, 1 internal error, 2 input or usage error,
-3 mathematical mismatch (a recognizer counterexample).
+for reading.  Exit codes: 0 ok, 1 internal error, 2 input or usage error
+(output that cannot be written included), 3 mathematical mismatch (a
+recognizer counterexample).  A broken pipe ends a command quietly with 0.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import logging
 import os
 import stat
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from functools import partial
 
 from .enumeration import (
@@ -43,9 +44,13 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-class _CannotOpen(Exception):
-    """An ``--input`` or ``--out`` path that cannot be opened: an input
-    error, reported in one stderr line."""
+class _CannotUse(Exception):
+    """An ``--input`` or ``--out`` path that cannot be opened, or output
+    that cannot be written: an input error, reported in one stderr line."""
+
+
+def _cannot(args: argparse.Namespace, verb: str, path: str, exc: OSError) -> _CannotUse:
+    return _CannotUse(f"nulldiam {args.command}: cannot {verb} {path}: {exc.strerror or exc}")
 
 
 def _open(args: argparse.Namespace, path: str, mode: str):
@@ -53,15 +58,36 @@ def _open(args: argparse.Namespace, path: str, mode: str):
     try:
         return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
-        verb = "read" if "r" in mode else "write"
-        reason = exc.strerror or exc
-        raise _CannotOpen(f"nulldiam {args.command}: cannot {verb} {path}: {reason}") from None
+        raise _cannot(args, "read" if "r" in mode else "write", path, exc) from None
 
 
-def _open_out(args: argparse.Namespace):
-    """Context manager for the output sink; never closes stdout.  Commands
-    open it before any work, so an unwritable ``--out`` costs nothing."""
-    return _open(args, args.out, "w") if args.out else nullcontext(sys.stdout)
+def _discard(stream) -> None:
+    """Point ``stream``'s descriptor, if it has one, at the null device, so
+    the unwritten rest of its buffer goes nowhere when it is flushed again
+    at close or at exit, instead of failing a second time there."""
+    with suppress(OSError, ValueError), open(os.devnull, "w") as null:
+        os.dup2(null.fileno(), stream.fileno())
+
+
+@contextmanager
+def _output(args: argparse.Namespace):
+    """Yield a function that writes one line to ``--out`` or stdout and
+    flushes it.  Commands open it before any work, so an unwritable
+    ``--out`` costs nothing.  A line that cannot be written is an input
+    error like an ``--out`` that cannot be opened; a broken pipe is
+    passed on, and ``main`` ends quietly on it."""
+    with _open(args, args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+
+        def emit(line: str) -> None:
+            try:
+                print(line, file=out, flush=True)
+            except OSError as exc:
+                _discard(out)
+                if isinstance(exc, BrokenPipeError):
+                    raise
+                raise _cannot(args, "write", args.out or "standard output", exc) from None
+
+        yield emit
 
 
 def _error(record: ParsedRecord, reason: str) -> tuple[str, int]:
@@ -145,32 +171,33 @@ def cmd_records(args: argparse.Namespace) -> int:
     record is answered as it is read; above 1 the pool takes 1024 records
     at a time (see ``ordered_map``).  The exit code is the largest of the
     per-record codes: 0, then 2 for an input error, then 3 for a mismatch.
-    An ``--input`` or ``--out`` that cannot be opened is an input error:
-    one line on stderr and exit 2.  So is an ``--out`` that names the
-    input file, given as ``--input`` or on standard input, which opening
-    it for writing would empty before a line is read.
+    An ``--input`` or ``--out`` that cannot be opened, or output that
+    cannot be written, is an input error: one line on stderr and exit 2.
+    So is an ``--out`` that names the input file, given as ``--input`` or
+    on standard input, which opening it for writing would empty before a
+    line is read.
     """
     if args.out and _out_is_input(args):
-        raise _CannotOpen(
+        raise _CannotUse(
             f"nulldiam {args.command}: --out {args.out} is the --input file, which writing would empty"
         )
     source = nullcontext(sys.stdin.buffer) if args.input == "-" else _open(args, args.input, "rb")
     code = EXIT_OK
-    with source as fh, _open_out(args) as out, ordered_map(args.jobs) as pmap:
+    with source as fh, _output(args) as emit, ordered_map(args.jobs) as pmap:
         # one character per byte: a byte outside graph6's range is a
         # ``charset`` error for its line, never a decoding failure
         records = ingest_graph6_stream(line.decode("latin-1") for line in fh)
         for line, line_code in pmap(partial(_answer, args), records, 1024):
-            print(line, file=out, flush=True)
+            emit(line)
             code = max(code, line_code)
     return code
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     n_max = args.n_max if args.n_max is not None else args.d + 5
-    with _open_out(args) as out:
+    with _output(args) as emit:
         for g in enumerate_family(args.d, n_max):
-            print(to_graph6(g), file=out, flush=True)
+            emit(to_graph6(g))
     return EXIT_OK
 
 
@@ -180,9 +207,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         n_min, n_max = args.n_range
     suites = ALL_SUITES if args.suites is None else tuple(args.suites)
-    with _open_out(args) as out:
+    with _output(args) as emit:
         report = verify_theorem(n_min, n_max, suites=suites, jobs=args.jobs)
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2), file=out)
+        emit(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     for n in sorted(report.per_n):
         t = report.per_n[n]
         print(
@@ -321,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
-    except _CannotOpen as exc:
+    except _CannotUse as exc:
         print(exc, file=sys.stderr)
         return EXIT_INPUT
     except Exception:  # pragma: no cover - defensive catch-all for exit code 1

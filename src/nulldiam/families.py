@@ -16,10 +16,17 @@ rigid shape around any diameter path ``v_1 ~ ... ~ v_(d+1)``:
 
 The two variants are named ``G2`` (no single-anchor vertex adjacent to
 ``z``) and ``G3`` (the a = b + 1 vertex is present, hence adjacent to
-``z``); this split, like the shape above, is validated empirically by the
-exhaustive sweep in :mod:`nulldiam.enumeration` rather than taken on
-faith.  :func:`generate_family` is the validating constructor: it builds
-one candidate from parameters and then checks connectivity, reducedness,
+``z``).  This shape is the paper's even-diameter theorem: a twin-reduced
+extremal graph *is* a candidate ``F(d, b, A)``.  Its edge rules are
+written once, in :func:`_build_candidate`.  :func:`recognize` runs that
+constructor backwards: it reads ``(b, A)`` off a diameter path and
+compares the graph with the candidate it builds, so every parameter set
+it returns rebuilds its input.  The exhaustive sweep in
+:mod:`nulldiam.enumeration` checks the theorem itself on every graph of
+the census.
+
+:func:`generate_family` is the validating constructor: it builds one
+candidate from parameters and then checks connectivity, reducedness,
 diameter and nullity outright, so parameter corner cases that collapse
 into twins (for example a = 1, whose pendant would duplicate the
 neighbourhood of ``v_1``) are rejected rather than silently mis-built.
@@ -238,52 +245,47 @@ def is_extremal(g: Graph) -> bool:
 
 
 def _claims_on_path(g: Graph, path: DiameterPath, d: int) -> FamilyParams | str:
-    """Check the family shape against one diameter path of ``g``, whose
-    diameter ``d`` the caller has already computed.
+    """Read family parameters off one diameter path of ``g``, whose
+    diameter ``d`` the caller has already computed, and rebuild them.
 
-    Returns the recovered parameters on success, or a string naming the
-    first failed structural condition.
+    Each off-path vertex must have one path neighbour at ``v_(2a)`` (a
+    single, index ``a``) or three at ``v_(2b+1)..v_(2b+3)`` (the triple
+    ``z``, index ``b``); exactly one must be ``z``, and no two singles may
+    share ``a``.  The graph then fits iff it *is* the candidate
+    ``F(d, b, A)`` of :func:`_build_candidate`, with the path, ``z`` and
+    the singles in order of ``a`` as its vertices, so the family's edge
+    rules are stated only there.  Returns the parameters on a fit, or a
+    string naming the first failed condition.
     """
     cls = classify_outside(g, path, d)
     if cls.remote:
         x = min(cls.remote)
         return f"vertex {x} at distance {cls.remote[x]} from the path"
-    triple: dict[int, int] = {}
+    triples: list[tuple[int, int]] = []
     singles: dict[int, int] = {}
-    for x in sorted(cls.anchored):
-        anchors = cls.anchored[x]
-        if len(anchors) == 2:
-            return f"vertex {x} has exactly two path neighbours"
-        if len(anchors) > 3 or anchors[-1] - anchors[0] > 2:
-            return f"vertex {x} has anchors {anchors} spanning more than three positions"
-        if len(anchors) == 3:
-            first = anchors[0]
-            if first % 2:
-                return f"triple-anchor vertex {x} starts at even position {first + 1}"
-            triple[x] = first // 2
+    for x, anchors in sorted(cls.anchored.items()):
+        p = anchors[0]
+        if anchors == (p,) and p % 2:
+            singles[x] = (p + 1) // 2
+        elif anchors == (p, p + 1, p + 2) and p % 2 == 0:
+            triples.append((x, p // 2))
         else:
-            pos = anchors[0]
-            if pos % 2 == 0:
-                return f"single-anchor vertex {x} sits at odd position {pos + 1}"
-            singles[x] = (pos + 1) // 2
-    if len(triple) != 1:
-        return f"{len(triple)} triple-anchor vertices (need exactly one)"
-    [(z, b)] = triple.items()
+            where = [i + 1 for i in anchors]
+            return f"vertex {x} meets the path at {where}, not at one even or three from an odd position"
+    if len(triples) != 1:
+        return f"{len(triples)} triple-anchor vertices (need exactly one)"
     if len(set(singles.values())) != len(singles):
         return "two single-anchor vertices share a position"
-    ordered = sorted(singles)
-    for i, x in enumerate(ordered):
-        for y in ordered[i + 1 :]:
-            if g.has_edge(x, y):
-                return f"single-anchor vertices {x} and {y} are adjacent"
-    for x, a in sorted(singles.items()):
-        if g.has_edge(x, z) != (a == b + 1):
-            rel = "adjacent to" if g.has_edge(x, z) else "not adjacent to"
-            return (
-                f"single-anchor vertex {x} (position index {a}) is {rel} the "
-                f"triple-anchor vertex but b+1 = {b + 1}"
-            )
-    return FamilyParams(d, b, frozenset(singles.values()))
+    [(z, b)] = triples
+    params = FamilyParams(d, b, frozenset(singles.values()))
+    order = [*path.vertices, z, *sorted(singles, key=singles.get)]
+    built = _build_candidate(params)[0].rows
+    for x, row, want in zip(order, g.induced(order).rows, built):
+        if row != want:
+            diff = [order[j] for j in range(len(order)) if (row ^ want) >> j & 1]
+            family = f"F({d}, {b}, {sorted(params.single_indices)})"
+            return f"vertex {x} differs from {family} in its edges to {diff}"
+    return params
 
 
 def recognize(g: Graph) -> RecognitionResult:
@@ -294,23 +296,24 @@ def recognize(g: Graph) -> RecognitionResult:
     (``lemmas._facts``), so a caller that has read them there already,
     as the sweep has when the lemma suites ran on the graph first, pays
     for none of them again.  Odd diameter needs nothing further.  For even
-    diameter the family shape is checked on one diameter path, the first
-    that ``diameter_paths`` finds; a fit yields the verdict with that
-    path's parameters, and a failure is a ``MISMATCH`` whose witness names
-    the path and the failed condition.
+    diameter :func:`_claims_on_path` reads ``(b, A)`` off one diameter
+    path, the first that ``diameter_paths`` finds, and compares ``g`` with
+    the candidate those parameters build; a fit yields the verdict with
+    that path's parameters, and a failure is a ``MISMATCH`` whose witness
+    names the path and the failed condition.
 
-    One path decides, because the fit does not depend on the path.  The
-    shape fixes every edge relative to the path, so if some diameter path
-    fits, ``g`` is the candidate ``F(d, b, A)`` built from its parameters,
-    with any ``A``, including ``a = 1`` or ``a = d/2``.  Every diameter
-    path of ``F`` is the base path ``P``, or an image of ``P`` under
-    reversal and the automorphisms of ``F``: the swap of ``z`` with
-    ``v_(2b+2)``, and, when ``a = 1`` or ``a = d/2``, the swap of that
-    single-anchor vertex with its twin at the path end.  The fit test does
-    not change under an automorphism, and a reversal only mirrors the
-    parameters to ``(d/2 - 1 - b, {d/2 + 1 - a})``.  So if one diameter
-    path fits, every diameter path fits, and if the first does not, none
-    does.  This extends the argument in :func:`enumerate_family`.
+    One path decides, because the fit does not depend on the path.  If
+    some diameter path fits, ``g`` is the candidate ``F(d, b, A)`` built
+    from its parameters, with any ``A``, including ``a = 1`` or
+    ``a = d/2``.  Every diameter path of ``F`` is the base path ``P``, or
+    an image of ``P`` under reversal and the automorphisms of ``F``: the
+    swap of ``z`` with ``v_(2b+2)``, and, when ``a = 1`` or ``a = d/2``,
+    the swap of that single-anchor vertex with its twin at the path end.
+    The fit test does not change under an automorphism, and a reversal
+    only mirrors the parameters to ``(d/2 - 1 - b, {d/2 + 1 - a})``.  So
+    if one diameter path fits, every diameter path fits, and if the first
+    does not, none does.  This extends the argument in
+    :func:`enumerate_family`.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("recognition is defined for connected graphs")

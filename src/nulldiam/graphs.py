@@ -186,25 +186,24 @@ def complete_bipartite(a: int, b: int) -> Graph:
 # packed into 6-bit groups offset by 63 and zero-padded.
 
 
+#: 63 plus each 6-bit value with its bits in reverse order.
+_BACKWARDS_6 = [63 + int(f"{x:06b}"[::-1], 2) for x in range(64)]
+
+
 def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         head = [63 + n]
     else:
         head = [126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)]
-    chunk = 0
-    filled = 0
-    body: list[int] = []
-    for col in range(1, n):
-        for row in range(col):
-            chunk = chunk << 1 | (g.rows[row] >> col & 1)
-            filled += 1
-            if filled == 6:
-                body.append(63 + chunk)
-                chunk = 0
-                filled = 0
-    if filled:
-        body.append(63 + (chunk << (6 - filled)))
+    # column j, x_{0,j} .. x_{j-1,j}, is the low j bits of rows[j]; laid
+    # end to end from the low end of ``bits``, graph6's k-th edge bit is
+    # bit k, so each group of six is read backwards
+    bits = 0
+    for j in range(1, n):
+        bits |= (g.rows[j] & ~(-1 << j)) << (j * (j - 1) // 2)
+    groups = (n * (n - 1) // 2 + 5) // 6
+    body = [_BACKWARDS_6[bits >> 6 * k & 63] for k in range(groups)]
     return bytes(head + body).decode("ascii")
 
 

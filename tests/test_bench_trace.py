@@ -57,3 +57,17 @@ def test_spans_wrap_a_replayed_command_and_are_removed(tracing, tmp_path):
     assert cli.diameter is original and graphs.diameter is original
     assert tracer.stats["graphs.diameter"].calls >= 1
     assert tracer.stats["linalg.rank_exact"].calls >= 1
+
+
+def test_recognizing_a_family_member_reads_one_path(tracing, tmp_path):
+    # ``families.recognize.paths_tried`` counts the ``classify_outside``
+    # calls made inside ``recognize``; one family member reads one path
+    [member] = families.enumerate_family(4, 6)
+    path = tmp_path / "input.g6"
+    path.write_text(graphs.to_graph6(member) + "\n")
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert cli.main(["check", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert tracer.stats["families.recognize"].calls == 1
+    assert tracer.stats["families.recognize"].counts["paths_tried"] == 1
+    assert tracer.stats["graphs.classify_outside"].calls == 1

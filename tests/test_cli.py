@@ -1,4 +1,5 @@
 import argparse
+import errno
 import io
 import json
 import os
@@ -36,6 +37,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subprocess_env() -> dict:
+    """The environment for a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 class TestInvariants:
@@ -464,9 +472,6 @@ class TestVerify:
     def test_single_job_run_never_imports_multiprocessing(self):
         # a --jobs 1 run opens no pool, so it should not pay the import;
         # a fresh interpreter, since this one may have imported it already
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
         script = (
             "import sys\n"
             "from nulldiam import cli\n"
@@ -474,7 +479,11 @@ class TestVerify:
             "print(code, 'multiprocessing' in sys.modules, file=sys.stderr)\n"
         )
         done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", script],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["per_n"]["3"]["connected"] == 2
@@ -486,6 +495,61 @@ class TestVerify:
         assert code == 0
         report = json.loads(out_path.read_text())
         assert report["per_n"]["4"]["connected"] == 6
+
+
+WRITING_COMMANDS = [(command,) for command in RECORD_COMMANDS] + [
+    ("gen", "--d", "8"),
+    ("verify", "--n", "4", "--suites", ""),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestWriteErrors:
+    """Output that cannot be written is an input error, like an ``--out``
+    that cannot be opened: one stderr line and exit 2, in a fresh
+    interpreter, so that its final flush of stdout is part of the run."""
+
+    @staticmethod
+    def nulldiam(argv, stdout):
+        return subprocess.run(
+            [sys.executable, "-m", "nulldiam.cli", *argv],
+            input="A_\n",
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=subprocess_env(),
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=lambda argv: argv[0])
+    def test_out_that_cannot_be_written(self, argv):
+        done = self.nulldiam([*argv, "--out", "/dev/full"], subprocess.PIPE)
+        reason = os.strerror(errno.ENOSPC)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"nulldiam {argv[0]}: cannot write /dev/full: {reason}\n"
+
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=lambda argv: argv[0])
+    def test_stdout_that_cannot_be_written(self, argv):
+        with open("/dev/full", "w") as full:
+            done = self.nulldiam(argv, full)
+        reason = os.strerror(errno.ENOSPC)
+        assert done.returncode == 2
+        assert done.stderr == f"nulldiam {argv[0]}: cannot write standard output: {reason}\n"
+
+    def test_a_broken_pipe_ends_quietly(self):
+        # gen --d 30 writes more than a pipe holds, so it is still writing
+        # when the reader goes away after one line
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nulldiam.cli", "gen", "--d", "30"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=subprocess_env(),
+        )
+        assert proc.stdout.readline().startswith(b"_")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 def test_readme_names_only_accepted_options():

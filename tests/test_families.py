@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 from nulldiam import (
+    DiameterPath,
     DisconnectedGraphError,
     FamilyParamError,
     FamilyParams,
@@ -13,6 +16,7 @@ from nulldiam import (
     diameter,
     enumerate_family,
     generate_family,
+    is_diameter_path,
     is_extremal,
     is_reduced,
     nullity,
@@ -216,6 +220,26 @@ class TestRecognize:
         assert res.verdict is Verdict.MISMATCH
         assert res.witness["reduced"] is False
         assert len(res.witness["failures"]) == 1
+
+    def test_a_toggled_off_path_edge_is_not_claimed(self):
+        # z and the single-anchor vertices keep their path neighbours when an
+        # edge between two of them is flipped, so only the off-path edge rules
+        # (singles pairwise apart, a single next to z iff a = b + 1) see it
+        toggled = 0
+        for d in range(4, 11, 2):
+            path = DiameterPath(tuple(range(d + 1)))
+            for g in enumerate_family(d, d + 5):
+                for x, y in combinations(range(d + 1, g.n), 2):
+                    rows = list(g.rows)
+                    rows[x] ^= 1 << y
+                    rows[y] ^= 1 << x
+                    h = Graph(tuple(rows))
+                    if not is_diameter_path(h, path):
+                        continue
+                    toggled += 1
+                    assert isinstance(families._claims_on_path(h, path, d), str), to_graph6(h)
+                    assert recognize(h).verdict is not Verdict.EVEN_EXTREMAL, to_graph6(h)
+        assert toggled == 42
 
     def test_multiple_diameter_paths_agree(self, monkeypatch, census7):
         # the family shape fits on every diameter path or on none, so one

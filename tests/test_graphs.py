@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import nulldiam.graphs
 from nulldiam import (
+    MAX_VERTICES,
     DiameterPath,
     DisconnectedGraphError,
     Graph,
@@ -45,6 +46,16 @@ def graphs(draw, max_n=9):
         if draw(st.booleans())
     ]
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def graphs_up_to_the_cap(draw):
+    """Any graph on 0..MAX_VERTICES vertices, its upper triangle one drawn
+    integer."""
+    n = draw(st.integers(min_value=0, max_value=MAX_VERTICES))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    bits = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    return Graph.from_edges(n, [pair for k, pair in enumerate(pairs) if bits >> k & 1])
 
 
 def nx_graph(nx, g: Graph):
@@ -172,6 +183,12 @@ class TestGraph6:
             assert nx.to_graph6_bytes(h, header=False) == text.encode() + b"\n"
             back = nx.from_graph6_bytes(text.encode())
             assert parse_graph6(text) == Graph.from_edges(back.number_of_nodes(), list(back.edges()))
+
+    @given(graphs_up_to_the_cap())
+    @settings(deadline=None)
+    def test_encoding_matches_networkx_up_to_the_cap(self, g):
+        nx = pytest.importorskip("networkx")
+        assert nx.to_graph6_bytes(nx_graph(nx, g), header=False) == to_graph6(g).encode() + b"\n"
 
 
 class TestMetrics:
