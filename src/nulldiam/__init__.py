@@ -11,13 +11,10 @@ verify the characterization exhaustively at small orders.
 from .graphs import (
     DEFAULT_PATH_LIMIT,
     MAX_VERTICES,
-    DiameterPath,
     DisconnectedGraphError,
     Graph,
     Graph6Error,
-    OutsideClassification,
     ReductionResult,
-    bfs_distances,
     classify_outside,
     complete_bipartite,
     complete_graph,

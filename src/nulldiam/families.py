@@ -6,7 +6,7 @@ forced anyway, so equality is a rank condition and nothing more.  For even
 diameter the extremal graphs (restricted to twin-reduced graphs) carry a
 rigid shape around any diameter path ``v_1 ~ ... ~ v_(d+1)``:
 
-* every vertex off the path has a neighbour on it (no distance-2 vertices);
+* every vertex off the path has a neighbour on it;
 * off-path vertices have one or three path neighbours, never two;
 * exactly one vertex ``z`` has three, at consecutive positions
   ``v_(2b+1), v_(2b+2), v_(2b+3)`` for some ``b``;
@@ -44,7 +44,6 @@ from typing import Iterator
 
 from .graphs import (
     MAX_VERTICES,
-    DiameterPath,
     DisconnectedGraphError,
     Graph,
     classify_outside,
@@ -104,7 +103,9 @@ class FamilyRejection:
     detail: str
 
 
-def _build_candidate(params: FamilyParams) -> tuple[Graph, DiameterPath]:
+def _build_candidate(params: FamilyParams) -> Graph:
+    """The candidate ``F(d, b, A)``: vertices ``0..d`` are the path in
+    order, ``d + 1`` is ``z``, and the singles follow in order of ``a``."""
     d = params.diameter
     b = params.triple_index
     singles = sorted(params.single_indices)
@@ -117,20 +118,20 @@ def _build_candidate(params: FamilyParams) -> tuple[Graph, DiameterPath]:
         edges.append((x, 2 * a - 1))
         if a == b + 1:
             edges.append((x, z))
-    return Graph.from_edges(n, edges), DiameterPath(tuple(range(d + 1)))
+    return Graph.from_edges(n, edges)
 
 
 def generate_family(params: FamilyParams) -> Graph | FamilyRejection:
     """Build and validate one family candidate.
 
     Returns the graph when it is connected, twin-reduced, has diameter
-    exactly ``params.diameter`` with the built path still a diameter path,
-    and has nullity n - d - 1; otherwise returns a :class:`FamilyRejection`
-    naming the first failed check.  Invalid parameters raise
-    :class:`FamilyParamError` instead.
+    exactly ``params.diameter`` with the built path ``0..d`` still a
+    diameter path, and has nullity n - d - 1; otherwise returns a
+    :class:`FamilyRejection` naming the first failed check.  Invalid
+    parameters raise :class:`FamilyParamError` instead.
     """
     params.validate()
-    g, path = _build_candidate(params)
+    g = _build_candidate(params)
     if not g.is_connected():
         return FamilyRejection(params, "connected", "candidate is disconnected")
     if not is_reduced(g):
@@ -139,7 +140,7 @@ def generate_family(params: FamilyParams) -> Graph | FamilyRejection:
     d = facts.diameter
     if d != params.diameter:
         return FamilyRejection(params, "diameter", f"diameter {d} != {params.diameter}")
-    if not is_diameter_path(g, path, d):
+    if not is_diameter_path(g, range(d + 1), d):
         return FamilyRejection(params, "diameter-path", "built path is no longer a diameter path")
     if not facts.extremal:
         eta = g.n - facts.rank(0)
@@ -188,7 +189,7 @@ def enumerate_family(d: int, n_max: int) -> Iterator[Graph]:
         for combo in combinations(range(1, half - 1), size)
     )
     return (
-        _build_candidate(FamilyParams(d, b, frozenset(i + 1 for i in combo)))[0]
+        _build_candidate(FamilyParams(d, b, frozenset(i + 1 for i in combo)))
         for b in range(half if d > 2 else 0)
         for mask, mirror, combo in slots
         if (b, mask) <= (half - 1 - b, mirror)
@@ -221,7 +222,7 @@ class RecognitionResult:
     nullity: int
     params: FamilyParams | None = None
     variant: str | None = None
-    path: DiameterPath | None = None
+    path: tuple[int, ...] | None = None
     witness: dict | None = None
 
     def to_dict(self) -> dict:
@@ -244,26 +245,25 @@ def is_extremal(g: Graph) -> bool:
     return _facts(g).extremal
 
 
-def _claims_on_path(g: Graph, path: DiameterPath, d: int) -> FamilyParams | str:
+def _claims_on_path(g: Graph, path: tuple[int, ...], d: int) -> FamilyParams | str:
     """Read family parameters off one diameter path of ``g``, whose
     diameter ``d`` the caller has already computed, and rebuild them.
 
     Each off-path vertex must have one path neighbour at ``v_(2a)`` (a
     single, index ``a``) or three at ``v_(2b+1)..v_(2b+3)`` (the triple
-    ``z``, index ``b``); exactly one must be ``z``, and no two singles may
-    share ``a``.  The graph then fits iff it *is* the candidate
-    ``F(d, b, A)`` of :func:`_build_candidate`, with the path, ``z`` and
-    the singles in order of ``a`` as its vertices, so the family's edge
-    rules are stated only there.  Returns the parameters on a fit, or a
+    ``z``, index ``b``), so a vertex with no path neighbour fails at once;
+    exactly one must be ``z``, and no two singles may share ``a``.  The
+    graph then fits iff it *is* the candidate ``F(d, b, A)`` of
+    :func:`_build_candidate`, with the path, ``z`` and the singles in
+    order of ``a`` as its vertices, so the family's edge rules are stated
+    only there.  Returns the parameters on a fit, or a
     string naming the first failed condition.
     """
-    cls = classify_outside(g, path, d)
-    if cls.remote:
-        x = min(cls.remote)
-        return f"vertex {x} at distance {cls.remote[x]} from the path"
     triples: list[tuple[int, int]] = []
     singles: dict[int, int] = {}
-    for x, anchors in sorted(cls.anchored.items()):
+    for x, anchors in classify_outside(g, path, d).items():
+        if not anchors:
+            return f"vertex {x} has no neighbour on the path"
         p = anchors[0]
         if anchors == (p,) and p % 2:
             singles[x] = (p + 1) // 2
@@ -278,8 +278,8 @@ def _claims_on_path(g: Graph, path: DiameterPath, d: int) -> FamilyParams | str:
         return "two single-anchor vertices share a position"
     [(z, b)] = triples
     params = FamilyParams(d, b, frozenset(singles.values()))
-    order = [*path.vertices, z, *sorted(singles, key=singles.get)]
-    built = _build_candidate(params)[0].rows
+    order = [*path, z, *sorted(singles, key=singles.get)]
+    built = _build_candidate(params).rows
     for x, row, want in zip(order, g.induced(order).rows, built):
         if row != want:
             diff = [order[j] for j in range(len(order)) if (row ^ want) >> j & 1]
@@ -329,7 +329,7 @@ def recognize(g: Graph) -> RecognitionResult:
     path = facts.path
     outcome = _claims_on_path(g, path, d)
     if isinstance(outcome, str):
-        failures = [{"path": list(path.vertices), "failed": outcome}]
+        failures = [{"path": list(path), "failed": outcome}]
         witness = {"reduced": is_reduced(g), "failures": failures}
         return RecognitionResult(Verdict.MISMATCH, g6, g.n, d, eta, witness=witness)
     variant = "G3" if outcome.triple_index + 1 in outcome.single_indices else "G2"

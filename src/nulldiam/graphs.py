@@ -6,13 +6,17 @@ derived operation is a pure function.  Metric helpers (diameter, shortest
 path enumeration, reduction) reject disconnected input explicitly, while
 purely structural helpers (twins, pendants) accept anything, including the
 empty graph that vertex-deletion identities produce.
+
+A diameter path is a plain tuple of vertices, ``P_(d+1)`` in order, and
+the vertices off it are read by the path positions of their neighbours
+(:func:`classify_outside`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -234,19 +238,19 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"expected {nbytes} edge bytes, got {len(body)}", reason="length")
     if len(body) > nbytes:
         raise Graph6Error(f"{len(body) - nbytes} trailing bytes after edge bits", reason="trailing")
+    # the mirror of to_graph6: graph6's k-th edge bit becomes bit k of
+    # ``bits``, so column j, x_{0,j} .. x_{j-1,j}, is j bits from j(j-1)/2
+    bits = 0
+    for k, byte in enumerate(body):
+        bits |= (_BACKWARDS_6[byte - 63] - 63) << 6 * k
+    if bits >> nbits:
+        raise Graph6Error("nonzero padding bits", reason="padding")
     rows = [0] * n
-    k = 0
-    for col in range(1, n):
-        for row in range(col):
-            byte = body[k // 6] - 63
-            if byte >> (5 - k % 6) & 1:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            k += 1
-    if nbytes and nbits % 6:
-        pad = (body[-1] - 63) & ((1 << (6 - nbits % 6)) - 1)
-        if pad:
-            raise Graph6Error("nonzero padding bits", reason="padding")
+    for j in range(1, n):
+        column = bits >> (j * (j - 1) // 2) & ~(-1 << j)
+        rows[j] = column
+        for i in _bits(column):
+            rows[i] |= 1 << j
     return Graph(tuple(rows))
 
 
@@ -292,11 +296,6 @@ def _distances(rows: Sequence[int], sources: int) -> list[int | float]:
     return dist
 
 
-def bfs_distances(g: Graph, v: int) -> list[int | float]:
-    """Shortest-path edge counts from ``v``; ``math.inf`` where unreachable."""
-    return _distances(g.rows, 1 << v)
-
-
 def diameter(g: Graph) -> int:
     if g.n == 0:
         raise DisconnectedGraphError("diameter of the empty graph is undefined")
@@ -310,42 +309,29 @@ def diameter(g: Graph) -> int:
     return best
 
 
-@dataclass(frozen=True, slots=True)
-class DiameterPath:
-    """An induced shortest path realising the diameter, as an ordered
-    vertex tuple (length = number of edges)."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-
-def is_diameter_path(g: Graph, path: DiameterPath, d: int | None = None) -> bool:
-    """Whether ``path`` is an induced path of ``g`` as long as its diameter.
+def is_diameter_path(g: Graph, path: Sequence[int], d: int | None = None) -> bool:
+    """Whether the vertex sequence ``path`` is a shortest path of ``g`` as
+    long as its diameter: each vertex adjacent to the next, and the ends at
+    distance ``len(path) - 1``, which is the diameter.  A walk of that many
+    edges between vertices that far apart is a shortest path, so its
+    vertices are distinct and it has no chord.
 
     ``d`` is the diameter of ``g`` when the caller already holds it;
     otherwise it is computed.
     """
-    vs = path.vertices
-    if len(set(vs)) != len(vs) or not vs:
+    if not path or any(not 0 <= v < g.n for v in path):
         return False
-    if any(not 0 <= v < g.n for v in vs):
+    if any(not g.rows[u] >> v & 1 for u, v in zip(path, path[1:])):
         return False
-    # induced: on the path, each vertex sees exactly its predecessor and
-    # its successor (bits[i] and bits[i + 2], padded with 0 at the ends)
-    bits = [0, *(1 << v for v in vs), 0]
-    on_path = sum(bits)
-    if any(g.rows[v] & on_path != bits[i] | bits[i + 2] for i, v in enumerate(vs)):
-        return False
-    return (diameter(g) if d is None else d) == path.length
+    ends = _distances(g.rows, 1 << path[0])[path[-1]]
+    return ends == len(path) - 1 == (diameter(g) if d is None else d)
 
 
 def diameter_paths(
     g: Graph, limit: int = DEFAULT_PATH_LIMIT, d: int | None = None
-) -> list[DiameterPath]:
-    """All shortest paths of diameter length, one orientation each.
+) -> list[tuple[int, ...]]:
+    """All shortest paths of diameter length as vertex tuples, one
+    orientation each.
 
     Paths are enumerated between eccentric pairs ``u < v`` (oriented from
     ``u``) by walking the BFS DAG toward ``v``; order is deterministic.
@@ -360,20 +346,20 @@ def diameter_paths(
     if d is None:
         d = diameter(g)
     if d == 0:
-        return [DiameterPath((0,))]
+        return [(0,)]
     dist: list[list[int | float] | None] = [None] * g.n
-    out: list[DiameterPath] = []
+    out: list[tuple[int, ...]] = []
 
     def distances(v: int) -> list[int | float]:
         if dist[v] is None:
-            dist[v] = bfs_distances(g, v)
+            dist[v] = _distances(g.rows, 1 << v)
         return dist[v]
 
     def extend(prefix: list[int], to_target: list[int | float]) -> bool:
         cur = prefix[-1]
         want = to_target[cur] - 1
         if want < 0:  # cur is the target
-            out.append(DiameterPath(tuple(prefix)))
+            out.append(tuple(prefix))
             return len(out) < limit
         for w in _bits(g.rows[cur]):
             if to_target[w] == want:
@@ -464,51 +450,22 @@ def pendant_pairs(g: Graph) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OutsideClassification:
-    """Vertices outside a diameter path, split by how they meet it.
-
-    ``anchored`` maps each vertex at distance 1 from the path to its sorted
-    path positions (0-based indices into ``path.vertices``); ``remote``
-    maps each vertex at distance >= 2 to that distance.  For a valid
-    diameter path an anchored vertex has 1..3 anchors spanning at most
-    three consecutive positions, otherwise the path would admit a shortcut.
-    """
-
-    path: DiameterPath
-    anchored: Mapping[int, tuple[int, ...]]
-    remote: Mapping[int, int]
-
-    def by_anchor_count(self) -> dict[int, list[int]]:
-        """Group anchored vertices by their number of path neighbours."""
-        out: dict[int, list[int]] = {}
-        for v in sorted(self.anchored):
-            out.setdefault(len(self.anchored[v]), []).append(v)
-        return out
-
-
 def classify_outside(
-    g: Graph, path: DiameterPath, d: int | None = None
-) -> OutsideClassification:
-    """Classify the vertices off ``path``, which must be a diameter path of
-    ``g`` (``ValueError`` otherwise); ``d`` is passed on to
-    :func:`is_diameter_path`."""
+    g: Graph, path: Sequence[int], d: int | None = None
+) -> dict[int, tuple[int, ...]]:
+    """Each vertex off ``path`` mapped to the sorted path positions (0-based
+    indices into ``path``) of its neighbours, ``()`` when it has none.
+
+    ``path`` must be a diameter path of ``g`` (``ValueError`` otherwise);
+    ``d`` is passed on to :func:`is_diameter_path`.  The positions of one
+    vertex then span at most three consecutive, otherwise the path would
+    admit a shortcut.
+    """
     if not is_diameter_path(g, path, d):
         raise ValueError("not a diameter path of this graph")
-    position = {v: i for i, v in enumerate(path.vertices)}
-    path_mask = 0
-    for v in path.vertices:
-        path_mask |= 1 << v
-    dist_to_path = _distances(g.rows, path_mask)
-
-    anchored: dict[int, tuple[int, ...]] = {}
-    remote: dict[int, int] = {}
-    for x in range(g.n):
-        if path_mask >> x & 1:
-            continue
-        anchors = tuple(sorted(position[u] for u in _bits(g.rows[x]) if u in position))
-        if anchors:
-            anchored[x] = anchors
-        else:
-            remote[x] = int(dist_to_path[x])
-    return OutsideClassification(path, anchored, remote)
+    position = {v: i for i, v in enumerate(path)}
+    return {
+        x: tuple(sorted(position[u] for u in _bits(g.rows[x]) if u in position))
+        for x in range(g.n)
+        if x not in position
+    }

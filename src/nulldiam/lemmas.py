@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .graphs import (
-    DiameterPath,
     Graph,
     _reach,
     _rows_without,
@@ -176,7 +175,7 @@ class _GraphFacts:
         return diameter(self.graph)
 
     @_once
-    def path(self) -> DiameterPath:
+    def path(self) -> tuple[int, ...]:
         return diameter_paths(self.graph, 1, self.diameter)[0]
 
     @_once
@@ -324,12 +323,12 @@ def _extremal_gate(g: Graph, report: ViolationReport) -> _GraphFacts | None:
     return facts
 
 
-def _outside_subsets(n: int, path: DiameterPath, report: ViolationReport):
+def _outside_subsets(n: int, path: tuple[int, ...], report: ViolationReport):
     """Yield (subset, the outside vertices not in it) for every subset of
     the vertices outside the path, in ascending order, or mark the report
     truncated.  The subgraph H induced on the path and the subset is G
     without the second list."""
-    on_path = set(path.vertices)
+    on_path = set(path)
     outside = [v for v in range(n) if v not in on_path]
     if len(outside) > MAX_OUTSIDE_SWEEP:
         report.truncated = True
@@ -353,7 +352,7 @@ def check_rank_bound_diam(g: Graph) -> ViolationReport:
         report.checked += 1
         if rank_h < rank_g - 1:
             report.violate(
-                {"path": list(path.vertices), "extra_vertices": chosen},
+                {"path": list(path), "extra_vertices": chosen},
                 "rank(A(H)) >= rank(A(G)) - 1",
                 f"rank(H)={rank_h}, rank(G)={rank_g}",
             )

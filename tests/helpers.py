@@ -10,7 +10,8 @@ replacement: ``reduce_by_rescan`` (twin deletion one vertex at a time),
 ``recognize_on_every_path`` (the family shape tried on every diameter
 path), ``augment_by_deletion_check`` (census children accepted by the
 class of ``child - v*``) and ``is_diameter_path_by_pairs`` (the induced
-path test on every vertex pair).
+path test on every vertex pair, with the ends' distance from a BFS of its
+own).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from nulldiam import (
-    DiameterPath,
     FamilyParams,
     Graph,
     Verdict,
@@ -236,10 +236,11 @@ def reduce_by_rescan(g: Graph) -> tuple[Graph, int]:
         removed += 1
 
 
-def is_diameter_path_by_pairs(g: Graph, path: DiameterPath, d: int | None = None) -> bool:
+def is_diameter_path_by_pairs(g: Graph, vs: tuple[int, ...], d: int | None = None) -> bool:
     """``is_diameter_path`` with one ``has_edge`` per vertex pair: the pair
-    ``(i, j)`` of the path is adjacent exactly when ``j == i + 1``."""
-    vs = path.vertices
+    ``(i, j)`` of the path is adjacent exactly when ``j == i + 1``, and a
+    breadth-first search over ``neighbor_list`` puts the ends
+    ``len(vs) - 1`` apart."""
     if len(set(vs)) != len(vs) or not vs:
         return False
     if any(not 0 <= v < g.n for v in vs):
@@ -248,7 +249,16 @@ def is_diameter_path_by_pairs(g: Graph, path: DiameterPath, d: int | None = None
         for j in range(i + 1, len(vs)):
             if g.has_edge(vs[i], vs[j]) != (j == i + 1):
                 return False
-    return (diameter(g) if d is None else d) == path.length
+    dist = {vs[0]: 0}
+    queue = [vs[0]]
+    for u in queue:
+        for w in g.neighbor_list(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    if dist.get(vs[-1]) != len(vs) - 1:
+        return False
+    return (diameter(g) if d is None else d) == len(vs) - 1
 
 
 def family_by_mask_walk(d: int, n_max: int) -> list[Graph]:

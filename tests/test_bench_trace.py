@@ -71,3 +71,14 @@ def test_recognizing_a_family_member_reads_one_path(tracing, tmp_path):
     assert tracer.stats["families.recognize"].calls == 1
     assert tracer.stats["families.recognize"].counts["paths_tried"] == 1
     assert tracer.stats["graphs.classify_outside"].calls == 1
+
+
+def test_each_traced_diameter_path_call_counts_one_path(tracing, tmp_path):
+    # ``graphs.diameter_paths.paths`` sums ``len`` of each result, and the
+    # per-graph table asks for one path a call
+    tracer = tracing.Tracer()
+    argv = ["verify", "--n", "6", "--suites", "rank-bound", "--out", str(tmp_path / "out")]
+    with tracing.installed(tracer):
+        assert cli.main(argv) == 0
+    stat = tracer.stats["graphs.diameter_paths"]
+    assert stat.counts["paths"] == stat.calls >= 1

@@ -3,7 +3,6 @@ from itertools import combinations
 import pytest
 
 from nulldiam import (
-    DiameterPath,
     DisconnectedGraphError,
     FamilyParamError,
     FamilyParams,
@@ -227,7 +226,7 @@ class TestRecognize:
         # (singles pairwise apart, a single next to z iff a = b + 1) see it
         toggled = 0
         for d in range(4, 11, 2):
-            path = DiameterPath(tuple(range(d + 1)))
+            path = tuple(range(d + 1))
             for g in enumerate_family(d, d + 5):
                 for x, y in combinations(range(d + 1, g.n), 2):
                     rows = list(g.rows)
@@ -241,6 +240,25 @@ class TestRecognize:
                     assert recognize(h).verdict is not Verdict.EVEN_EXTREMAL, to_graph6(h)
         assert toggled == 42
 
+    def test_a_vertex_off_the_path_with_no_path_neighbour_is_not_claimed(self):
+        # a pendant at z when b = 0 is two steps from v_1 and d - 1 from
+        # v_(d+1), so the built path stays a diameter path; the pendant is
+        # in no row the rebuilt candidate has, so only the shape check sees it
+        cases = 0
+        for d in range(4, 11, 2):
+            path = tuple(range(d + 1))
+            z = d + 1
+            for g in enumerate_family(d, d + 4):
+                if not g.has_edge(z, 0):
+                    continue
+                h = g.with_vertex(1 << z)
+                assert is_diameter_path(h, path, d)
+                cases += 1
+                want = f"vertex {g.n} has no neighbour on the path"
+                assert families._claims_on_path(h, path, d) == want
+                assert recognize(h).verdict is not Verdict.EVEN_EXTREMAL, to_graph6(h)
+        assert cases == 14
+
     def test_multiple_diameter_paths_agree(self, monkeypatch, census7):
         # the family shape fits on every diameter path or on none, so one
         # path gives the verdict and parameters of the walk over all paths
@@ -250,7 +268,7 @@ class TestRecognize:
             for b in range(d // 2):
                 for mask in range(1 << d // 2):
                     singles = frozenset(a + 1 for a in range(d // 2) if mask >> a & 1)
-                    graphs.append(_build_candidate(FamilyParams(d, b, singles))[0])
+                    graphs.append(_build_candidate(FamilyParams(d, b, singles)))
         for d in (2, 4, 6):
             for g in enumerate_family(d, d + 5):
                 once = [g.with_vertex(row) for row in g.rows]

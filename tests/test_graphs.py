@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,9 @@ from hypothesis import strategies as st
 import nulldiam.graphs
 from nulldiam import (
     MAX_VERTICES,
-    DiameterPath,
     DisconnectedGraphError,
     Graph,
     Graph6Error,
-    bfs_distances,
     classify_outside,
     complete_bipartite,
     complete_graph,
@@ -190,17 +189,26 @@ class TestGraph6:
         nx = pytest.importorskip("networkx")
         assert nx.to_graph6_bytes(nx_graph(nx, g), header=False) == to_graph6(g).encode() + b"\n"
 
+    @given(graphs_up_to_the_cap())
+    @settings(deadline=None)
+    def test_decoding_matches_networkx_up_to_the_cap(self, g):
+        nx = pytest.importorskip("networkx")
+        text = to_graph6(g)
+        back = nx.from_graph6_bytes(text.encode())
+        assert Graph.from_edges(back.number_of_nodes(), list(back.edges())) == g
+        assert parse_graph6(text) == g
+
 
 class TestMetrics:
     def test_bfs_along_path(self):
-        assert bfs_distances(path_graph(5), 0) == [0, 1, 2, 3, 4]
+        assert _distances(path_graph(5).rows, 1 << 0) == [0, 1, 2, 3, 4]
 
     def test_bfs_complete(self):
-        assert bfs_distances(complete_graph(4), 2) == [1, 1, 0, 1]
+        assert _distances(complete_graph(4).rows, 1 << 2) == [1, 1, 0, 1]
 
     def test_bfs_reports_unreachable(self):
         g = Graph.from_edges(3, [(0, 1)])
-        assert bfs_distances(g, 0) == [0, 1, math.inf]
+        assert _distances(g.rows, 1 << 0) == [0, 1, math.inf]
 
     @pytest.mark.parametrize(
         "g,expected",
@@ -216,8 +224,8 @@ class TestMetrics:
     @settings(max_examples=60)
     @given(graphs(max_n=24))
     def test_diameter_is_largest_bfs_distance(self, g):
-        # independent of diameter's own layer walk: bfs_distances per vertex
-        ecc = max(max(bfs_distances(g, v)) for v in range(g.n))
+        # independent of diameter's own layer walk: _distances per vertex
+        ecc = max(max(_distances(g.rows, 1 << v)) for v in range(g.n))
         if ecc == math.inf:
             with pytest.raises(DisconnectedGraphError):
                 diameter(g)
@@ -242,8 +250,38 @@ class TestMetrics:
     def test_diameter_path_check_cases(self, g, vs, expected):
         # an induced path, a chord, a non-edge, a repeat, a vertex out of
         # range, a length below the diameter, and no vertex at all
-        path = DiameterPath(vs)
-        assert is_diameter_path(g, path) == is_diameter_path_by_pairs(g, path) == expected
+        assert is_diameter_path(g, vs) == is_diameter_path_by_pairs(g, vs) == expected
+
+    def test_a_path_whose_ends_are_closer_is_no_diameter_path(self):
+        # an induced path of length d = 3 whose ends 1 and 5 also meet
+        # through 4: it is no shortest path, and vertex 4 would see the
+        # positions 0 and 3, which span four
+        g = Graph((32, 20, 10, 36, 34, 25))
+        path = (1, 2, 3, 5)
+        assert diameter(g) == 3
+        assert not is_diameter_path(g, path)
+        assert not is_diameter_path(g, path, 3)
+        assert not is_diameter_path_by_pairs(g, path)
+        with pytest.raises(ValueError, match="diameter path"):
+            classify_outside(g, path)
+
+    def test_diameter_path_check_matches_networkx_exhaustively(self, census7):
+        # every sequence of d + 1 distinct vertices of every connected
+        # graph with n <= 6
+        nx = pytest.importorskip("networkx")
+        checked = 0
+        for n in range(1, 7):
+            for g in census7[n]:
+                h = nx_graph(nx, g)
+                d = nx.diameter(h)
+                for vs in permutations(range(n), d + 1):
+                    walk = all(h.has_edge(u, v) for u, v in zip(vs, vs[1:]))
+                    ends = nx.shortest_path_length(h, vs[0], vs[-1])
+                    want = walk and ends == len(vs) - 1 == d
+                    assert is_diameter_path(g, vs) == want, (g.rows, vs)
+                    assert is_diameter_path_by_pairs(g, vs) == want, (g.rows, vs)
+                    checked += want
+        assert checked > 0
 
     @settings(max_examples=200)
     @given(graphs(max_n=10), st.data())
@@ -260,15 +298,15 @@ class TestMetrics:
         else:
             # non-edges, repeated and out-of-range vertices
             vs = data.draw(st.lists(st.integers(-1, g.n), max_size=6))
-        path = DiameterPath(tuple(vs))
+        path = tuple(vs)
         d = len(vs) - 1 + data.draw(st.integers(-1, 1))
         assert is_diameter_path(g, path, d) == is_diameter_path_by_pairs(g, path, d)
 
     def test_diameter_paths_on_a_path(self):
-        assert diameter_paths(path_graph(5)) == [DiameterPath((0, 1, 2, 3, 4))]
+        assert diameter_paths(path_graph(5)) == [(0, 1, 2, 3, 4)]
 
     def test_diameter_paths_k2(self):
-        assert diameter_paths(complete_graph(2)) == [DiameterPath((0, 1))]
+        assert diameter_paths(complete_graph(2)) == [(0, 1)]
 
     def test_diameter_paths_cycle6(self):
         # brute force: every antipodal pair has the two arcs of length 3
@@ -281,7 +319,7 @@ class TestMetrics:
                     ccw = tuple((u - k) % 6 for k in range(4))
                     expected.add(cw)
                     expected.add(ccw)
-        assert {p.vertices for p in paths} == expected
+        assert set(paths) == expected
         assert len(paths) == 6
 
     def test_diameter_paths_respects_limit(self):
@@ -309,13 +347,13 @@ class TestMetrics:
         # runs, and no diameter when the caller passes it
         searched = []
 
-        def counted(g, v):
-            searched.append(v)
-            return bfs_distances(g, v)
+        def counted(rows, sources):
+            searched.append(sources.bit_length() - 1)
+            return _distances(rows, sources)
 
-        monkeypatch.setattr(nulldiam.graphs, "bfs_distances", counted)
+        monkeypatch.setattr(nulldiam.graphs, "_distances", counted)
         monkeypatch.setattr(nulldiam.graphs, "diameter", None)
-        assert diameter_paths(path_graph(9), 1, 8) == [DiameterPath(tuple(range(9)))]
+        assert diameter_paths(path_graph(9), 1, 8) == [tuple(range(9))]
         assert searched == [0, 8]
 
 
@@ -452,25 +490,20 @@ class TestTwinsAndReduction:
 class TestOutsideClassification:
     def test_triple_anchor(self):
         g = path_graph(5).with_vertex(0b00111)
-        cls = classify_outside(g, DiameterPath((0, 1, 2, 3, 4)))
-        assert cls.anchored == {5: (0, 1, 2)}
-        assert cls.remote == {}
-        assert cls.by_anchor_count() == {3: [5]}
+        assert classify_outside(g, (0, 1, 2, 3, 4)) == {5: (0, 1, 2)}
+        assert classify_outside(g, (4, 3, 2, 1, 0)) == {5: (2, 3, 4)}
 
     def test_single_anchor_pendant(self):
         g = path_graph(5).with_vertex(0b00010)
-        cls = classify_outside(g, DiameterPath((0, 1, 2, 3, 4)))
-        assert cls.anchored == {5: (1,)}
+        assert classify_outside(g, (0, 1, 2, 3, 4)) == {5: (1,)}
 
-    def test_distance_two_vertex_is_remote(self):
+    def test_vertex_with_no_path_neighbour_has_no_positions(self):
         g = path_graph(5).with_vertex(0b00100).with_vertex(0b100000)
-        cls = classify_outside(g, DiameterPath((0, 1, 2, 3, 4)))
-        assert cls.anchored == {5: (2,)}
-        assert cls.remote == {6: 2}
+        assert classify_outside(g, (0, 1, 2, 3, 4)) == {5: (2,), 6: ()}
 
     def test_rejects_non_diameter_path(self):
         with pytest.raises(ValueError, match="diameter path"):
-            classify_outside(path_graph(5), DiameterPath((0, 1, 2)))
+            classify_outside(path_graph(5), (0, 1, 2))
 
     def test_known_diameter_gives_the_same_classification(self, census7):
         for n in range(2, 8):
@@ -479,19 +512,18 @@ class TestOutsideClassification:
                 for p in diameter_paths(g, limit=8):
                     assert classify_outside(g, p, d) == classify_outside(g, p)
         with pytest.raises(ValueError, match="diameter path"):
-            classify_outside(path_graph(5), DiameterPath((0, 1, 2)), 4)
+            classify_outside(path_graph(5), (0, 1, 2), 4)
         with pytest.raises(ValueError, match="diameter path"):
-            classify_outside(path_graph(5), DiameterPath((0, 2, 1)), 2)
+            classify_outside(path_graph(5), (0, 2, 1), 2)
 
     def test_anchor_window_is_at_most_three_consecutive(self, census7):
         # a wider anchor spread would shortcut the path
         for n in range(2, 8):
             for g in census7[n]:
                 for p in diameter_paths(g, limit=32):
-                    cls = classify_outside(g, p)
-                    for anchors in cls.anchored.values():
-                        assert 1 <= len(anchors) <= 3
-                        assert anchors[-1] - anchors[0] <= 2
+                    for anchors in classify_outside(g, p).values():
+                        assert len(anchors) <= 3
+                        assert not anchors or anchors[-1] - anchors[0] <= 2
 
 
 class TestConstructors:

@@ -317,7 +317,7 @@ def oracle_gate(g: Graph, ranks: list) -> tuple[str | None, int]:
 def oracle_subgraphs(g: Graph, ranks: list):
     """(path, chosen, rank of the subgraph induced on path + chosen) for
     every subset ``chosen`` of the vertices off one diameter path."""
-    path = list(diameter_paths(g, limit=1)[0].vertices)
+    path = list(diameter_paths(g, limit=1)[0])
     outside = [v for v in range(g.n) if v not in path]
     assert len(outside) <= MAX_OUTSIDE_SWEEP
     for mask in range(1 << len(outside)):
