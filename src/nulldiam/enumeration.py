@@ -20,12 +20,25 @@ vertex lies in the automorphism orbit of its canonical deletion vertex
 orbit of its canonical parent, so parents expand independently with no
 duplicate set.  A child's canonical search is the only one: it gives the
 labelling, the orbit test, and the generators the child carries to
-extend it.  A cheap degree key rejects most children before any search.
-In the sweep, on the last level, which nothing extends, a child whose new
-vertex is its only non-cut vertex with the top key is kept as built with
-no search at all, and the sweep canonicalizes a graph before it reports
-anything that depends on the labelling.  ``connected_graphs`` promises
-canonical labelling, so it searches every child.
+extend it.  A cheap degree key rejects most children before any search,
+and the orbit test of most others needs none either, by three rules on
+the non-cut vertices that tie with the top key:
+
+1. the new vertex ``k`` is the only tie, so it is the deletion vertex;
+2. every tie is a swap-twin of ``k``, so swapping it with ``k`` is an
+   automorphism and the deletion vertex, whichever tie it is, shares the
+   orbit of ``k``;
+3. the deletion vertex lies in the highest refinement cell that holds a
+   tie, because orbits lie inside cells and the canonical labelling
+   places each cell before the next: ``k`` outside that cell is not in
+   its orbit, and ``k`` with only swap-twins there (or none) is.
+
+Only a child these rules leave open is searched for its orbit test.  In
+the sweep, on the last level, which nothing extends, a child the rules
+keep is kept as built with no search at all, and the sweep canonicalizes
+a graph before it reports anything that depends on the labelling.
+``connected_graphs`` promises canonical labelling, so it searches every
+child it keeps.
 """
 
 from __future__ import annotations
@@ -114,23 +127,30 @@ def _swap_class_ids(rows: Sequence[int]) -> list[int]:
     return ids
 
 
-def _min_columns(rows: Sequence[int]) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+def _min_columns(
+    rows: Sequence[int], cells: list[list[int]] | None = None, swap: list[int] | None = None
+) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
     """Smallest upper-triangle column encoding over refinement-respecting
     labelings, the labelling that gives it, and automorphisms met on the way.
 
     Entry j-1 of the encoding holds the adjacency bits of position j to
     positions 0..j-1, earliest position in the highest bit (graph6 order).
-    The labelling lists the vertex at each position.  The automorphisms,
-    as image lists, generate a subgroup of the automorphism group: the
-    swap transpositions the search prunes, and for every leaf that ties
-    the best encoding, the map from the best labelling to that leaf's.
+    The labelling lists the vertex at each position, cell by cell in the
+    order of ``_refinement_cells``.  The automorphisms, as image lists,
+    generate a subgroup of the automorphism group: the swap transpositions
+    the search prunes, and for every leaf that ties the best encoding, the
+    map from the best labelling to that leaf's.
+    ``cells`` and ``swap`` are the graph's ``_refinement_cells`` and
+    ``_swap_class_ids`` when the caller already holds them.
     """
     n = len(rows)
-    cells = _refinement_cells(rows)
+    if cells is None:
+        cells = _refinement_cells(rows)
     pos_cells: list[list[int]] = []
     for cell in cells:
         pos_cells.extend([cell] * len(cell))
-    swap = _swap_class_ids(rows)
+    if swap is None:
+        swap = _swap_class_ids(rows)
     autos = []
     for u, cls in enumerate(swap):
         if cls != u:
@@ -288,12 +308,44 @@ def _is_cut_vertex(rows: Sequence[int], v: int) -> bool:
     return _reach(rows, rest & -rest, rest)[0] != rest
 
 
+def _star_candidates(
+    child: Sequence[int], ties: list[int]
+) -> tuple[list[int], list[list[int]] | None, list[int] | None]:
+    """The ties that the canonical deletion vertex ``v*`` of ``child`` may
+    be, up to the orbit of the new vertex ``k`` (the last), with the
+    child's refinement cells and swap labels where they were computed.
+
+    ``ties`` are the child's non-cut vertices with the top key, ``k``
+    among them.  ``v*`` is among the ties in the highest refinement cell
+    that holds one, since ``_min_columns`` places each cell before the
+    next and ``v*`` is the tie placed last.  When every tie there is a
+    swap-twin of ``k`` (``k`` alone, for one), each transposition ``(k v)``
+    is an automorphism, so ``v*`` is in the orbit of ``k`` and the answer
+    is ``[k]``.  The cells are computed only when some tie is not a
+    swap-twin of ``k``.
+    """
+    k = len(child) - 1
+    if len(ties) == 1:
+        return ties, None, None
+    swap = _swap_class_ids(child)
+    twins = swap[k]
+    if all(swap[v] == twins for v in ties):
+        return [k], None, swap
+    cells = _refinement_cells(child)
+    for cell in reversed(cells):
+        top = [v for v in cell if v in ties]
+        if top:
+            break
+    return [k] if all(swap[v] == twins for v in top) else top, cells, swap
+
+
 def _augment_parent(
     parent: tuple[tuple[int, ...], tuple[bytes, ...]], last: bool = False, canonical: bool = True
 ) -> tuple[list, tuple[int, ...]]:
     """The children of a canonically labelled connected graph that have it
     as their canonical parent, with the counts ``(masks, rejected by key,
-    canonical searches, accepted without search, orbit tests, accepted)``.
+    rejected by cells, canonical searches, accepted without search, orbit
+    tests, accepted)``; the first is the sum of the next four.
 
     ``parent`` is the graph's rows and generators of its automorphism
     group.  The new vertex ``k`` is joined to the least subset of each
@@ -304,6 +356,27 @@ def _augment_parent(
     in the orbit of ``v*``; a child in which a non-cut vertex outranks
     ``k`` fails with no search.  A kept child's canonical parent, the class
     of ``child - v*``, is then the parent's class.
+
+    Among the ties (the non-cut vertices with the top key, ``k`` among
+    them), three tests settle most children before any search, cheapest
+    first (``_star_candidates``):
+
+    1. ``k`` is the only tie: ``k`` is ``v*``, so the child is kept.
+    2. Every tie is a swap-twin of ``k`` (``_swap_class_ids``): each
+       transposition ``(k v)`` is an automorphism, so whichever tie is
+       ``v*``, ``k`` is in its orbit, and the child is kept.
+    3. The refinement cells (``_refinement_cells``) are an isomorphism
+       invariant in an invariant order, so an automorphism maps each cell
+       onto itself and every orbit lies inside one cell.  The canonical
+       labelling places each cell before the next, so ``v*`` lies in the
+       highest cell that holds a tie.  If ``k`` is not in that cell, it is
+       not in the orbit of ``v*`` and the child is rejected.  If every tie
+       there is a swap-twin of ``k`` (``k`` alone, for one), ``k`` is in
+       the orbit of ``v*`` as in test 2, and the child is kept.
+
+    Otherwise the child's canonical search (reusing the cells and swap
+    labels already computed) gives the labelling, and ``k`` is tested
+    against the orbit of ``v*`` under the automorphisms it returns.
 
     Each class arises from exactly one mask orbit of its canonical parent.
     At least one: deleting ``v*`` from a graph of the class leaves the
@@ -335,10 +408,10 @@ def _augment_parent(
     8-vertex ones.
 
     With ``last``, for the level that nothing extends, the children carry
-    no generators.  Unless ``canonical``, a child in which ``k`` is the
-    only non-cut vertex with the top key is then kept as built, with no
-    search and in no canonical labelling: ``k`` is its ``v*``.  The others
-    are kept in canonical labelling.  The children come out in mask order.
+    no generators.  Unless ``canonical``, a child that the three tests
+    keep is then kept as built, with no search and in no canonical
+    labelling.  Every other kept child is searched once, for its canonical
+    labelling and generators.  The children come out in mask order.
     """
     rows, gens = parent
     k = len(rows)
@@ -354,7 +427,7 @@ def _augment_parent(
     survivors = [m for m in range(1, 1 << k) if not 1 < m.bit_count() < floor + bool(m & floor_mask)]
     masks = _mask_orbit_reps(survivors, gens)
     kept = []
-    rejected = unsearched = tests = 0
+    rejected = by_cells = searches = unsearched = tests = 0
     for mask in masks:
         # one tuple, no intermediate: the last level keeps it, and a freed
         # intermediate per child raised the sweep's peak RSS by 0.1 MB
@@ -378,12 +451,17 @@ def _augment_parent(
                 rejected += 1
                 break
         else:
-            if last and not canonical and len(ties) == 1:
+            stars, cells, swap = _star_candidates(child, ties)
+            if k not in stars:
+                by_cells += 1
+                continue
+            if last and not canonical and stars == [k]:
                 unsearched += 1
                 kept.append(child)
                 continue
-            cols, lab, autos = _min_columns(child)
-            star = max(ties, key=lab.index)
+            cols, lab, autos = _min_columns(child, cells, swap)
+            searches += 1
+            star = max(stars, key=lab.index)
             if star != k:
                 tests += 1
                 orbit = [k]
@@ -393,8 +471,7 @@ def _augment_parent(
                     continue
             canon = _rows_from_columns(cols)
             kept.append(canon if last else (canon, _canonical_gens(lab, autos)))
-    searched = len(masks) - rejected - unsearched
-    return kept, (len(masks), rejected, searched, unsearched, tests, len(kept))
+    return kept, (len(masks), rejected, by_cells, searches, unsearched, tests, len(kept))
 
 
 @contextmanager
@@ -433,13 +510,14 @@ def _children(parents: list, pmap: Callable, last: bool, canonical: bool) -> Ite
     while the children are only streamed.  With ``last`` and not
     ``canonical``, some children are not canonically labelled (see
     ``_augment_parent``)."""
-    totals = [0] * 6
+    totals = [0] * 7
     for kept, counts in pmap(partial(_augment_parent, last=last, canonical=canonical), parents, 256):
         totals = [a + b for a, b in zip(totals, counts)]
         yield from kept
     log.info(
         "census n=%d: %d parents, %d masks after orbit pruning, %d rejected by key, "
-        "%d canonical searches, %d accepted without search, %d orbit tests, %d accepted",
+        "%d rejected by cells, %d canonical searches, %d accepted without search, "
+        "%d orbit tests, %d accepted",
         len(parents[0][0]) + 1, len(parents), *totals,
     )
 
@@ -448,8 +526,8 @@ def _census_levels(n_max: int, pmap: Callable, canonical: bool) -> Iterator[Iter
     """The census levels ``1..n_max`` in order, as adjacency rows.  Every
     level but the last is a list in canonical labelling whose graphs carry
     their automorphisms, since it grows the next.  The last is only
-    streamed; unless ``canonical``, its children with a unique key skip
-    the canonical search, so their labelling is as built."""
+    streamed; unless ``canonical``, its children that the twin and cell
+    rules keep skip the canonical search, so their labelling is as built."""
     level: Iterable = [((0,), ())]
     for k in range(1, n_max + 1):
         if k > 1:
@@ -587,14 +665,16 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
     on the canonical copy of a graph whose reports carry a violation or a
     changed diameter.  Everything else in the record is an isomorphism
     invariant, including every suite's instance count: the two suites that
-    read a diameter path check only extremal graphs.
+    read a diameter path check only extremal graphs.  The copy's table
+    starts with the invariants the graph's already holds
+    (``lemmas._relabelled``).
     """
     g = Graph(rows)
     reduced = is_reduced(g)
     facts = lemmas._facts(g)
     d = facts.diameter if facts.extremal else 0
     if facts.extremal:
-        g = canonical_graph(g)
+        g = lemmas._relabelled(g, canonical_graph(g))
     even = d >= 2 and d % 2 == 0
     rec = {
         "n": g.n,
@@ -613,6 +693,7 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
         if any(lr.violations or lr.notes.get("diameter", {}).get("changed") for lr in reports.values()):
             canon = canonical_graph(g)
             if canon != g:
+                lemmas._relabelled(g, canon)
                 reports = {name: lemmas.run_suite(name, canon) for name in suites}
         rec["lemma_reports"] = reports
     if reduced and even:

@@ -203,8 +203,11 @@ class _GraphFacts:
         connected and d <= 2 ecc(v), as d(x, y) <= d(x, v) + d(v, y), so an
         extremal graph has rank_GF2 <= rank_Q = d + 1 <= 2 ecc(v) + 1, and
         ``rank_gf2(rows) >= 2 ecc(v) + 2`` proves the graph is not extremal.
-        On the census up to n = 8 this rules out 10,755 of 12,113 graphs
-        (6,752 from vertex 0, 11,584 from d itself).  A BFS that misses a
+        On the sweep's census up to n = 8 this rules out 10,724 of 12,113
+        graphs (6,770 from vertex 0, 11,584 from d itself); the count
+        depends on the labelling, which picks the vertex of largest degree
+        that the BFS starts from, and the sweep keeps part of its last
+        level in the labelling it was built in.  A BFS that misses a
         vertex proves nothing, and the diameter then raises
         ``DisconnectedGraphError``.  Otherwise ``rank_gf2(rows) >= d + 2``
         proves the graph is not extremal with the exact diameter.  Both
@@ -229,6 +232,24 @@ def _twin_reduced(g: Graph, d: int) -> Graph:
     red = reduce(g, d)
     _facts(red.graph).diameter = red.reduced_diameter
     return red.graph
+
+
+def _relabelled(g: Graph, h: Graph) -> Graph:
+    """``h``, a relabelling of ``g``, with the isomorphism invariants that
+    g's table holds in its own: the diameter, ``extremal`` and rank A(G).
+    The path, the deletion ranks and ``rank_open`` (whose BFS starts at
+    the first vertex of largest degree) depend on the labelling, so h's
+    table computes them afresh."""
+    known = _facts(g)
+    facts = _facts(h)
+    if facts is not known:
+        for name in ("diameter", "extremal"):
+            if name in vars(known):
+                setattr(facts, name, getattr(known, name))
+        rank = known._ranks.get((0, g.rows))
+        if rank is not None:
+            facts._ranks[0, h.rows] = rank
+    return h
 
 
 def check_interlacing(g: Graph, mu_values: Sequence[int] = DEFAULT_MU_VALUES) -> ViolationReport:

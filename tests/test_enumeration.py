@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import io
 import itertools
@@ -39,10 +40,12 @@ from nulldiam.enumeration import (
     _augment_parent,
     _canonical_gens,
     _canonical_rows,
+    _is_cut_vertex,
     _mask_orbit_reps,
     _min_columns,
     _refinement_cells,
     _rows_from_columns,
+    _star_candidates,
     _swap_class_ids,
 )
 from nulldiam.families import Verdict
@@ -257,15 +260,55 @@ class TestCensus:
                 assert len(set(kept)) == len(kept)
                 assert set(kept) == set(augment_by_deletion_check(parent[0])), parent[0]
 
-    def test_unsearched_last_level_matches_the_full_search(self, census_rows8, carried_parents7):
-        raw = census_rows8[8]
-        canon = [_canonical_rows(rows) for rows in raw]
-        assert len(set(canon)) == len(raw) == 11117
-        assert sum(c != r for c, r in zip(canon, raw)) > 0  # some children skipped the search
-        # the same classes in the same order as with a search for every child
-        assert canon == [
-            child for parent in carried_parents7[7] for child in _augment_parent(parent, last=True)[0]
-        ]
+    def test_twin_and_cell_rules_agree_with_the_search(self, carried_parents7):
+        # every child of every parent up to n = 7 whose new vertex k has the
+        # top key: where the twin or cell rule settles the orbit test, the
+        # full search's orbit test gives the same verdict
+        settled = collections.Counter()
+        for n in range(1, 8):
+            for rows, gens in carried_parents7[n]:
+                for mask in _mask_orbit_reps(range(1, 1 << n), gens):
+                    child = (*(r | (mask >> v & 1) << n for v, r in enumerate(rows)), mask)
+                    deg = [r.bit_count() for r in child]
+                    keys = {
+                        v: (deg[v], sorted(deg[u] for u in range(n + 1) if child[v] >> u & 1))
+                        for v in range(n + 1)
+                        if not _is_cut_vertex(child, v)
+                    }
+                    top = max(keys.values())
+                    if keys[n] != top:
+                        continue
+                    ties = [n] + [v for v in range(n) if keys.get(v) == top]
+                    stars, cells, swap = _star_candidates(child, ties)
+                    if len(ties) == 1 or n in stars and len(stars) > 1:
+                        continue  # the lone tie, or left to the search
+                    assert cells in (None, _refinement_cells(child))
+                    assert swap == _swap_class_ids(child)
+                    _, lab, autos = _min_columns(child)
+                    star = max(ties, key=lab.index)
+                    orbit, frontier = {n}, {n}
+                    while frontier:
+                        frontier = {p[v] for p in autos for v in frontier} - orbit
+                        orbit |= frontier
+                    assert (n in stars) == (star in orbit), (rows, mask)
+                    rule = "twins" if cells is None else "cells keep" if n in stars else "cells reject"
+                    settled[rule] += 1
+        assert set(settled) == {"twins", "cells keep", "cells reject"}
+
+    def test_unsearched_last_level_matches_the_full_search(self, carried_parents7):
+        # each order as the sweep's last level: the same classes in the same
+        # order as with a search for every child
+        for n in range(2, 9):
+            with enumeration.ordered_map(1) as pmap:
+                *_, raw = enumeration._census_levels(n, pmap, canonical=False)
+                raw = list(raw)
+            canon = [_canonical_rows(rows) for rows in raw]
+            assert len(set(canon)) == len(raw) == (*CONNECTED_CLASS_COUNTS, 11117)[n - 1]
+            if n >= 5:
+                assert sum(c != r for c, r in zip(canon, raw)) > 0  # some children skipped the search
+            assert canon == [
+                child for parent in carried_parents7[n - 1] for child in _augment_parent(parent, last=True)[0]
+            ]
 
     def test_matches_networkx_atlas(self, census7):
         # independent oracle: the atlas lists every graph on up to 7 vertices
@@ -292,18 +335,20 @@ class TestCensus:
             verify_theorem(5, 5)
         pattern = re.compile(
             r"census n=\d+: \d+ parents, (\d+) masks after orbit pruning, (\d+) rejected by key, "
-            r"(\d+) canonical searches, (\d+) accepted without search, \d+ orbit tests, "
-            r"21 accepted"
+            r"(\d+) rejected by cells, (\d+) canonical searches, (\d+) accepted without search, "
+            r"\d+ orbit tests, 21 accepted"
         )
         counts = [
             [int(x) for x in pattern.fullmatch(r.getMessage()).groups()]
             for r in caplog.records
             if r.getMessage().startswith("census n=5")
         ]
-        for masks, rejected, searched, unsearched in counts:
-            assert masks == rejected + searched + unsearched
-        # connected_graphs promises canonical labelling, so it searches every child
-        assert [c[3] for c in counts] == [0, 4]
+        # every mask is rejected by key or by cells, searched once, or kept unsearched
+        for masks, by_key, by_cells, searched, unsearched in counts:
+            assert masks == by_key + by_cells + searched + unsearched
+        # connected_graphs promises canonical labelling, so it searches every
+        # kept child; the sweep keeps 17 of the 21 as built
+        assert [c[4] for c in counts] == [0, 17]
 
 
 class TestIngest:

@@ -286,7 +286,8 @@ class TestMetrics:
     @settings(max_examples=200)
     @given(graphs(max_n=10), st.data())
     def test_diameter_path_check_matches_the_pair_oracle(self, g, data):
-        if data.draw(st.booleans()):
+        kind = data.draw(st.sampled_from(["walk", "any", "arc"]))
+        if kind == "walk":
             # a walk that never revisits a vertex: an induced path, or a
             # path with chords
             vs = [data.draw(st.integers(0, g.n - 1))]
@@ -295,11 +296,19 @@ class TestMetrics:
                 if not ahead:
                     break
                 vs.append(data.draw(st.sampled_from(ahead)))
-        else:
+        elif kind == "any":
             # non-edges, repeated and out-of-range vertices
             vs = data.draw(st.lists(st.integers(-1, g.n), max_size=6))
+        else:
+            # an arc of C_m with more than m/2 edges: an induced path whose
+            # ends are closer than its length, which a walk almost never
+            # gives
+            m = data.draw(st.integers(3, 12))
+            g = cycle_graph(m)
+            start = data.draw(st.integers(0, m - 1))
+            vs = [(start + i) % m for i in range(data.draw(st.integers(m // 2 + 2, m)))]
         path = tuple(vs)
-        d = len(vs) - 1 + data.draw(st.integers(-1, 1))
+        d = len(vs) - 1 + (0 if kind == "arc" else data.draw(st.integers(-1, 1)))
         assert is_diameter_path(g, path, d) == is_diameter_path_by_pairs(g, path, d)
 
     def test_diameter_paths_on_a_path(self):
