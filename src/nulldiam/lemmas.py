@@ -144,7 +144,9 @@ class _GraphFacts:
     twins, a twin's or a pendant's deletion that interlacing already
     ranked at mu = 0) is eliminated once.  A key holds one integer per
     kept vertex rather than the matrix, and a submatrix is built only for
-    a rank not yet known.
+    a rank that neither the table nor its bounds know (see :meth:`rank`).
+    ``nullity`` and the ``invariants`` command call ``rank_exact``
+    directly, so they stay an independent channel.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -152,22 +154,55 @@ class _GraphFacts:
         self._shifted: dict[int, IntMatrix] = {}
         self._rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._ranks: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._gf2: dict[tuple[int, ...], int] = {}
 
     def rank(self, mu: int, *drop: int) -> int:
         """rank(A - mu*I) without the rows and columns ``drop``, which is
-        rank(A(G - drop) - mu*I)."""
+        rank(A(G - drop) - mu*I).
+
+        A rank not yet in the table is first bounded from the bit rows of
+        G - drop, with no matrix built, and taken from the bounds when
+        they meet; only the rest is eliminated.
+
+        * Below, by the rank over GF(2).  A - mu*I is A mod 2 with the
+          diagonal bit set when mu is odd.  A k x k minor that is odd is
+          not zero, so k rows independent mod 2 are independent over the
+          rationals: rank_GF2 <= rank_Q.
+        * Above, by the number of distinct rows, since a row equal to
+          another adds no rank.  Rows i and j of A - mu*I can be equal
+          only if they agree in column i, where row i holds -mu and row j
+          holds 0 or 1, so only for mu = 0 or mu = -1.  At mu = 0 the rows
+          are the open neighbourhoods N(v), and at mu = -1 the closed
+          ones N[v] (A + I); for every other mu all n rows are distinct,
+          and the bound is n.
+        """
         rows = self._rows.get(drop)
         if rows is None:
             rows = self._rows[drop] = _rows_without(self.graph.rows, drop)
         key = (mu, rows)
         r = self._ranks.get(key)
         if r is None:
-            m = self._shifted.get(mu)
-            if m is None:
-                m = self._shifted[mu] = shifted_adjacency(self.graph, mu)
-            if drop:
-                m = m.principal([v for v in range(self.graph.n) if v not in drop])
-            r = self._ranks[key] = rank_exact(m)
+            mod2 = tuple(row | 1 << i for i, row in enumerate(rows)) if mu & 1 else rows
+            low = self._rank_mod2(mod2)
+            high = len(set(mod2)) if mu in (0, -1) else len(rows)
+            if low == high:
+                r = low
+            else:
+                m = self._shifted.get(mu)
+                if m is None:
+                    m = self._shifted[mu] = shifted_adjacency(self.graph, mu)
+                if drop:
+                    m = m.principal([v for v in range(self.graph.n) if v not in drop])
+                r = rank_exact(m)
+            self._ranks[key] = r
+        return r
+
+    def _rank_mod2(self, rows: tuple[int, ...]) -> int:
+        """``rank_gf2(rows)``, once per table for each matrix mod 2, which
+        :attr:`rank_open` and the bounds at every mu share."""
+        r = self._gf2.get(rows)
+        if r is None:
+            r = self._gf2[rows] = rank_gf2(rows)
         return r
 
     @_once
@@ -181,11 +216,12 @@ class _GraphFacts:
     @_once
     def rank_open(self) -> bool:
         """Whether the GF(2) certificates leave extremality open, so that
-        :attr:`extremal` needs the exact rank A(G).  The diameter is read
-        only when the eccentricity certificate cannot rule the graph out;
-        the empty graph has no vertex to search from, and it raises there."""
+        :attr:`extremal` needs the exact rank A(G) from :meth:`rank`.  The
+        diameter is read only when the eccentricity certificate cannot rule
+        the graph out; the empty graph has no vertex to search from, and it
+        raises there."""
         rows = self.graph.rows
-        gf2 = rank_gf2(rows)
+        gf2 = self._rank_mod2(rows)
         seen, ecc = _reach(rows, 1 << rows.index(max(rows, key=int.bit_count))) if rows else (0, 0)
         return (seen != (1 << len(rows)) - 1 or gf2 < 2 * ecc + 2) and gf2 <= self.diameter + 1
 
@@ -213,7 +249,7 @@ class _GraphFacts:
         proves the graph is not extremal with the exact diameter.  Both
         bounds are one-sided (K_3 has rank 2 mod 2 and 3 over the
         rationals), so only the graphs they cannot rule out
-        (:attr:`rank_open`) get the exact Bareiss rank.
+        (:attr:`rank_open`) read the exact rank A(G) from :meth:`rank`.
         """
         return self.rank_open and self.rank(0) == self.diameter + 1
 

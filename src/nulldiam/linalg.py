@@ -8,9 +8,12 @@ division-free characteristic polynomial for cross checks, so a bug in one
 cannot silently confirm itself through the other.  The number of distinct
 eigenvalues comes from the characteristic polynomial by a primitive
 pseudo-remainder gcd with its derivative, again over the integers.
-``rank_gf2`` is only a lower bound on the rational rank: the one
-extremality test, ``lemmas._GraphFacts.extremal``, uses it to rule graphs
-out before an exact rank, never in place of one.
+``rank_gf2`` is a lower bound on the rational rank.  The per-graph table
+(``lemmas._GraphFacts``) uses it to rule graphs out of extremality, and
+takes it as the rank of a matrix when it meets the number of distinct
+rows, an upper bound; it eliminates with ``rank_exact`` only where the
+two differ.  ``rank_exact``, ``nullity`` and the ``invariants`` command
+stay Bareiss-only.
 """
 
 from __future__ import annotations
@@ -162,12 +165,14 @@ def rank_gf2(rows: Sequence[int]) -> int:
     """Rank over GF(2) of the 0/1 matrix whose row ``i`` has the bits of
     ``rows[i]`` (a graph's adjacency bitmasks), by XOR elimination.
 
-    This is a lower bound on the rational rank, never a substitute for it.
-    A k x k minor that is odd is not zero, so k rows independent mod 2 are
-    independent over the rationals: rank_GF2 <= rank_Q.  The bound can be
-    strict: K_3 has rank 2 mod 2 and 3 over the rationals.  So
-    rank_GF2 >= d + 2 certifies rank > d + 1, that is eta < n - d - 1,
-    while rank_GF2 <= d + 1 decides nothing and needs ``rank_exact``.
+    This is a lower bound on the rational rank.  A k x k minor that is odd
+    is not zero, so k rows independent mod 2 are independent over the
+    rationals: rank_GF2 <= rank_Q.  The bound can be strict: K_3 has rank
+    2 mod 2 and 3 over the rationals.  So rank_GF2 >= d + 2 certifies
+    rank > d + 1, that is eta < n - d - 1, while rank_GF2 <= d + 1 decides
+    nothing by itself.  Where it equals an upper bound, such as the number
+    of distinct rows, it is the rational rank (``lemmas._GraphFacts.rank``);
+    elsewhere the rank needs ``rank_exact``.
     """
     basis: dict[int, int] = {}  # leading bit -> reduced row
     for r in rows:

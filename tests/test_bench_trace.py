@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from nulldiam import cli, families, graphs
+from nulldiam import cli, families, graphs, lemmas
 from nulldiam.enumeration import SweepReport
+from nulldiam.graphs import _rows_without
+
+from helpers import gf2_rank
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -56,7 +59,33 @@ def test_spans_wrap_a_replayed_command_and_are_removed(tracing, tmp_path):
         assert cli.main(["check", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
     assert cli.diameter is original and graphs.diameter is original
     assert tracer.stats["graphs.diameter"].calls >= 1
+    # C_5 has GF(2) rank 4 and 5 distinct rows, so its rank is eliminated
     assert tracer.stats["linalg.rank_exact"].calls >= 1
+
+
+def test_traced_suites_eliminate_only_what_the_bounds_leave_open(tracing, tmp_path, monkeypatch):
+    # the table takes a rank from its GF(2) and distinct-row bounds where
+    # they meet, so the trace's ``linalg.rank_exact`` spans, which the
+    # benchmark reports as ``linalg.rank_exact.calls``, count at most the
+    # distinct matrices (graph, mu, G - drop) asked for whose bounds the
+    # oracle finds apart, fewer than all the distinct matrices asked for
+    requested = set()
+    lookup = lemmas._GraphFacts.rank
+
+    def recording_lookup(facts, mu, *drop):
+        requested.add((facts.graph.rows, mu, _rows_without(facts.graph.rows, drop)))
+        return lookup(facts, mu, *drop)
+
+    monkeypatch.setattr(lemmas._GraphFacts, "rank", recording_lookup)
+    lemmas._facts.cache_clear()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert cli.main(["verify", "--n", "6", "--out", str(tmp_path / "out")]) == 0
+    open_ = 0
+    for _graph, mu, rows in requested:
+        entries = [[(r >> j & 1) - (mu if i == j else 0) for j in range(len(rows))] for i, r in enumerate(rows)]
+        open_ += gf2_rank(entries) != len(set(map(tuple, entries)))
+    assert 0 < tracer.stats["linalg.rank_exact"].calls <= open_ < len(requested)
 
 
 def test_recognizing_a_family_member_reads_one_path(tracing, tmp_path):
