@@ -5,6 +5,11 @@ stdin) and emit one record per line; JSON is the stable contract, text is
 for reading.  Exit codes: 0 ok, 1 internal error, 2 input or usage error
 (output that cannot be written included), 3 mathematical mismatch (a
 recognizer counterexample).  A broken pipe ends a command quietly with 0.
+
+Each command imports only the modules it runs: this module loads the
+graph, linear-algebra and stream modules, ``check`` and ``gen`` add the
+recognizer (:mod:`nulldiam.families`, which brings :mod:`nulldiam.lemmas`),
+and ``verify`` adds the census (:mod:`nulldiam.enumeration`).
 """
 
 from __future__ import annotations
@@ -17,18 +22,11 @@ import stat
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from functools import partial
+from typing import Callable
 
-from .enumeration import (
-    MAX_CENSUS_ORDER,
-    ParsedRecord,
-    ingest_graph6_stream,
-    ordered_map,
-    verify_theorem,
-)
-from .families import Verdict, enumerate_family, recognize
 from .graphs import MAX_VERTICES, DisconnectedGraphError, diameter, is_reduced, reduce, to_graph6
-from .lemmas import ALL_SUITES
 from .linalg import adjacency_matrix, distinct_eigenvalue_count, rank_exact
+from .stream import ParsedRecord, ingest_graph6_stream, ordered_map
 
 log = logging.getLogger("nulldiam")
 
@@ -135,22 +133,24 @@ def _answer_reduce(args: argparse.Namespace, record: ParsedRecord) -> tuple[str,
     return _dump(rec), EXIT_OK
 
 
-def _answer_check(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
+def _answer_check(recognize: Callable, args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
+    """``check``'s answer; ``cmd_check`` passes in ``recognize``, so that
+    only this command loads the recognizer, in every worker too."""
     g = record.graph
     if g.n == 0 or not g.is_connected():
         return _error(record, "graph is empty" if g.n == 0 else "graph is disconnected")
     rec = recognize(g).to_dict()
-    code = EXIT_MISMATCH if rec["verdict"] == Verdict.MISMATCH.value else EXIT_OK
+    code = EXIT_MISMATCH if rec["verdict"] == "Mismatch" else EXIT_OK
     if args.format == "json":
         return _dump(rec), code
     extra = f" variant={rec['variant']} params={rec['params']}" if rec["variant"] else ""
     return f"{rec['graph6']}\t{rec['verdict']}{extra}", code
 
 
-def _answer(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
+def _answer(answer: Callable, args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
     if record.error is not None:
         return _error(record, record.error)
-    return args.answer(args, record)
+    return answer(args, record)
 
 
 def _out_is_input(args: argparse.Namespace) -> bool:
@@ -164,8 +164,9 @@ def _out_is_input(args: argparse.Namespace) -> bool:
         return False
 
 
-def cmd_records(args: argparse.Namespace) -> int:
-    """Answer every input record with one output line, in input order.
+def cmd_records(args: argparse.Namespace, answer: Callable) -> int:
+    """Answer every input record with one output line from ``answer``, in
+    input order.
 
     Each line is printed as soon as it is known.  With ``--jobs`` 1 each
     record is answered as it is read; above 1 the pool takes 1024 records
@@ -187,13 +188,21 @@ def cmd_records(args: argparse.Namespace) -> int:
         # one character per byte: a byte outside graph6's range is a
         # ``charset`` error for its line, never a decoding failure
         records = ingest_graph6_stream(line.decode("latin-1") for line in fh)
-        for line, line_code in pmap(partial(_answer, args), records, 1024):
+        for line, line_code in pmap(partial(_answer, answer, args), records, 1024):
             emit(line)
             code = max(code, line_code)
     return code
 
 
+def cmd_check(args: argparse.Namespace) -> int:
+    from .families import recognize
+
+    return cmd_records(args, partial(_answer_check, recognize))
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .families import enumerate_family
+
     n_max = args.n_max if args.n_max is not None else args.d + 5
     with _output(args) as emit:
         for g in enumerate_family(args.d, n_max):
@@ -202,6 +211,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .enumeration import verify_theorem
+    from .lemmas import ALL_SUITES
+
     if args.n is not None:
         n_min = n_max = args.n
     else:
@@ -239,6 +251,8 @@ def _integer(text: str, phrase: str) -> int:
 
 
 def _census_order(text: str) -> int:
+    from .enumeration import MAX_CENSUS_ORDER
+
     value = _integer(text, f"a number of vertices in 1..{MAX_CENSUS_ORDER}")
     if not 1 <= value <= MAX_CENSUS_ORDER:
         raise argparse.ArgumentTypeError(
@@ -259,6 +273,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _parse_suites(text: str) -> list[str]:
+    from .lemmas import ALL_SUITES
+
     names = [s.strip() for s in text.split(",") if s.strip()]
     unknown = set(names) - set(ALL_SUITES)
     if unknown:
@@ -307,15 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="n, d, rank, nullity, distinct eigenvalues, reducedness")
     add_io(p)
-    p.set_defaults(func=cmd_records, answer=_answer_invariants)
+    p.set_defaults(func=partial(cmd_records, answer=_answer_invariants))
 
     p = sub.add_parser("reduce", help="twin-reduce each graph (graph6 TAB removed-count)")
     add_io(p, default_format="text")
-    p.set_defaults(func=cmd_records, answer=_answer_reduce)
+    p.set_defaults(func=partial(cmd_records, answer=_answer_reduce))
 
     p = sub.add_parser("check", help="recognize extremal structure per graph")
     add_io(p)
-    p.set_defaults(func=cmd_records, answer=_answer_check)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="generate the even-diameter extremal family")
     p.add_argument("--d", type=_even, required=True, help="even diameter >= 2")

@@ -168,13 +168,15 @@ class _GraphFacts:
           diagonal bit set when mu is odd.  A k x k minor that is odd is
           not zero, so k rows independent mod 2 are independent over the
           rationals: rank_GF2 <= rank_Q.
-        * Above, by the number of distinct rows, since a row equal to
-          another adds no rank.  Rows i and j of A - mu*I can be equal
-          only if they agree in column i, where row i holds -mu and row j
-          holds 0 or 1, so only for mu = 0 or mu = -1.  At mu = 0 the rows
-          are the open neighbourhoods N(v), and at mu = -1 the closed
-          ones N[v] (A + I); for every other mu all n rows are distinct,
-          and the bound is n.
+        * Above, by the number of distinct nonzero rows, since a row
+          equal to another adds no rank, and a zero row adds none either.
+          Rows i and j of A - mu*I can be equal only if they agree in
+          column i, where row i holds -mu and row j holds 0 or 1, so only
+          for mu = 0 or mu = -1.  At mu = 0 the rows are the open
+          neighbourhoods N(v), and a vertex isolated in G - drop gives a
+          zero row; at mu = -1 they are the closed ones N[v] (A + I),
+          never zero.  For every other mu all n rows are distinct and
+          nonzero, and the bound is n.
         """
         rows = self._rows.get(drop)
         if rows is None:
@@ -184,7 +186,7 @@ class _GraphFacts:
         if r is None:
             mod2 = tuple(row | 1 << i for i, row in enumerate(rows)) if mu & 1 else rows
             low = self._rank_mod2(mod2)
-            high = len(set(mod2)) if mu in (0, -1) else len(rows)
+            high = len(set(mod2) - {0}) if mu in (0, -1) else len(rows)
             if low == high:
                 r = low
             else:

@@ -171,7 +171,7 @@ def rank_gf2(rows: Sequence[int]) -> int:
     2 mod 2 and 3 over the rationals.  So rank_GF2 >= d + 2 certifies
     rank > d + 1, that is eta < n - d - 1, while rank_GF2 <= d + 1 decides
     nothing by itself.  Where it equals an upper bound, such as the number
-    of distinct rows, it is the rational rank (``lemmas._GraphFacts.rank``);
+    of distinct nonzero rows, it is the rational rank (``lemmas._GraphFacts.rank``);
     elsewhere the rank needs ``rank_exact``.
     """
     basis: dict[int, int] = {}  # leading bit -> reduced row

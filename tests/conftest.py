@@ -2,8 +2,9 @@ import multiprocessing
 
 import pytest
 
-from nulldiam import Graph, enumeration
-from nulldiam.enumeration import _augment_parent, _canonical_rows, _census_levels, ordered_map
+from nulldiam import Graph, stream
+from nulldiam.enumeration import _augment_parent, _canonical_rows, _census_levels
+from nulldiam.stream import ordered_map
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +45,7 @@ def census7(census8) -> dict[int, list]:
 def two_cpus(monkeypatch) -> list:
     """Report two CPUs, so ``--jobs 2`` opens a real two-process pool on
     any host, and record each pool context opened (one entry a pool)."""
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(stream.os, "cpu_count", lambda: 2)
     opened = []
     get_context = multiprocessing.get_context
 

@@ -83,6 +83,12 @@ def gf2_rank(entries) -> int:
     return rank
 
 
+def distinct_nonzero_rows(entries) -> int:
+    """The number of distinct rows that are not all zero, an upper bound
+    on the rank."""
+    return len({tuple(row) for row in entries if any(row)})
+
+
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

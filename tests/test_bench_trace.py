@@ -13,7 +13,7 @@ from nulldiam import cli, families, graphs, lemmas
 from nulldiam.enumeration import SweepReport
 from nulldiam.graphs import _rows_without
 
-from helpers import gf2_rank
+from helpers import distinct_nonzero_rows, gf2_rank
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -64,11 +64,12 @@ def test_spans_wrap_a_replayed_command_and_are_removed(tracing, tmp_path):
 
 
 def test_traced_suites_eliminate_only_what_the_bounds_leave_open(tracing, tmp_path, monkeypatch):
-    # the table takes a rank from its GF(2) and distinct-row bounds where
-    # they meet, so the trace's ``linalg.rank_exact`` spans, which the
-    # benchmark reports as ``linalg.rank_exact.calls``, count at most the
-    # distinct matrices (graph, mu, G - drop) asked for whose bounds the
-    # oracle finds apart, fewer than all the distinct matrices asked for
+    # the table takes a rank from its GF(2) and distinct-nonzero-row
+    # bounds where they meet, so the trace's ``linalg.rank_exact`` spans,
+    # which the benchmark reports as ``linalg.rank_exact.calls``, count at
+    # most the distinct matrices (graph, mu, G - drop) asked for whose
+    # bounds the oracle finds apart, fewer than all the distinct matrices
+    # asked for
     requested = set()
     lookup = lemmas._GraphFacts.rank
 
@@ -84,7 +85,7 @@ def test_traced_suites_eliminate_only_what_the_bounds_leave_open(tracing, tmp_pa
     open_ = 0
     for _graph, mu, rows in requested:
         entries = [[(r >> j & 1) - (mu if i == j else 0) for j in range(len(rows))] for i, r in enumerate(rows)]
-        open_ += gf2_rank(entries) != len(set(map(tuple, entries)))
+        open_ += gf2_rank(entries) != distinct_nonzero_rows(entries)
     assert 0 < tracer.stats["linalg.rank_exact"].calls <= open_ < len(requested)
 
 

@@ -2,6 +2,7 @@ import argparse
 import errno
 import io
 import json
+import multiprocessing
 import os
 import re
 import string
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nulldiam import MAX_CENSUS_ORDER, MAX_VERTICES, Verdict, cli, schemas, to_graph6
+from nulldiam import MAX_CENSUS_ORDER, MAX_VERTICES, Verdict, cli, enumeration, families, schemas, to_graph6
 from nulldiam.cli import main
 from nulldiam.enumeration import canonical_form
 from nulldiam.graphs import cycle_graph, path_graph
@@ -239,8 +240,8 @@ class TestRecordInput:
     )
     def test_unwritable_out_is_input_error(self, capsys, monkeypatch, tmp_path, g6_file, argv):
         started = []
-        monkeypatch.setattr(cli, "verify_theorem", lambda *a, **k: started.append("verify"))
-        monkeypatch.setattr(cli, "enumerate_family", lambda *a: started.append("gen") or [])
+        monkeypatch.setattr(enumeration, "verify_theorem", lambda *a, **k: started.append("verify"))
+        monkeypatch.setattr(families, "enumerate_family", lambda *a: started.append("gen") or [])
         if argv[0] in RECORD_COMMANDS:
             argv += ("--input", g6_file("A_"))
         for where in (str(tmp_path / "missing" / "out.txt"), str(tmp_path)):
@@ -287,7 +288,7 @@ class TestRecordInput:
     def test_jobs_below_one_or_not_a_number_is_usage_error(self, capsys, monkeypatch, argv):
         started = []
         monkeypatch.setattr(cli, "ordered_map", lambda jobs: started.append(jobs))
-        monkeypatch.setattr(cli, "verify_theorem", lambda *a, **k: started.append("verify"))
+        monkeypatch.setattr(enumeration, "verify_theorem", lambda *a, **k: started.append("verify"))
         for jobs, message in (("0", "at least 1"), ("-3", "at least 1"), ("x", "a number")):
             with pytest.raises(SystemExit) as err:
                 main([*argv, "--jobs", jobs])
@@ -550,6 +551,84 @@ class TestWriteErrors:
         assert proc.wait(timeout=60) == 0
         assert proc.stderr.read() == b""
         proc.stderr.close()
+
+
+class TestImports:
+    """Each command imports only the modules it runs, in a fresh
+    interpreter that runs ``nulldiam.cli`` as ``__main__``, as
+    ``python -m nulldiam.cli`` does."""
+
+    BASE = {"nulldiam", "nulldiam.graphs", "nulldiam.linalg", "nulldiam.stream"}
+    RECOGNIZER = {"nulldiam.families", "nulldiam.lemmas"}
+
+    @staticmethod
+    def loaded(*argv: str) -> set:
+        script = (
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('nulldiam.cli', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print(*(m for m in sys.modules if m.split('.')[0] == 'nulldiam'), file=sys.stderr)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            input="A_\n",
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return set(done.stderr.splitlines()[-1].split())
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (("invariants",), set()),
+            (("reduce",), set()),
+            (("--help",), set()),
+            (("check",), RECOGNIZER),
+            (("gen", "--d", "4"), RECOGNIZER),
+            (("verify", "--n", "1", "--suites", ""), RECOGNIZER | {"nulldiam.enumeration"}),
+        ],
+        ids=["invariants", "reduce", "help", "check", "gen", "verify"],
+    )
+    def test_each_command_loads_only_what_it_runs(self, argv, extra):
+        assert self.loaded(*argv) == self.BASE | extra
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize("command", ["invariants", "check"])
+    def test_pool_workers_resolve_the_deferred_imports(self, census7, tmp_path, command, method):
+        # the recognizer reaches ``check``'s workers with the records, so a
+        # worker that never imported it still answers; a fresh interpreter,
+        # since this one has imported every module already
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        path = tmp_path / "input.g6"
+        path.write_text("".join(to_graph6(g) + "\n" for n in (4, 5) for g in census7[n]) + "B?\nA\x05\n")
+        script = (
+            "import multiprocessing, os, sys\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "os.cpu_count = lambda: 2\n"
+            "from nulldiam import cli\n"
+            "if __name__ == '__main__':\n"
+            "    raise SystemExit(cli.main(sys.argv[1:]))\n"
+        )
+        outputs = []
+        for jobs in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, command, "--input", str(path), "--jobs", jobs],
+                capture_output=True,
+                env=subprocess_env(),
+                timeout=120,
+            )
+            assert done.stderr == b"", done.stderr.decode()
+            outputs.append((done.returncode, done.stdout))
+        assert outputs[0] == outputs[1]
+        # the two bad lines are input errors; ``check`` also meets
+        # unreduced graphs with the family's nullity that it cannot match
+        assert outputs[0][0] == {"invariants": 2, "check": 3}[command]
+        assert len(outputs[0][1].splitlines()) == 6 + 21 + 2
 
 
 def test_readme_names_only_accepted_options():

@@ -35,7 +35,7 @@ from nulldiam import (
     to_graph6,
     verify_theorem,
 )
-from nulldiam import enumeration
+from nulldiam import enumeration, stream
 from nulldiam.enumeration import (
     _augment_parent,
     _canonical_gens,
@@ -200,8 +200,8 @@ class TestCensus:
                 return map(func, items)
 
         monkeypatch.setattr(multiprocessing, "get_context", lambda: SimpleNamespace(Pool=StubPool))
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
-        with enumeration.ordered_map(jobs) as pmap:
+        monkeypatch.setattr(stream.os, "cpu_count", lambda: cpus)
+        with stream.ordered_map(jobs) as pmap:
             assert list(pmap(abs, iter([-2, 1, -3]), 2)) == [2, 1, 3]
         assert sizes == ([] if started is None else [started])
         # a pool takes the iterator one window at a time; one worker needs no pool
@@ -216,9 +216,9 @@ class TestCensus:
         env = dict(os.environ, PYTHONPATH=path)
         script = (
             "import operator, sys\n"
-            "from nulldiam import enumeration\n"
-            "enumeration.os.cpu_count = lambda: 2\n"
-            "with enumeration.ordered_map(2) as pmap:\n"
+            "from nulldiam import stream\n"
+            "stream.os.cpu_count = lambda: 2\n"
+            "with stream.ordered_map(2) as pmap:\n"
             "    inner = pmap(operator.neg, range(100), 7)\n"
             "    print(list(pmap(abs, inner, 5)), 'multiprocessing' in sys.modules)\n"
         )
@@ -299,7 +299,7 @@ class TestCensus:
         # each order as the sweep's last level: the same classes in the same
         # order as with a search for every child
         for n in range(2, 9):
-            with enumeration.ordered_map(1) as pmap:
+            with stream.ordered_map(1) as pmap:
                 *_, raw = enumeration._census_levels(n, pmap, canonical=False)
                 raw = list(raw)
             canon = [_canonical_rows(rows) for rows in raw]

@@ -38,7 +38,7 @@ from nulldiam import enumeration, lemmas
 from nulldiam.lemmas import ALL_SUITES, DEFAULT_MU_VALUES, MAX_OUTSIDE_SWEEP
 from nulldiam.linalg import rank_gf2
 
-from helpers import fraction_rank, gf2_rank, relabel
+from helpers import distinct_nonzero_rows, fraction_rank, gf2_rank, relabel
 
 
 def p5_with_triple_anchor() -> Graph:
@@ -550,18 +550,19 @@ class TestSharedTable:
             # classes and the twin reductions that recognize reads (a
             # canonical copy's table takes extremality from the graph's).
             # The exact rank A(G) reuses it as its lower bound, so with no
-            # suites no GF(2) rank is added, and 71 of the 565 open tables
-            # take rank A(G) from the bounds.  The suites add one GF(2)
-            # rank per distinct matrix mod 2 of a table and eliminate only
-            # where it falls short of the distinct rows.  The counts depend
-            # on the labelling the census builds the last level in: the
+            # suites no GF(2) rank is added, and 72 of the 565 open tables
+            # take rank A(G) from the bounds (K_1 among them: its one row
+            # is zero).  The suites add one GF(2) rank per distinct matrix
+            # mod 2 of a table and eliminate only where it falls short of
+            # the distinct nonzero rows.  The counts depend on the
+            # labelling the census builds the last level in: the
             # eccentricity certificate's BFS starts at the first vertex of
             # largest degree, the deletions of two twins share a key only
             # when their labels are adjacent, and the suites run again on
             # the canonical copy of a graph with a violation or a changed
             # diameter
-            ((1, 8), {"rank_gf2": 12_149, "diameter": 1_425, "rank_exact": 494}),
-            ((1, 7, ALL_SUITES), {"rank_gf2": 14_181, "diameter": 2_007, "rank_exact": 19_601}),
+            ((1, 8), {"rank_gf2": 12_149, "diameter": 1_425, "rank_exact": 493}),
+            ((1, 7, ALL_SUITES), {"rank_gf2": 14_181, "diameter": 2_007, "rank_exact": 19_252}),
         ],
         ids=["no-suites-n8", "all-suites-n7"],
     )
@@ -606,10 +607,10 @@ class TestSharedTable:
 
     def test_each_open_matrix_is_eliminated_once(self, census7, monkeypatch):
         # a request is (mu, entries).  The oracle settles it when the GF(2)
-        # rank of its entries equals their number of distinct rows; the
-        # table must eliminate each distinct request the oracle leaves open
-        # once and no settled one.  The empty matrix, the one matrix that
-        # two values of mu share, is settled at rank 0
+        # rank of its entries equals their number of distinct nonzero
+        # rows; the table must eliminate each distinct request the oracle
+        # leaves open once and no settled one.  The empty matrix, the one
+        # matrix that two values of mu share, is settled at rank 0
         requested, eliminated = [], []
         lookup = lemmas._GraphFacts.rank
 
@@ -632,7 +633,7 @@ class TestSharedTable:
                 eliminated.clear()
                 self.all_reports(g)
                 distinct = set(requested)
-                open_ = {entries for _mu, entries in distinct if gf2_rank(entries) != len(set(entries))}
+                open_ = {entries for _mu, entries in distinct if gf2_rank(entries) != distinct_nonzero_rows(entries)}
                 assert len(eliminated) == len(open_), to_graph6(g)
                 assert set(eliminated) == open_, to_graph6(g)
                 shared += len(requested) - len(distinct)
@@ -663,7 +664,8 @@ def graphs_with_twins(draw, max_n=64):
 
 class TestRankBounds:
     """``_GraphFacts.rank`` takes a rank from its GF(2) lower bound where
-    that meets the number of distinct rows, and eliminates the rest."""
+    that meets the number of distinct nonzero rows, and eliminates the
+    rest."""
 
     @pytest.mark.parametrize(
         "g, mu, rank",
@@ -674,9 +676,10 @@ class TestRankBounds:
             (complete_graph(3), 0, 3),  # GF(2) rank 2 < 3 distinct rows: eliminated
             (complete_graph(3), -1, 1),  # three equal closed rows
             (cycle_graph(4), 0, 2),
+            (Graph((2, 1, 0)), 0, 2),  # an isolated vertex's zero row adds no rank
             (Graph(()), 0, 0),
         ],
-        ids=["K2-mu1", "P3-mu2", "P3-mu0", "K3-mu0", "K3-mu-1", "C4-mu0", "empty"],
+        ids=["K2-mu1", "P3-mu2", "P3-mu0", "K3-mu0", "K3-mu-1", "C4-mu0", "K2+K1-mu0", "empty"],
     )
     def test_small_ranks(self, g, mu, rank):
         assert lemmas._GraphFacts(g).rank(mu) == rank == fraction_rank(shifted_entries(g, mu))
@@ -697,7 +700,7 @@ class TestRankBounds:
             for mu in DEFAULT_MU_VALUES:
                 entries = shifted_entries(g.without(*drop), mu)
                 rank = fraction_rank(entries)
-                assert gf2_rank(entries) <= rank <= len(set(map(tuple, entries)))
+                assert gf2_rank(entries) <= rank <= distinct_nonzero_rows(entries)
                 assert facts.rank(mu, *drop) == rank, (to_graph6(g), mu, drop)
 
 
