@@ -6,10 +6,13 @@ for reading.  Exit codes: 0 ok, 1 internal error, 2 input or usage error
 (output that cannot be written included), 3 mathematical mismatch (a
 recognizer counterexample).  A broken pipe ends a command quietly with 0.
 
-Each command imports only the modules it runs: this module loads the
-graph, linear-algebra and stream modules, ``check`` and ``gen`` add the
-recognizer (:mod:`nulldiam.families`, which brings :mod:`nulldiam.lemmas`),
-and ``verify`` adds the census (:mod:`nulldiam.enumeration`).
+Run as the program (``nulldiam``, ``python -m nulldiam`` or ``python -m
+nulldiam.cli``), each command imports only the modules it runs: this
+module loads the graph, linear-algebra and stream modules, ``check`` and
+``gen`` add the recognizer (:mod:`nulldiam.families`, which brings
+:mod:`nulldiam.lemmas`), and ``verify`` adds the census
+(:mod:`nulldiam.enumeration`).  Imported as a module, it loads all of
+them at once.
 """
 
 from __future__ import annotations
@@ -22,11 +25,22 @@ import stat
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .graphs import MAX_VERTICES, DisconnectedGraphError, diameter, is_reduced, reduce, to_graph6
 from .linalg import adjacency_matrix, distinct_eigenvalue_count, rank_exact
 from .stream import ParsedRecord, ingest_graph6_stream, ordered_map
+
+if TYPE_CHECKING:
+    from .families import Verdict
+
+if __name__ != "__main__":
+    # Imported rather than run, this module loads every command's modules
+    # now, so that every function a command calls is bound in a module
+    # that is loaded when the import returns.  bench/tracing.py relies on
+    # it: it wraps the layer functions in the nulldiam modules already
+    # loaded, then replays commands through main().
+    from . import enumeration  # noqa: F401  (brings families and lemmas)
 
 log = logging.getLogger("nulldiam")
 
@@ -133,24 +147,28 @@ def _answer_reduce(args: argparse.Namespace, record: ParsedRecord) -> tuple[str,
     return _dump(rec), EXIT_OK
 
 
-def _answer_check(recognize: Callable, args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
-    """``check``'s answer; ``cmd_check`` passes in ``recognize``, so that
-    only this command loads the recognizer, in every worker too."""
+def _answer_check(
+    recognize: Callable, mismatch: Verdict, args: argparse.Namespace, record: ParsedRecord
+) -> tuple[str, int]:
+    """``check``'s answer; ``cmd_check`` binds ``recognize`` and
+    ``Verdict.MISMATCH``, so that only this command loads the recognizer,
+    in every worker too."""
     g = record.graph
     if g.n == 0 or not g.is_connected():
         return _error(record, "graph is empty" if g.n == 0 else "graph is disconnected")
-    rec = recognize(g).to_dict()
-    code = EXIT_MISMATCH if rec["verdict"] == "Mismatch" else EXIT_OK
+    result = recognize(g)
+    rec = result.to_dict()
+    code = EXIT_MISMATCH if result.verdict == mismatch else EXIT_OK
     if args.format == "json":
         return _dump(rec), code
     extra = f" variant={rec['variant']} params={rec['params']}" if rec["variant"] else ""
     return f"{rec['graph6']}\t{rec['verdict']}{extra}", code
 
 
-def _answer(answer: Callable, args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
+def _answer(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
     if record.error is not None:
         return _error(record, record.error)
-    return answer(args, record)
+    return args.answer(args, record)
 
 
 def _out_is_input(args: argparse.Namespace) -> bool:
@@ -164,9 +182,8 @@ def _out_is_input(args: argparse.Namespace) -> bool:
         return False
 
 
-def cmd_records(args: argparse.Namespace, answer: Callable) -> int:
-    """Answer every input record with one output line from ``answer``, in
-    input order.
+def cmd_records(args: argparse.Namespace) -> int:
+    """Answer every input record with one output line, in input order.
 
     Each line is printed as soon as it is known.  With ``--jobs`` 1 each
     record is answered as it is read; above 1 the pool takes 1024 records
@@ -188,16 +205,17 @@ def cmd_records(args: argparse.Namespace, answer: Callable) -> int:
         # one character per byte: a byte outside graph6's range is a
         # ``charset`` error for its line, never a decoding failure
         records = ingest_graph6_stream(line.decode("latin-1") for line in fh)
-        for line, line_code in pmap(partial(_answer, answer, args), records, 1024):
+        for line, line_code in pmap(partial(_answer, args), records, 1024):
             emit(line)
             code = max(code, line_code)
     return code
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .families import recognize
+    from .families import Verdict, recognize
 
-    return cmd_records(args, partial(_answer_check, recognize))
+    args.answer = partial(_answer_check, recognize, Verdict.MISMATCH)
+    return cmd_records(args)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -323,11 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="n, d, rank, nullity, distinct eigenvalues, reducedness")
     add_io(p)
-    p.set_defaults(func=partial(cmd_records, answer=_answer_invariants))
+    p.set_defaults(func=cmd_records, answer=_answer_invariants)
 
     p = sub.add_parser("reduce", help="twin-reduce each graph (graph6 TAB removed-count)")
     add_io(p, default_format="text")
-    p.set_defaults(func=partial(cmd_records, answer=_answer_reduce))
+    p.set_defaults(func=cmd_records, answer=_answer_reduce)
 
     p = sub.add_parser("check", help="recognize extremal structure per graph")
     add_io(p)

@@ -4,6 +4,8 @@ reach into the program by name.  These tests fail when one of those names
 goes away, instead of leaving the traced run to break on its own."""
 
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from nulldiam.enumeration import SweepReport
 from nulldiam.graphs import _rows_without
 
 from helpers import distinct_nonzero_rows, gf2_rank
+from test_cli import subprocess_env
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -112,3 +115,55 @@ def test_each_traced_diameter_path_call_counts_one_path(tracing, tmp_path):
         assert cli.main(argv) == 0
     stat = tracer.stats["graphs.diameter_paths"]
     assert stat.counts["paths"] == stat.calls >= 1
+
+
+#: A ``verify`` round's replay as ``bench/run.py --trace 1`` makes it, in a
+#: process that has imported no nulldiam module first, or (``preload``)
+#: after importing every one.
+REPLAY = """
+import json, sys, types
+from pathlib import Path
+
+bench, work, mode = sys.argv[1], Path(sys.argv[2]), sys.argv[3]
+sys.path.insert(0, bench)
+if mode == "preload":
+    import nulldiam.enumeration
+import tracing
+
+
+class Workload:
+    commands = [["verify", "--n-range", "1..5", "--jobs", "1"]]
+
+    @staticmethod
+    def census():
+        return tracing.census(5)
+
+
+child = types.SimpleNamespace(returncode=0, stdout=b"", seconds=1.0)
+print(json.dumps(tracing.replay(Workload, [child], [0.0], work, work / "trace.json")))
+"""
+
+
+def test_a_fresh_replay_counts_what_a_preloaded_one_does(tmp_path):
+    # ``installed`` wraps the traced functions in the nulldiam modules
+    # loaded when it starts, and the replay has imported only what
+    # ``nulldiam.cli`` imports; the in-process tests above import every
+    # module first, so only a fresh interpreter shows a module that loads
+    # too late to be wrapped
+    counts = {}
+    for mode in ("fresh", "preload"):
+        work = tmp_path / mode
+        work.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", REPLAY, str(BENCH), str(work), mode],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        metrics = json.loads(done.stdout)
+        counts[mode] = {k: v for k, v in metrics.items() if not k.endswith(("_s", "_us")) and "trace." not in k}
+    assert counts["fresh"] == counts["preload"]
+    assert counts["fresh"]["families.recognize.calls"] > 0
+    assert counts["fresh"]["lemmas.interlacing.instances"] > 0

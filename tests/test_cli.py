@@ -555,18 +555,19 @@ class TestWriteErrors:
 
 class TestImports:
     """Each command imports only the modules it runs, in a fresh
-    interpreter that runs ``nulldiam.cli`` as ``__main__``, as
-    ``python -m nulldiam.cli`` does."""
+    interpreter that runs ``nulldiam.cli`` as ``__main__``, as ``python -m
+    nulldiam.cli`` does, or ``nulldiam``'s ``__main__``, as ``python -m
+    nulldiam`` and the ``nulldiam`` script do."""
 
     BASE = {"nulldiam", "nulldiam.graphs", "nulldiam.linalg", "nulldiam.stream"}
     RECOGNIZER = {"nulldiam.families", "nulldiam.lemmas"}
 
     @staticmethod
-    def loaded(*argv: str) -> set:
+    def loaded(program: str, *argv: str) -> set:
         script = (
             "import runpy, sys\n"
             "try:\n"
-            "    runpy.run_module('nulldiam.cli', run_name='__main__', alter_sys=True)\n"
+            f"    runpy.run_module({program!r}, run_name='__main__', alter_sys=True)\n"
             "finally:\n"
             "    print(*(m for m in sys.modules if m.split('.')[0] == 'nulldiam'), file=sys.stderr)\n"
         )
@@ -593,26 +594,36 @@ class TestImports:
         ],
         ids=["invariants", "reduce", "help", "check", "gen", "verify"],
     )
-    def test_each_command_loads_only_what_it_runs(self, argv, extra):
-        assert self.loaded(*argv) == self.BASE | extra
+    @pytest.mark.parametrize("program", ["nulldiam.cli", "nulldiam"])
+    def test_each_command_loads_only_what_it_runs(self, program, argv, extra):
+        assert self.loaded(program, *argv) == self.BASE | extra
+
+    def test_importing_the_module_loads_every_commands_modules(self):
+        # so that a caller that patches the loaded modules before it calls
+        # ``main`` (bench/tracing.py) patches every module a command calls
+        script = "import sys, nulldiam.cli\nprint(*(m for m in sys.modules if m.split('.')[0] == 'nulldiam'))\n"
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env(), timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        every = self.BASE | self.RECOGNIZER | {"nulldiam.enumeration", "nulldiam.cli"}
+        assert set(done.stdout.split()) == every
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     @pytest.mark.parametrize("command", ["invariants", "check"])
     def test_pool_workers_resolve_the_deferred_imports(self, census7, tmp_path, command, method):
         # the recognizer reaches ``check``'s workers with the records, so a
-        # worker that never imported it still answers; a fresh interpreter,
-        # since this one has imported every module already
+        # worker that never imported it still answers; a fresh interpreter
+        # that runs the program, since this one has imported every module
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method here")
         path = tmp_path / "input.g6"
         path.write_text("".join(to_graph6(g) + "\n" for n in (4, 5) for g in census7[n]) + "B?\nA\x05\n")
         script = (
-            "import multiprocessing, os, sys\n"
+            "import multiprocessing, os, runpy\n"
             f"multiprocessing.set_start_method({method!r})\n"
             "os.cpu_count = lambda: 2\n"
-            "from nulldiam import cli\n"
-            "if __name__ == '__main__':\n"
-            "    raise SystemExit(cli.main(sys.argv[1:]))\n"
+            "runpy.run_module('nulldiam.cli', run_name='__main__', alter_sys=True)\n"
         )
         outputs = []
         for jobs in ("1", "2"):
