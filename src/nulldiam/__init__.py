@@ -28,7 +28,6 @@ _EXPORTS = {
         "Graph6Error",
         "ReductionResult",
         "classify_outside",
-        "complete_bipartite",
         "complete_graph",
         "cycle_graph",
         "diameter",
@@ -39,24 +38,18 @@ _EXPORTS = {
         "path_graph",
         "pendant_pairs",
         "reduce",
-        "star_graph",
         "to_graph6",
         "twin_classes",
     ),
     "linalg": (
         "IntMatrix",
-        "IntPolynomial",
         "adjacency_matrix",
         "char_poly",
-        "cycle_nullity",
         "distinct_eigenvalue_count",
-        "integer_eigenvalue_multiplicity",
         "nullity",
-        "path_nullity",
         "rank_exact",
         "rank_mod_p",
         "shifted_adjacency",
-        "zero_root_multiplicity",
     ),
     "lemmas": (
         "ALL_SUITES",

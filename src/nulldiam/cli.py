@@ -57,8 +57,9 @@ def _dump(obj: dict) -> str:
 
 
 class _CannotUse(Exception):
-    """An ``--input`` or ``--out`` path that cannot be opened, or output
-    that cannot be written: an input error, reported in one stderr line."""
+    """An ``--input`` or ``--out`` path that cannot be opened, a closed
+    standard input or output, or output that cannot be written: an input
+    error, reported in one stderr line."""
 
 
 def _cannot(args: argparse.Namespace, verb: str, path: str, exc: OSError) -> _CannotUse:
@@ -87,7 +88,10 @@ def _output(args: argparse.Namespace):
     flushes it.  Commands open it before any work, so an unwritable
     ``--out`` costs nothing.  A line that cannot be written is an input
     error like an ``--out`` that cannot be opened; a broken pipe is
-    passed on, and ``main`` ends quietly on it."""
+    passed on, and ``main`` ends quietly on it.  So is a closed standard
+    output, which Python gives as ``None``."""
+    if not args.out and sys.stdout is None:
+        raise _CannotUse(f"nulldiam {args.command}: cannot write standard output: it is closed")
     with _open(args, args.out, "w") if args.out else nullcontext(sys.stdout) as out:
 
         def emit(line: str) -> None:
@@ -189,8 +193,9 @@ def cmd_records(args: argparse.Namespace) -> int:
     record is answered as it is read; above 1 the pool takes 1024 records
     at a time (see ``ordered_map``).  The exit code is the largest of the
     per-record codes: 0, then 2 for an input error, then 3 for a mismatch.
-    An ``--input`` or ``--out`` that cannot be opened, or output that
-    cannot be written, is an input error: one line on stderr and exit 2.
+    An ``--input`` or ``--out`` that cannot be opened, a closed standard
+    input or output, or output that cannot be written, is an input error:
+    one line on stderr and exit 2.
     So is an ``--out`` that names the input file, given as ``--input`` or
     on standard input, which opening it for writing would empty before a
     line is read.
@@ -199,6 +204,8 @@ def cmd_records(args: argparse.Namespace) -> int:
         raise _CannotUse(
             f"nulldiam {args.command}: --out {args.out} is the --input file, which writing would empty"
         )
+    if args.input == "-" and sys.stdin is None:
+        raise _CannotUse(f"nulldiam {args.command}: cannot read standard input: it is closed")
     source = nullcontext(sys.stdin.buffer) if args.input == "-" else _open(args, args.input, "rb")
     code = EXIT_OK
     with source as fh, _output(args) as emit, ordered_map(args.jobs) as pmap:

@@ -544,11 +544,12 @@ class SweepReport:
     ``mismatches`` lists reduced even-diameter extremal graphs the
     recognizer rejected (a counterexample to the characterization if ever
     nonempty); ``unreduced_failures`` lists non-reduced extremal graphs
-    whose twin reduction was not recognized; ``inconclusive`` is always
-    empty, since the recognizer always decides, and is kept for readers of
-    the key.  Lemma summaries aggregate the per-graph checker reports for
-    the selected suites.  Timing fields are informational and excluded
-    from reproducibility comparisons.
+    whose twin reduction was not recognized.  ``to_dict`` also writes an
+    ``inconclusive`` key that is a constant empty list: the recognizer
+    always decides, and the key stays for readers of the report.  Lemma
+    summaries aggregate the per-graph checker reports for the selected
+    suites.  Timing fields are informational and excluded from
+    reproducibility comparisons.
     """
 
     n_min: int
@@ -556,27 +557,24 @@ class SweepReport:
     suites: tuple[str, ...]
     per_n: dict[int, SweepTotals] = field(default_factory=dict)
     mismatches: list[str] = field(default_factory=list)
-    inconclusive: list[str] = field(default_factory=list)
     recognized: list[dict] = field(default_factory=list)
     unreduced_failures: list[str] = field(default_factory=list)
     lemma_summaries: dict[str, dict] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "n_min": self.n_min,
             "n_max": self.n_max,
             "suites": list(self.suites),
             "per_n": {str(n): t.to_dict() for n, t in sorted(self.per_n.items())},
             "mismatches": self.mismatches,
-            "inconclusive": self.inconclusive,
+            "inconclusive": [],
             "recognized": self.recognized,
             "unreduced_failures": self.unreduced_failures,
             "lemma_summaries": self.lemma_summaries,
+            "timings": {k: round(v, 3) for k, v in self.timings.items()},
         }
-        if include_timings:
-            out["timings"] = {k: round(v, 3) for k, v in self.timings.items()}
-        return out
 
 
 def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:

@@ -105,17 +105,11 @@ class Graph:
     def neighbor_list(self, v: int) -> list[int]:
         return list(_bits(self.rows[v]))
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.rows[u]) if u < v]
-
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
 
     def with_vertex(self, attach_mask: int) -> "Graph":
         """New graph with an extra vertex ``n`` adjacent to ``attach_mask``."""
@@ -169,15 +163,6 @@ def cycle_graph(m: int) -> Graph:
 
 def complete_graph(m: int) -> Graph:
     return Graph.from_edges(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
-
-
-def star_graph(m: int) -> Graph:
-    """Star on ``m`` vertices with centre 0."""
-    return Graph.from_edges(m, [(0, i) for i in range(1, m)])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 # ---------------------------------------------------------------------------

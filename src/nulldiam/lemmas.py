@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 from .graphs import (
     Graph,
@@ -49,7 +49,8 @@ SUITE_RANK_LOWER_BOUND = "rank-lower-bound"
 #: beyond this many outside vertices the checker reports "truncated".
 MAX_OUTSIDE_SWEEP = 12
 
-DEFAULT_MU_VALUES: tuple[int, ...] = (-2, -1, 0, 1, 2)
+#: The eigenvalues whose multiplicities ``interlacing`` checks.
+_INTERLACING_MUS = (-2, -1, 0, 1, 2)
 
 
 class _once:
@@ -290,8 +291,9 @@ def _relabelled(g: Graph, h: Graph) -> Graph:
     return h
 
 
-def check_interlacing(g: Graph, mu_values: Sequence[int] = DEFAULT_MU_VALUES) -> ViolationReport:
-    """Deleting one vertex moves any eigenvalue multiplicity by at most 1.
+def check_interlacing(g: Graph) -> ViolationReport:
+    """Deleting one vertex moves any eigenvalue multiplicity by at most 1,
+    checked at each ``mu`` in ``_INTERLACING_MUS``.
 
     Each multiplicity is n - rank(A - mu*I), and A(G-v) - mu*I is the
     principal submatrix of A(G) - mu*I without row and column v, so every
@@ -299,7 +301,7 @@ def check_interlacing(g: Graph, mu_values: Sequence[int] = DEFAULT_MU_VALUES) ->
     """
     report = ViolationReport(SUITE_INTERLACING, g)
     facts = _facts(g)
-    for mu in sorted(set(mu_values)):
+    for mu in _INTERLACING_MUS:
         m_full = g.n - facts.rank(mu)
         for v in range(g.n):
             m_del = g.n - 1 - facts.rank(mu, v)

@@ -45,10 +45,6 @@ class IntMatrix:
         object.__setattr__(m, "entries", entries)
         return m
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
     @property
     def order(self) -> int:
         return len(self.entries)
@@ -61,21 +57,6 @@ class IntMatrix:
             return IntMatrix._square(tuple((self.entries[i][i],) for i in keep))
         pick = itemgetter(*keep)
         return IntMatrix._square(tuple(map(pick, pick(self.entries))))
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Monic integer polynomial, coefficients ascending (c0..cn, cn = 1)."""
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coefficients or self.coefficients[-1] != 1:
-            raise ValueError("expected a monic polynomial")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def adjacency_matrix(g: Graph) -> IntMatrix:
@@ -204,14 +185,10 @@ def nullity(g: Graph) -> int:
     return g.n - rank_exact(adjacency_matrix(g))
 
 
-def integer_eigenvalue_multiplicity(g: Graph, mu: int) -> int:
-    """Multiplicity of the integer eigenvalue ``mu``: n - rank(A - mu*I)."""
-    return g.n - rank_exact(shifted_adjacency(g, mu))
-
-
-def char_poly(m: IntMatrix) -> IntPolynomial:
+def char_poly(m: IntMatrix) -> tuple[int, ...]:
     """Exact characteristic polynomial det(xI - m) by Berkowitz's
-    division-free algorithm (Berkowitz 1984).
+    division-free algorithm (Berkowitz 1984), as its coefficients in
+    ascending order; the last is 1.
 
     The polynomial of each leading principal block is built from the one
     before it: bordering the k x k block B by row r, column c and corner
@@ -258,21 +235,13 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
             elif x:
                 cols[i].append(k)
                 vals[i].append(x)
-    return IntPolynomial(tuple(reversed(coeffs)))
-
-
-def zero_root_multiplicity(p: IntPolynomial) -> int:
-    """Multiplicity of the root 0: index of the lowest nonzero coefficient."""
-    for i, c in enumerate(p.coefficients):
-        if c:
-            return i
-    raise ValueError("the zero polynomial has no root multiplicities")
+    return tuple(reversed(coeffs))
 
 
 def distinct_eigenvalue_count(g: Graph) -> int:
     """Number of distinct eigenvalues: degree of the square-free part of
     the characteristic polynomial, deg p - deg gcd(p, p')."""
-    p = list(char_poly(adjacency_matrix(g)).coefficients)
+    p = list(char_poly(adjacency_matrix(g)))
     dp = [i * c for i, c in enumerate(p)][1:]
     return (len(p) - 1) - _gcd_degree(p, dp)
 
@@ -312,17 +281,3 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 def _primitive_part(p: list[int]) -> list[int]:
     content = math.gcd(*p)
     return [c // content for c in p] if content > 1 else p
-
-
-def path_nullity(m: int) -> int:
-    """Nullity of the path on ``m`` vertices: 1 for odd ``m``, else 0."""
-    if m < 1:
-        raise ValueError("a path needs at least one vertex")
-    return m % 2
-
-
-def cycle_nullity(m: int) -> int:
-    """Nullity of the cycle on ``m`` vertices: 2 when 4 | m, else 0."""
-    if m < 3:
-        raise ValueError("a cycle needs at least three vertices")
-    return 2 if m % 4 == 0 else 0

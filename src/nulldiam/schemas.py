@@ -3,8 +3,10 @@
 The CLI's JSON lines (``invariants``, ``check``, ``reduce --format
 json``) and the sweep report validate against these; text output is for
 humans and carries no compatibility promise.  The report's
-``inconclusive`` list is always empty: the recognizer reads one diameter
-path and always decides, and the key stays for readers of the report.
+``inconclusive`` key is a constant empty list, written by
+``SweepReport.to_dict`` with no field behind it: the recognizer reads one
+diameter path and always decides, and the key stays for readers of the
+report.
 
 The empty graph (graph6 ``?``, n = 0) is valid input.  ``invariants``
 answers it with ``connected`` false, ``d`` null and ``rank``, ``nullity``

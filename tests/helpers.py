@@ -230,6 +230,16 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def star_graph(m: int) -> Graph:
+    """Star on ``m`` vertices with centre 0."""
+    return Graph.from_edges(m, [(0, i) for i in range(1, m)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_(a,b): vertices ``0..a-1`` on one side, ``a..a+b-1`` on the other."""
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
 def reduce_by_rescan(g: Graph) -> tuple[Graph, int]:
     """Twin reduction by rescanning: delete the lowest-indexed vertex that
     has a twin until none has; returns the graph and the deletion count."""

@@ -553,6 +553,35 @@ class TestWriteErrors:
         proc.stderr.close()
 
 
+class TestClosedStreams:
+    """A command started with standard input or output closed, which
+    Python gives as ``None``, is an input error: one stderr line and exit
+    2, neither a traceback nor output lost without a word."""
+
+    @staticmethod
+    def nulldiam(argv, redirect):
+        return subprocess.run(
+            ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-m", "nulldiam.cli", *argv],
+            input="A_\n",
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("command", RECORD_COMMANDS)
+    def test_closed_stdin(self, command):
+        done = self.nulldiam([command], "<&-")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"nulldiam {command}: cannot read standard input: it is closed\n"
+
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=lambda argv: argv[0])
+    def test_closed_stdout(self, argv):
+        done = self.nulldiam(argv, ">&-")
+        assert done.returncode == 2
+        assert done.stderr == f"nulldiam {argv[0]}: cannot write standard output: it is closed\n"
+
+
 class TestImports:
     """Each command imports only the modules it runs, in a fresh
     interpreter that runs ``nulldiam.cli`` as ``__main__``, as ``python -m

@@ -13,7 +13,6 @@ from nulldiam import (
     Graph,
     Graph6Error,
     classify_outside,
-    complete_bipartite,
     complete_graph,
     cycle_graph,
     diameter,
@@ -25,14 +24,20 @@ from nulldiam import (
     path_graph,
     pendant_pairs,
     reduce,
-    star_graph,
     to_graph6,
     twin_classes,
 )
 from nulldiam.enumeration import _is_cut_vertex, canonical_form
 from nulldiam.graphs import _distances, _reach
 
-from helpers import is_diameter_path_by_pairs, random_graph, reduce_by_rescan, relabel
+from helpers import (
+    complete_bipartite,
+    is_diameter_path_by_pairs,
+    random_graph,
+    reduce_by_rescan,
+    relabel,
+    star_graph,
+)
 
 
 @st.composite
@@ -539,7 +544,7 @@ class TestConstructors:
     def test_complete_bipartite(self):
         g = complete_bipartite(2, 3)
         assert g.n == 5
-        assert g.edge_count() == 6
+        assert len(g.edges()) == 6
         assert not g.has_edge(0, 1)
         assert g.has_edge(0, 2)
 

@@ -29,16 +29,15 @@ from nulldiam import (
     rank_exact,
     recognize,
     run_suite,
-    star_graph,
     to_graph6,
     twin_classes,
     verify_theorem,
 )
 from nulldiam import enumeration, lemmas
-from nulldiam.lemmas import ALL_SUITES, DEFAULT_MU_VALUES, MAX_OUTSIDE_SWEEP
+from nulldiam.lemmas import ALL_SUITES, MAX_OUTSIDE_SWEEP
 from nulldiam.linalg import rank_gf2
 
-from helpers import distinct_nonzero_rows, fraction_rank, gf2_rank, relabel
+from helpers import distinct_nonzero_rows, fraction_rank, gf2_rank, relabel, star_graph
 
 
 def p5_with_triple_anchor() -> Graph:
@@ -47,12 +46,12 @@ def p5_with_triple_anchor() -> Graph:
 
 class TestInterlacing:
     def test_path5(self):
-        report = check_interlacing(path_graph(5), mu_values=(0,))
+        report = check_interlacing(path_graph(5))
         assert report.ok
-        assert report.checked == 5
+        assert report.checked == 25  # five vertices at each of five mu
 
     def test_cycle4(self):
-        assert check_interlacing(cycle_graph(4), mu_values=(0,)).ok
+        assert check_interlacing(cycle_graph(4)).ok
 
     def test_exhaustive_small(self, census7):
         for n in range(1, 7):
@@ -403,7 +402,7 @@ class TestDeletionRankOracles:
         for n in range(1, 7):
             for g in census7[n]:
                 suite_ranks.clear()
-                check_interlacing(g, mu_values=mus)
+                check_interlacing(g)
                 expected = []
                 for mu in mus:
                     expected.append(shifted_entries(g, mu))
@@ -697,7 +696,7 @@ class TestRankBounds:
         drops = [tuple(order[kept:]), tuple(range(g.n))]
         facts = lemmas._GraphFacts(g)
         for drop in drops:
-            for mu in DEFAULT_MU_VALUES:
+            for mu in (-2, -1, 0, 1, 2):
                 entries = shifted_entries(g.without(*drop), mu)
                 rank = fraction_rank(entries)
                 assert gf2_rank(entries) <= rank <= distinct_nonzero_rows(entries)

@@ -23,7 +23,6 @@ EXPORTS = {
         "Graph6Error",
         "ReductionResult",
         "classify_outside",
-        "complete_bipartite",
         "complete_graph",
         "cycle_graph",
         "diameter",
@@ -34,24 +33,18 @@ EXPORTS = {
         "path_graph",
         "pendant_pairs",
         "reduce",
-        "star_graph",
         "to_graph6",
         "twin_classes",
     ),
     "linalg": (
         "IntMatrix",
-        "IntPolynomial",
         "adjacency_matrix",
         "char_poly",
-        "cycle_nullity",
         "distinct_eigenvalue_count",
-        "integer_eigenvalue_multiplicity",
         "nullity",
-        "path_nullity",
         "rank_exact",
         "rank_mod_p",
         "shifted_adjacency",
-        "zero_root_multiplicity",
     ),
     "lemmas": (
         "ALL_SUITES",
