@@ -5,14 +5,20 @@ stdin) and emit one record per line; JSON is the stable contract, text is
 for reading.  Exit codes: 0 ok, 1 internal error, 2 input or usage error
 (output that cannot be written included), 3 mathematical mismatch (a
 recognizer counterexample).  A broken pipe ends a command quietly with 0.
+Diagnostics (usage and input errors, ``verify``'s summary) go to stderr
+only, and are dropped when stderr is closed.
+
+``invariants``, ``reduce`` and ``check`` share one record loop and differ
+only in the answer they give each record.  ``verify --n N`` is ``verify
+--n-range N..N``.
 
 Run as the program (``nulldiam``, ``python -m nulldiam`` or ``python -m
 nulldiam.cli``), each command imports only the modules it runs: this
-module loads the graph, linear-algebra and stream modules, ``check`` and
-``gen`` add the recognizer (:mod:`nulldiam.families`, which brings
-:mod:`nulldiam.lemmas`), and ``verify`` adds the census
-(:mod:`nulldiam.enumeration`).  Imported as a module, it loads all of
-them at once.
+module loads the graph, linear-algebra and stream modules, ``check`` (at
+its first record) and ``gen`` add the recognizer
+(:mod:`nulldiam.families`, which brings :mod:`nulldiam.lemmas`), and
+``verify`` adds the census (:mod:`nulldiam.enumeration`).  Imported as a
+module, it loads all of them at once.
 """
 
 from __future__ import annotations
@@ -25,14 +31,10 @@ import stat
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from functools import partial
-from typing import TYPE_CHECKING, Callable
 
 from .graphs import MAX_VERTICES, DisconnectedGraphError, diameter, is_reduced, reduce, to_graph6
 from .linalg import adjacency_matrix, distinct_eigenvalue_count, rank_exact
 from .stream import ParsedRecord, ingest_graph6_stream, ordered_map
-
-if TYPE_CHECKING:
-    from .families import Verdict
 
 if __name__ != "__main__":
     # Imported rather than run, this module loads every command's modules
@@ -151,18 +153,17 @@ def _answer_reduce(args: argparse.Namespace, record: ParsedRecord) -> tuple[str,
     return _dump(rec), EXIT_OK
 
 
-def _answer_check(
-    recognize: Callable, mismatch: Verdict, args: argparse.Namespace, record: ParsedRecord
-) -> tuple[str, int]:
-    """``check``'s answer; ``cmd_check`` binds ``recognize`` and
-    ``Verdict.MISMATCH``, so that only this command loads the recognizer,
-    in every worker too."""
+def _answer_check(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
+    """``check``'s answer.  It imports the recognizer itself, so that only
+    this command loads it, in every pool worker too."""
+    from .families import Verdict, recognize
+
     g = record.graph
     if g.n == 0 or not g.is_connected():
         return _error(record, "graph is empty" if g.n == 0 else "graph is disconnected")
     result = recognize(g)
     rec = result.to_dict()
-    code = EXIT_MISMATCH if result.verdict == mismatch else EXIT_OK
+    code = EXIT_MISMATCH if result.verdict == Verdict.MISMATCH else EXIT_OK
     if args.format == "json":
         return _dump(rec), code
     extra = f" variant={rec['variant']} params={rec['params']}" if rec["variant"] else ""
@@ -218,13 +219,6 @@ def cmd_records(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    from .families import Verdict, recognize
-
-    args.answer = partial(_answer_check, recognize, Verdict.MISMATCH)
-    return cmd_records(args)
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     from .families import enumerate_family
 
@@ -239,13 +233,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .enumeration import verify_theorem
     from .lemmas import ALL_SUITES
 
-    if args.n is not None:
-        n_min = n_max = args.n
-    else:
-        n_min, n_max = args.n_range
     suites = ALL_SUITES if args.suites is None else tuple(args.suites)
     with _output(args) as emit:
-        report = verify_theorem(n_min, n_max, suites=suites, jobs=args.jobs)
+        report = verify_theorem(*args.n_range, suites=suites, jobs=args.jobs)
         emit(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     for n in sorted(report.per_n):
         t = report.per_n[n]
@@ -255,15 +245,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     for name, summary in sorted(report.lemma_summaries.items()):
-        print(
-            f"suite {name}: {summary['instances']} instances, "
-            f"{len(summary['violations'])} violations",
-            file=sys.stderr,
-        )
-    print(
-        f"mismatches={len(report.mismatches)} unreduced-failures={len(report.unreduced_failures)}",
-        file=sys.stderr,
-    )
+        violations = len(summary["violations"])
+        print(f"suite {name}: {summary['instances']} instances, {violations} violations", file=sys.stderr)
+    failures = len(report.unreduced_failures)
+    print(f"mismatches={len(report.mismatches)} unreduced-failures={failures}", file=sys.stderr)
     return EXIT_MISMATCH if report.mismatches else EXIT_OK
 
 
@@ -285,6 +270,12 @@ def _census_order(text: str) -> int:
             f"(1..{MAX_CENSUS_ORDER}), got {value}"
         )
     return value
+
+
+def _one_order(text: str) -> tuple[int, int]:
+    """``--n N``, which is ``--n-range N..N``."""
+    order = _census_order(text)
+    return order, order
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -356,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="recognize extremal structure per graph")
     add_io(p)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_records, answer=_answer_check)
 
     p = sub.add_parser("gen", help="generate the even-diameter extremal family")
     p.add_argument("--d", type=_even, required=True, help="even diameter >= 2")
@@ -368,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive sweep over all connected graphs")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=_census_order, default=None)
-    group.add_argument("--n-range", type=_parse_range, default=None, metavar="A..B")
+    group.add_argument("--n", type=_one_order, dest="n_range", metavar="N")
+    group.add_argument("--n-range", type=_parse_range, metavar="A..B")
     p.add_argument("--suites", type=_parse_suites, default=None, help="comma-separated suite list")
     p.add_argument("--jobs", type=_jobs, default=1, help=JOBS_HELP)
     p.add_argument("--out", default=None)
@@ -379,6 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stderr is None:
+        # a closed stderr drops diagnostics: ``print(file=None)`` and
+        # argparse's usage line would put them on stdout instead
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     parser = build_parser()
     level = os.environ.get("NULLITY_LOG", "WARNING")
     if not isinstance(logging.getLevelName(level.upper()), int):

@@ -222,7 +222,6 @@ class RecognitionResult:
     nullity: int
     params: FamilyParams | None = None
     variant: str | None = None
-    path: tuple[int, ...] | None = None
     witness: dict | None = None
 
     def to_dict(self) -> dict:
@@ -333,6 +332,4 @@ def recognize(g: Graph) -> RecognitionResult:
         witness = {"reduced": is_reduced(g), "failures": failures}
         return RecognitionResult(Verdict.MISMATCH, g6, g.n, d, eta, witness=witness)
     variant = "G3" if outcome.triple_index + 1 in outcome.single_indices else "G2"
-    return RecognitionResult(
-        Verdict.EVEN_EXTREMAL, g6, g.n, d, eta, params=outcome, variant=variant, path=path
-    )
+    return RecognitionResult(Verdict.EVEN_EXTREMAL, g6, g.n, d, eta, params=outcome, variant=variant)

@@ -12,6 +12,14 @@ The empty graph (graph6 ``?``, n = 0) is valid input.  ``invariants``
 answers it with ``connected`` false, ``d`` null and ``rank``, ``nullity``
 and ``e`` all 0.  ``check`` rejects it as an input error (exit 2), since a
 recognition result needs n >= 1, and so does ``reduce``.
+
+The report's ``lemma_summaries`` holds one summary per suite: graphs and
+instances checked, graphs skipped by the suite's hypothesis gate or with a
+capped subset sweep, and every violation.  ``reduction-equivalence`` adds
+the graphs whose twin reduction lowers the diameter (``diameter_changed``),
+and ``pendant-deletion`` counts the instances where deleting the support
+alone keeps the nullity (``support_only_holds``) and where it does not
+(``support_only_fails``).
 """
 
 from __future__ import annotations
@@ -100,19 +108,32 @@ VIOLATION = {
     "additionalProperties": False,
 }
 
-VIOLATION_REPORT = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
+SUITE_SUMMARY = {
     "type": "object",
     "properties": {
-        "lemma": {"type": "string"},
-        "graph6": {"type": "string"},
-        "checked": {"type": "integer", "minimum": 0},
+        "graphs": {"type": "integer", "minimum": 0},
+        "instances": {"type": "integer", "minimum": 0},
         "violations": {"type": "array", "items": VIOLATION},
-        "skipped": {"type": ["string", "null"]},
-        "truncated": {"type": "boolean"},
-        "notes": {"type": "object"},
+        "skipped": {"type": "integer", "minimum": 0},
+        "truncated": {"type": "integer", "minimum": 0},
+        "diameter_changed": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "properties": {
+                    "graph6": {"type": "string"},
+                    "original": {"type": "integer", "minimum": 0},
+                    "reduced": {"type": "integer", "minimum": 0},
+                    "changed": {"const": True},
+                },
+                "required": ["graph6", "original", "reduced", "changed"],
+                "additionalProperties": False,
+            },
+        },
+        "support_only_holds": {"type": "integer", "minimum": 1},
+        "support_only_fails": {"type": "integer", "minimum": 1},
     },
-    "required": ["lemma", "graph6", "checked", "violations", "skipped", "truncated", "notes"],
+    "required": ["graphs", "instances", "violations", "skipped", "truncated"],
     "additionalProperties": False,
 }
 
@@ -142,7 +163,7 @@ SWEEP_REPORT = {
         "inconclusive": {"type": "array", "items": {"type": "string"}, "maxItems": 0},
         "recognized": {"type": "array", "items": {"type": "object"}},
         "unreduced_failures": {"type": "array", "items": {"type": "string"}},
-        "lemma_summaries": {"type": "object"},
+        "lemma_summaries": {"type": "object", "additionalProperties": SUITE_SUMMARY},
         "timings": {"type": "object", "additionalProperties": {"type": "number"}},
     },
     "required": [

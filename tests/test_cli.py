@@ -424,6 +424,27 @@ class TestVerify:
         expected = canonical_form(path_graph(5).with_vertex(0b00111)).decode()
         assert report["recognized"][0]["graph6"] == expected
 
+    def test_report_with_violations_matches_its_schema(self, capsys):
+        # C_4 twin-reduces to K_2, whose diameter is smaller, so the
+        # reduction-equivalence summary lists a violation
+        code, out, _ = run(capsys, "verify", "--n-range", "1..5", "--suites", "reduction-equivalence")
+        assert code == 0
+        report = json.loads(out)
+        jsonschema.validate(report, schemas.SWEEP_REPORT)
+        violations = report["lemma_summaries"]["reduction-equivalence"]["violations"]
+        assert "C]" in {v["graph6"] for v in violations}
+
+    def test_n_is_the_range_from_n_to_n(self, capsys):
+        reports = []
+        for argv in (["--n", "5"], ["--n-range", "5..5"]):
+            code, out, _ = run(capsys, "verify", *argv)
+            assert code == 0
+            report = json.loads(out)
+            report.pop("timings")
+            reports.append(report)
+        assert reports[0]["n_min"] == reports[0]["n_max"] == 5
+        assert reports[1] == reports[0]
+
     def test_requires_range(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify"])
@@ -556,7 +577,10 @@ class TestWriteErrors:
 class TestClosedStreams:
     """A command started with standard input or output closed, which
     Python gives as ``None``, is an input error: one stderr line and exit
-    2, neither a traceback nor output lost without a word."""
+    2, neither a traceback nor output lost without a word.  With standard
+    error closed, diagnostics are dropped and stdout carries only records
+    or the report.  The program runs as ``sys.executable``: a launcher
+    script in between can leave descriptor 2 open on the script."""
 
     @staticmethod
     def nulldiam(argv, redirect):
@@ -580,6 +604,19 @@ class TestClosedStreams:
         done = self.nulldiam(argv, ">&-")
         assert done.returncode == 2
         assert done.stderr == f"nulldiam {argv[0]}: cannot write standard output: it is closed\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("check", "--input", "/nonexistent/input.g6"), ("verify", "--n", "0")], ids=["input", "usage"]
+    )
+    def test_closed_stderr_keeps_errors_off_stdout(self, argv):
+        done = self.nulldiam(argv, "2>&-")
+        assert (done.returncode, done.stdout) == (2, "")
+
+    def test_closed_stderr_leaves_the_report_alone_on_stdout(self):
+        done = self.nulldiam(["verify", "--n", "3", "--suites", ""], "2>&-")
+        assert done.returncode == 0
+        report = json.loads(done.stdout)
+        assert report["per_n"]["3"]["connected"] == 2
 
 
 class TestImports:

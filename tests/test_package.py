@@ -2,10 +2,12 @@
 submodule, and each exported name comes from the submodule that defines
 it on first access."""
 
+import ast
 import importlib
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +121,10 @@ def test_importing_the_package_loads_no_submodule():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["nulldiam"]
+
+
+def test_sources_parse_as_python_3_10():
+    # the package declares requires-python >= 3.10, so syntax that needs
+    # a later version (``except*``, say) must not appear in it
+    for path in sorted(Path(nulldiam.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
