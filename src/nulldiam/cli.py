@@ -6,7 +6,7 @@ for reading.  Exit codes: 0 ok, 1 internal error, 2 input or usage error
 (output that cannot be written included), 3 mathematical mismatch (a
 recognizer counterexample).  A broken pipe ends a command quietly with 0.
 Diagnostics (usage and input errors, ``verify``'s summary) go to stderr
-only, and are dropped when stderr is closed.
+only, and are dropped when stderr is closed or cannot be written.
 
 ``invariants``, ``reduce`` and ``check`` share one record loop and differ
 only in the answer they give each record.  ``verify --n N`` is ``verify
@@ -82,6 +82,16 @@ def _discard(stream) -> None:
     at close or at exit, instead of failing a second time there."""
     with suppress(OSError, ValueError), open(os.devnull, "w") as null:
         os.dup2(null.fileno(), stream.fileno())
+
+
+def _diagnose(text: str) -> None:
+    """Write ``text`` and a newline to stderr.  A diagnostic that cannot be
+    written is dropped, as it is when stderr is closed, and stderr is
+    pointed at the null device so that nothing fails on it again."""
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except OSError:
+        _discard(sys.stderr)
 
 
 @contextmanager
@@ -237,18 +247,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with _output(args) as emit:
         report = verify_theorem(*args.n_range, suites=suites, jobs=args.jobs)
         emit(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-    for n in sorted(report.per_n):
-        t = report.per_n[n]
-        print(
-            f"n={n}: connected={t.connected} reduced={t.reduced} extremal={t.extremal} "
-            f"even-extremal={t.even_extremal} recognized={t.recognized}",
-            file=sys.stderr,
-        )
+    lines = [
+        f"n={n}: connected={t.connected} reduced={t.reduced} extremal={t.extremal} "
+        f"even-extremal={t.even_extremal} recognized={t.recognized}"
+        for n, t in sorted(report.per_n.items())
+    ]
     for name, summary in sorted(report.lemma_summaries.items()):
         violations = len(summary["violations"])
-        print(f"suite {name}: {summary['instances']} instances, {violations} violations", file=sys.stderr)
-    failures = len(report.unreduced_failures)
-    print(f"mismatches={len(report.mismatches)} unreduced-failures={failures}", file=sys.stderr)
+        lines.append(f"suite {name}: {summary['instances']} instances, {violations} violations")
+    lines.append(f"mismatches={len(report.mismatches)} unreduced-failures={len(report.unreduced_failures)}")
+    _diagnose("\n".join(lines))
     return EXIT_MISMATCH if report.mismatches else EXIT_OK
 
 
@@ -385,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return EXIT_OK
     except _CannotUse as exc:
-        print(exc, file=sys.stderr)
+        _diagnose(str(exc))
         return EXIT_INPUT
     except Exception:  # pragma: no cover - defensive catch-all for exit code 1
         log.exception("internal error")

@@ -81,21 +81,34 @@ def _refinement_cells(rows: Sequence[int]) -> list[list[int]]:
     multiset of neighbour colours, with new colour ids assigned in sorted
     key order, so the final cell order depends only on the isomorphism
     class.
+
+    The multiset is read as the integer ``code`` that sums ``B^(n-1-c)``
+    over the neighbours' colours ``c``, with ``B = 2^s`` above every
+    degree; the key is ``(colour, -code)``.  Colours lie in ``0..n-1``
+    (degrees in the first round, ids after), so ``code`` has one base-B
+    digit per colour, the count of neighbours of that colour, the least
+    colour in the highest digit.  Vertices of one colour have one degree,
+    so their sorted colour lists have one length, and the first place two
+    such lists differ holds a colour ``c`` that the lesser list has more
+    of, with equal counts below ``c``: the lesser list has the greater
+    code.  So ``-code`` orders a colour's vertices as the sorted lists do.
     """
     n = len(rows)
+    shift = n.bit_length()
+    weight = [1 << shift * (n - 1 - c) for c in range(n)]
     colors = [r.bit_count() for r in rows]
     ncolors = len(set(colors))
     while True:
         keys = []
+        w = [weight[c] for c in colors]
         for v in range(n):
             m = rows[v]
-            nb = []
+            code = 0
             while m:
                 low = m & -m
                 m ^= low
-                nb.append(colors[low.bit_length() - 1])
-            nb.sort()
-            keys.append((colors[v], tuple(nb)))
+                code += w[low.bit_length() - 1]
+            keys.append((colors[v], -code))
         order = {k: i for i, k in enumerate(sorted(set(keys)))}
         colors = [order[k] for k in keys]
         if len(order) == ncolors:
@@ -256,25 +269,33 @@ def canonical_form(g: Graph, limit: int = CANONICAL_TIER_LIMIT) -> bytes:
 def _mask_orbit_reps(masks: Sequence[int], gens: Sequence[Sequence[int]]) -> list[int]:
     """The least member of each orbit of ``masks`` under the group that
     the permutations ``gens`` generate.  ``masks`` are vertex subsets as
-    bitmasks, in ascending order, and the group maps them onto themselves."""
-    seen: set[int] = set()
+    bitmasks, in ascending order, and the group maps them onto themselves.
+    Each generator maps masks through a table of the images of all
+    subsets, built a vertex at a time: the subsets that hold vertex ``v``
+    map to those without it, each joined with the image of ``v``."""
+    if not gens:
+        return list(masks)
+    images = []
+    for perm in gens:
+        img = [0]
+        for p in perm:
+            bit = 1 << p
+            img += [y | bit for y in img]
+        images.append(img)
+    seen = bytearray(len(images[0]))
     reps = []
     for m in masks:
-        if m in seen:
+        if seen[m]:
             continue
         reps.append(m)
-        seen.add(m)
+        seen[m] = 1
         stack = [m]
         while stack:
             x = stack.pop()
-            for perm in gens:
-                y, rest = 0, x
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    y |= 1 << perm[low.bit_length() - 1]
-                if y not in seen:
-                    seen.add(y)
+            for img in images:
+                y = img[x]
+                if not seen[y]:
+                    seen[y] = 1
                     stack.append(y)
     return reps
 
@@ -287,22 +308,34 @@ def _canonical_gens(lab: Sequence[int], autos: Sequence[Sequence[int]]) -> tuple
     return tuple(dict.fromkeys(bytes(pos[p[v]] for v in lab) for p in autos))
 
 
-def _neighbour_degrees(rows: Sequence[int], v: int, deg: Sequence[int]) -> list[int]:
-    """Second part of the census's vertex key: the sorted degrees of the
-    neighbours of ``v`` (the first part is its degree)."""
+def _key_table(rows: Sequence[int]) -> list[int]:
+    """The census key's per-parent table: entry ``x`` sums ``16^(k-deg u)``
+    over the vertices ``u`` of the subset ``x`` of the parent's ``k``
+    vertices, each degree taken in the parent.  Built a vertex at a time:
+    the subsets that hold ``u`` add its term to those without it."""
+    k = len(rows)
+    table = [0]
+    for r in rows:
+        term = 1 << 4 * (k - r.bit_count())
+        table += [t + term for t in table]
+    return table
+
+
+def _split_components(rows: Sequence[int]) -> list[tuple[int, ...]]:
+    """For each vertex ``v``, the vertex sets of the components of the
+    graph minus ``v``, as bitmasks: ``v`` is a cut vertex iff there are
+    two or more."""
+    full = (1 << len(rows)) - 1
     out = []
-    m = rows[v]
-    while m:
-        low = m & -m
-        m ^= low
-        out.append(deg[low.bit_length() - 1])
-    out.sort()
+    for v in range(len(rows)):
+        rest = full & ~(1 << v)
+        comps = []
+        while rest:
+            comp = _reach(rows, rest & -rest, rest)[0]
+            comps.append(comp)
+            rest &= ~comp
+        out.append(tuple(comps))
     return out
-
-
-def _is_cut_vertex(rows: Sequence[int], v: int) -> bool:
-    rest = (1 << len(rows)) - 1 & ~(1 << v)
-    return _reach(rows, rest & -rest, rest)[0] != rest
 
 
 def _star_candidates(
@@ -353,6 +386,35 @@ def _augment_parent(
     in the orbit of ``v*``; a child in which a non-cut vertex outranks
     ``k`` fails with no search.  A kept child's canonical parent, the class
     of ``child - v*``, is then the parent's class.
+
+    The key test reads per-parent data and builds a child only once it
+    has passed.  Below, ``deg`` is the degree in the parent and ``N`` the
+    neighbourhood there; in the child, ``v < k`` has degree ``deg v + [v in
+    mask]`` and ``k`` has ``|mask|``.
+
+    * Key order.  Give a child vertex the code that sums ``16^(k+1-c)``
+      over its neighbours' child degrees ``c``.  A child degree is at most
+      ``k <= 8``, so the code has one base-16 digit per degree, the count
+      of neighbours of that degree, and among vertices of one degree the
+      keys order as the codes reversed, by the argument of
+      ``_refinement_cells``.
+      With ``T = _key_table(parent)``, whose terms are ``16^(k-deg u)``, a
+      neighbour outside the mask keeps its degree and adds 16 times its
+      term, one in the mask gains one and adds its term, and ``k`` adds
+      ``16^(k+1-|mask|)``.  So the code of ``v`` is ``16 T[N(v) - mask] +
+      T[N(v) & mask]``, plus ``16^(k+1-|mask|)`` if ``v`` is in the mask,
+      and that of ``k`` is ``T[mask]``.
+    * Cut vertices.  ``child - k`` is the parent, which is connected, so
+      ``k`` is never a cut vertex.  For ``v < k``, ``child - v`` is ``parent
+      - v`` with ``k`` joined to the mask's vertices there: the components
+      of ``parent - v`` that meet the mask merge through ``k``, and the rest
+      stay apart.  So ``v`` is a cut vertex of the child iff the mask
+      misses a component of ``parent - v`` (``_split_components``).  When
+      ``v`` is not a cut vertex of the parent, ``parent - v`` has one
+      component, every vertex but ``v``, so ``v`` stays non-cut unless the
+      mask is ``{v}``; a cut vertex of the parent becomes non-cut iff the
+      mask meets every component of ``parent - v``.  (When ``k`` is 1,
+      ``parent - v`` has no component and ``v`` stays non-cut.)
 
     Among the ties (the non-cut vertices with the top key, ``k`` among
     them), three tests settle most children before any search, cheapest
@@ -412,42 +474,49 @@ def _augment_parent(
     """
     rows, gens = parent
     k = len(rows)
+    deg = [r.bit_count() for r in rows]
+    comps = _split_components(rows)
     # A non-cut vertex of the parent stays non-cut in a child whose new
     # vertex has another neighbour.  It outranks k there if its degree in
     # the parent exceeds the mask's size, or equals it and it is in the
     # mask, so only the largest such degree, floor, matters.  The group
     # keeps a mask's size and whether it meets floor_mask, so the test
     # runs before the orbits.
-    noncut_degree = {v: r.bit_count() for v, r in enumerate(rows) if not _is_cut_vertex(rows, v)}
+    noncut_degree = {v: deg[v] for v in range(k) if len(comps[v]) < 2}
     floor = max(noncut_degree.values())
     floor_mask = sum(1 << v for v, d in noncut_degree.items() if d == floor)
     survivors = [m for m in range(1, 1 << k) if not 1 < m.bit_count() < floor + bool(m & floor_mask)]
     masks = _mask_orbit_reps(survivors, gens)
+    table = _key_table(rows)
+    # rivals[s]: the vertices whose degree in a child reaches a mask size s
+    rivals = [[v for v in range(k) if deg[v] >= s - 1] for s in range(k + 1)]
     kept = []
     rejected = by_cells = searches = unsearched = tests = 0
     for mask in masks:
-        # one tuple, no intermediate: the last level keeps it, and a freed
-        # intermediate per child raised the sweep's peak RSS by 0.1 MB
-        child = (*(r | (mask >> v & 1) << k for v, r in enumerate(rows)), mask)
-        deg = [r.bit_count() for r in child]
-        dk = deg[k]
-        top = _neighbour_degrees(child, k, deg)
+        dk = mask.bit_count()
+        top = table[mask]
+        shift = 4 * (k + 1 - dk)
         ties = [k]
-        for v in range(k):
-            if deg[v] < dk:
+        for v in rivals[dk]:
+            inside = mask >> v & 1
+            dv = deg[v] + inside
+            if dv == dk:
+                row = rows[v]
+                code = (table[row & ~mask] << 4) + table[row & mask] + (inside << shift)
+                if code > top:
+                    continue
+            elif dv < dk:
                 continue
-            if deg[v] == dk:
-                key = _neighbour_degrees(child, v, deg)
-                if key < top:
+            if all(mask & c for c in comps[v]):  # v is not a cut vertex of the child
+                if dv == dk and code == top:
+                    ties.append(v)
                     continue
-                if key == top:
-                    if not _is_cut_vertex(child, v):
-                        ties.append(v)
-                    continue
-            if not _is_cut_vertex(child, v):
                 rejected += 1
                 break
         else:
+            # one tuple, no intermediate: the last level keeps it, and a freed
+            # intermediate per child raised the sweep's peak RSS by 0.1 MB
+            child = (*(r | (mask >> v & 1) << k for v, r in enumerate(rows)), mask)
             stars, cells, swap = _star_candidates(child, ties)
             if k not in stars:
                 by_cells += 1

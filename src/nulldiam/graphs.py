@@ -81,9 +81,13 @@ class Graph:
                 raise ValueError(f"row {v} has neighbour bits outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.rows):
-            for u in _bits(row):
-                if not self.rows[u] >> v & 1:
+        rows = self.rows
+        for v, row in enumerate(rows):
+            while row:
+                low = row & -row
+                row ^= low
+                u = low.bit_length() - 1
+                if not rows[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod

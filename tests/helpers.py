@@ -9,9 +9,11 @@ replacement: ``reduce_by_rescan`` (twin deletion one vertex at a time),
 ``family_by_mask_walk`` (every mask, deduplicated by canonical form),
 ``recognize_on_every_path`` (the family shape tried on every diameter
 path), ``augment_by_deletion_check`` (census children accepted by the
-class of ``child - v*``) and ``is_diameter_path_by_pairs`` (the induced
+class of ``child - v*``), ``is_diameter_path_by_pairs`` (the induced
 path test on every vertex pair, with the ends' distance from a BFS of its
-own).
+own), ``is_cut_vertex`` (one search of the graph minus the vertex) and
+``refinement_cells_by_sorted_lists`` (colour refinement keyed by sorted
+neighbour-colour tuples).
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from nulldiam import (
 )
 from nulldiam.enumeration import (
     _canonical_rows,
-    _is_cut_vertex,
     _min_columns,
     _rows_from_columns,
     canonical_form,
 )
 from nulldiam.families import _claims_on_path
-from nulldiam.graphs import _rows_without
+from nulldiam.graphs import _reach, _rows_without
 
 
 def fraction_rank(entries) -> int:
@@ -313,6 +314,30 @@ def recognize_on_every_path(g: Graph) -> tuple[Verdict, FamilyParams | None, boo
     return Verdict.MISMATCH, None, agree
 
 
+def is_cut_vertex(rows, v: int) -> bool:
+    """Whether deleting ``v`` disconnects the rest, by one search of the
+    rest from its least vertex."""
+    rest = (1 << len(rows)) - 1 & ~(1 << v)
+    return _reach(rows, rest & -rest, rest)[0] != rest
+
+
+def refinement_cells_by_sorted_lists(rows) -> list[list[int]]:
+    """``_refinement_cells`` keyed each round by ``(colour, sorted tuple of
+    neighbour colours)``, new colour ids in sorted key order."""
+    n = len(rows)
+    colors = [r.bit_count() for r in rows]
+    while True:
+        keys = [
+            (colors[v], tuple(sorted(colors[u] for u in range(n) if rows[v] >> u & 1))) for v in range(n)
+        ]
+        order = {k: i for i, k in enumerate(sorted(set(keys)))}
+        refined = [order[k] for k in keys]
+        if len(order) == len(set(colors)):
+            break
+        colors = refined
+    return [[v for v in range(n) if refined[v] == c] for c in range(len(order))]
+
+
 def augment_by_deletion_check(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The canonical children of a canonically labelled connected graph
     that have it as their canonical parent, by the census's rule before
@@ -348,7 +373,7 @@ def augment_by_deletion_check(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
         keys = {
             v: (deg[v], sorted(deg[u] for u in range(k + 1) if child[v] >> u & 1))
             for v in range(k + 1)
-            if not _is_cut_vertex(child, v)
+            if not is_cut_vertex(child, v)
         }
         top = max(keys.values())
         if keys[k] != top:

@@ -579,7 +579,8 @@ class TestClosedStreams:
     Python gives as ``None``, is an input error: one stderr line and exit
     2, neither a traceback nor output lost without a word.  With standard
     error closed, diagnostics are dropped and stdout carries only records
-    or the report.  The program runs as ``sys.executable``: a launcher
+    or the report; so with standard error open on a device that every
+    write fails on.  The program runs as ``sys.executable``: a launcher
     script in between can leave descriptor 2 open on the script."""
 
     @staticmethod
@@ -617,6 +618,31 @@ class TestClosedStreams:
         assert done.returncode == 0
         report = json.loads(done.stdout)
         assert report["per_n"]["3"]["connected"] == 2
+
+    @staticmethod
+    def with_full_stderr(argv):
+        """Run with a standard error that every write to fails (ENOSPC)."""
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            return subprocess.run(
+                [sys.executable, "-m", "nulldiam.cli", *argv],
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.PIPE,
+                stderr=full,
+                text=True,
+                env=subprocess_env(),
+                timeout=60,
+            )
+
+    def test_unwritable_stderr_leaves_the_report_and_exit_code(self):
+        done = self.with_full_stderr(["verify", "--n", "2", "--suites", ""])
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["per_n"]["2"]["connected"] == 1
+
+    def test_unwritable_stderr_keeps_the_input_error_exit_code(self):
+        done = self.with_full_stderr(["check", "--input", "/nonexistent/input.g6"])
+        assert (done.returncode, done.stdout) == (2, "")
 
 
 class TestImports:

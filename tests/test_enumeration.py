@@ -39,11 +39,12 @@ from nulldiam.enumeration import (
     _augment_parent,
     _canonical_gens,
     _canonical_rows,
-    _is_cut_vertex,
+    _key_table,
     _mask_orbit_reps,
     _min_columns,
     _refinement_cells,
     _rows_from_columns,
+    _split_components,
     _star_candidates,
     _swap_class_ids,
 )
@@ -54,10 +55,12 @@ from helpers import (
     automorphism_count,
     complete_bipartite,
     gf2_rank,
+    is_cut_vertex,
     labeled_connected_count,
     min_perm_graph6,
     random_graph,
     reduce_by_rescan,
+    refinement_cells_by_sorted_lists,
     relabel,
     star_graph,
 )
@@ -277,7 +280,7 @@ class TestCensus:
                     keys = {
                         v: (deg[v], sorted(deg[u] for u in range(n + 1) if child[v] >> u & 1))
                         for v in range(n + 1)
-                        if not _is_cut_vertex(child, v)
+                        if not is_cut_vertex(child, v)
                     }
                     top = max(keys.values())
                     if keys[n] != top:
@@ -298,6 +301,46 @@ class TestCensus:
                     rule = "twins" if cells is None else "cells keep" if n in stars else "cells reject"
                     settled[rule] += 1
         assert set(settled) == {"twins", "cells keep", "cells reject"}
+
+    def test_key_codes_and_cut_status_come_from_the_parent(self, carried_parents7):
+        # every orbit-representative child of every parent up to n = 7: the
+        # key test's per-parent data gives the child's cut vertices and
+        # orders its vertices as (degree, sorted neighbour degrees) does
+        def dense(keys):
+            ranks = sorted(set(keys))
+            return [ranks.index(key) for key in keys]
+
+        for n in range(1, 8):
+            for rows, gens in carried_parents7[n]:
+                table = _key_table(rows)
+                comps = _split_components(rows)
+                for mask in _mask_orbit_reps(range(1, 1 << n), gens):
+                    child = (*(r | (mask >> v & 1) << n for v, r in enumerate(rows)), mask)
+                    deg = [r.bit_count() for r in child]
+                    cut = [not all(mask & c for c in comps[v]) for v in range(n)] + [False]
+                    assert cut == [is_cut_vertex(child, v) for v in range(n + 1)], (rows, mask)
+                    codes = [
+                        (table[r & ~mask] << 4) + table[r & mask] + ((mask >> v & 1) << 4 * (n + 1 - deg[n]))
+                        for v, r in enumerate(rows)
+                    ] + [table[mask]]
+                    keys = [
+                        (deg[v], tuple(sorted(deg[u] for u in range(n + 1) if child[v] >> u & 1)))
+                        for v in range(n + 1)
+                    ]
+                    assert dense([(deg[v], -codes[v]) for v in range(n + 1)]) == dense(keys), (rows, mask)
+
+    def test_level_eight_counters(self, carried_parents7):
+        # (masks, rejected by key, rejected by cells, searches, accepted
+        # without search, orbit tests, accepted) over the n = 8 level, as
+        # the sweep builds it (README) and as connected_graphs does
+        for canonical, counts in (
+            (False, (24_134, 12_147, 846, 1_105, 10_036, 142, 11_117)),
+            (True, (24_134, 12_147, 846, 11_141, 0, 142, 11_117)),
+        ):
+            totals = [0] * 7
+            for parent in carried_parents7[7]:
+                totals = [a + b for a, b in zip(totals, _augment_parent(parent, True, canonical)[1])]
+            assert tuple(totals) == counts
 
     def test_unsearched_last_level_matches_the_full_search(self, carried_parents7):
         # each order as the sweep's last level: the same classes in the same
@@ -566,6 +609,16 @@ def test_min_columns_labelling_and_automorphisms(data):
         assert all(
             (rows[u] >> v & 1) == (rows[perm[u]] >> perm[v] & 1) for u in range(n) for v in range(n)
         )
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_refinement_cells_match_sorted_list_keys(data):
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    rows = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1]).rows
+    assert _refinement_cells(rows) == refinement_cells_by_sorted_lists(rows)
 
 
 @settings(max_examples=30)

@@ -27,11 +27,12 @@ from nulldiam import (
     to_graph6,
     twin_classes,
 )
-from nulldiam.enumeration import _is_cut_vertex, canonical_form
+from nulldiam.enumeration import _split_components, canonical_form
 from nulldiam.graphs import _distances, _reach
 
 from helpers import (
     complete_bipartite,
+    is_cut_vertex,
     is_diameter_path_by_pairs,
     random_graph,
     reduce_by_rescan,
@@ -413,8 +414,13 @@ class TestSearchHelpers:
         # a random spanning tree makes the graph connected
         tree = [(v, data.draw(st.integers(0, v - 1))) for v in range(1, g.n)]
         g = Graph.from_edges(g.n, g.edges() + tree)
-        cut = set(nx.articulation_points(nx_graph(nx, g)))
-        assert [_is_cut_vertex(g.rows, v) for v in range(g.n)] == [v in cut for v in range(g.n)]
+        h = nx_graph(nx, g)
+        cut = set(nx.articulation_points(h))
+        assert [is_cut_vertex(g.rows, v) for v in range(g.n)] == [v in cut for v in range(g.n)]
+        # the census reads cut vertices from the components of g - v
+        for v, comps in enumerate(_split_components(g.rows)):
+            h_v = h.subgraph(set(range(g.n)) - {v})
+            assert sorted(comps) == sorted(sum(1 << u for u in c) for c in nx.connected_components(h_v))
 
 
 class TestTwinsAndReduction:
