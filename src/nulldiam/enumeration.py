@@ -46,7 +46,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import lemmas
@@ -338,6 +338,34 @@ def _split_components(rows: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
+@cache
+def _mask_groups(k: int, floor: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The nonempty subsets of ``k`` vertices as bitmasks, in ascending
+    order, in two groups: those of size 1 or above ``floor``, and those of
+    size ``floor`` when that is 2 or more."""
+    free: list[int] = []
+    edge: list[int] = []
+    for m in range(1, 1 << k):
+        size = m.bit_count()
+        if size == 1 or size > floor:
+            free.append(m)
+        elif size == floor:
+            edge.append(m)
+    return tuple(free), tuple(edge)
+
+
+def _survivors(k: int, floor: int, floor_mask: int) -> Sequence[int]:
+    """The masks of a ``k``-vertex parent that pass the degree test, in
+    ascending order: those of size 1, above ``floor``, or of size ``floor``
+    and disjoint from ``floor_mask`` (see ``_augment_parent``)."""
+    free, edge = _mask_groups(k, floor)
+    if not edge:
+        return free
+    survivors = [*free, *(m for m in edge if not m & floor_mask)]
+    survivors.sort()  # two ascending runs, merged
+    return survivors
+
+
 def _star_candidates(
     child: Sequence[int], ties: list[int]
 ) -> tuple[list[int], list[list[int]] | None, list[int] | None]:
@@ -485,8 +513,7 @@ def _augment_parent(
     noncut_degree = {v: deg[v] for v in range(k) if len(comps[v]) < 2}
     floor = max(noncut_degree.values())
     floor_mask = sum(1 << v for v, d in noncut_degree.items() if d == floor)
-    survivors = [m for m in range(1, 1 << k) if not 1 < m.bit_count() < floor + bool(m & floor_mask)]
-    masks = _mask_orbit_reps(survivors, gens)
+    masks = _mask_orbit_reps(_survivors(k, floor, floor_mask), gens)
     table = _key_table(rows)
     # rivals[s]: the vertices whose degree in a child reaches a mask size s
     rivals = [[v for v in range(k) if deg[v] >= s - 1] for s in range(k + 1)]

@@ -5,9 +5,14 @@ no rationals and no floating point, so rank, nullity and eigenvalue
 multiplicities are tolerance-free.  Two independent channels are kept on
 purpose: fraction-free Gaussian elimination for ranks, and Berkowitz's
 division-free characteristic polynomial for cross checks, so a bug in one
-cannot silently confirm itself through the other.  The number of distinct
-eigenvalues comes from the characteristic polynomial by a primitive
-pseudo-remainder gcd with its derivative, again over the integers.
+cannot silently confirm itself through the other.  ``char_poly`` takes
+symmetric matrices only (every caller passes ``A - mu*I``): each walk
+count ``c^T B^i c`` that Berkowitz needs is then the dot product of two
+Krylov vectors ``B^a c`` and ``B^b c`` with ``a + b = i``, so it builds
+half of them.  The number of distinct eigenvalues comes from the
+characteristic polynomial by its gcd with its derivative: a gcd of 1
+modulo the prime ``2^61 - 1`` certifies that it is square-free, and
+otherwise a primitive pseudo-remainder gcd over the integers decides.
 ``rank_gf2`` is a lower bound on the rational rank.  The per-graph table
 (``lemmas._GraphFacts``) uses it to rule graphs out of extremality, and
 takes it as the rank of a matrix when it meets the number of distinct
@@ -186,64 +191,115 @@ def nullity(g: Graph) -> int:
 
 
 def char_poly(m: IntMatrix) -> tuple[int, ...]:
-    """Exact characteristic polynomial det(xI - m) by Berkowitz's
-    division-free algorithm (Berkowitz 1984), as its coefficients in
-    ascending order; the last is 1.
+    """Exact characteristic polynomial det(xI - m) of a symmetric matrix by
+    Berkowitz's division-free algorithm (Berkowitz 1984), as its
+    coefficients in ascending order; the last is 1.  A matrix that is not
+    symmetric raises ``ValueError``.
 
     The polynomial of each leading principal block is built from the one
     before it: bordering the k x k block B by row r, column c and corner
     a multiplies it by the lower-triangular Toeplitz matrix with first
-    column 1, -a, -r c, -r B c, ..., -r B^(k-1) c.  Only ring operations
-    are used (no division, no elimination), which keeps it independent of
-    ``rank_exact``.
+    column 1, -a, -W(0), ..., -W(k-1), where W(i) = r B^i c.  Only ring
+    operations are used (no division, no elimination), which keeps it
+    independent of ``rank_exact``.
+
+    For a symmetric matrix r is c transposed and B is symmetric, so with
+    x_j = B^j c, W(i) = (B^a c) . (B^b c) for a = ceil(i/2), b = floor(i/2).
+    Step k therefore builds only x_0, ..., x_(k//2), by k//2 products with
+    B, and reads each W(i) as the dot product of x_a and x_b.
 
     Each row of the leading block is held sparse, in two parts: the
     columns where it holds 1, and the columns and entries of its other
     nonzero entries, the diagonal included.  A row times a vector is then
     a plain sum of picked entries, plus a weighted sum only for rows with
     other entries; an adjacency matrix has none.  The rows grow by one
-    column per step, so the border row r of step k is row k as it stands.
-    The Toeplitz product is one dot product per coefficient with the
-    reversed first column.
+    column per step.  The Toeplitz product is one dot product per
+    coefficient with the reversed first column.
     """
     a = m.entries
+    if tuple(zip(*a)) != a:
+        raise ValueError("char_poly needs a symmetric matrix")
     ones: list[list[int]] = []  # ones[i]: the columns j < k with a[i][j] == 1
     cols: list[list[int]] = []  # cols[i], vals[i]: the other nonzero entries
     vals: list[list[int]] = []
     coeffs = [1]  # descending, for the leading k x k block
     for k in range(m.order):
         ak = a[k]
-        ones.append([j for j in range(k) if ak[j] == 1])
-        cols.append([j for j in range(k) if ak[j] and ak[j] != 1])
-        vals.append([ak[j] for j in cols[k]])
-        rows = list(zip(ones, cols, vals))  # the block's rows, then the border row r
-        col = [a[i][k] for i in range(k)]
-        toeplitz = [1, -ak[k]]
-        for _ in range(k):
-            get = col.__getitem__
-            col = [
+        rows = list(zip(ones, cols, vals))  # the block B
+        x = ak[:k]  # x_0 = c, which is r as well
+        krylov = [x]
+        for _ in range(k // 2):
+            get = x.__getitem__
+            x = [
                 sum(map(get, o)) + sum(map(mul, map(get, c), v)) if c else sum(map(get, o))
                 for o, c, v in rows
             ]
-            toeplitz.append(-col.pop())  # r times the vector; B times it stays
-        toeplitz.reverse()  # toeplitz[i - j] is now toeplitz[k + 1 - i + j]
+            krylov.append(x)
+        toeplitz = [-sum(map(mul, krylov[i - i // 2], krylov[i // 2])) for i in range(k - 1, -1, -1)]
+        toeplitz += (-ak[k], 1)  # toeplitz[i - j] is now toeplitz[k + 1 - i + j]
         coeffs = [sum(map(mul, toeplitz[k + 1 - i :], coeffs)) for i in range(k + 2)]
+        ones.append([j for j in range(k) if ak[j] == 1])  # row k joins the block
+        cols.append([j for j in range(k) if ak[j] and ak[j] != 1])
+        vals.append([ak[j] for j in cols[k]])
         for i in range(k + 1):  # every row of the next block gains column k
-            x = a[i][k]
-            if x == 1:
+            entry = a[i][k]
+            if entry == 1:
                 ones[i].append(k)
-            elif x:
+            elif entry:
                 cols[i].append(k)
-                vals[i].append(x)
+                vals[i].append(entry)
     return tuple(reversed(coeffs))
 
 
 def distinct_eigenvalue_count(g: Graph) -> int:
     """Number of distinct eigenvalues: degree of the square-free part of
-    the characteristic polynomial, deg p - deg gcd(p, p')."""
+    the characteristic polynomial, deg p - deg gcd(p, p').
+
+    A gcd of 1 modulo the prime q = 2^61 - 1 settles it first: then p is
+    square-free and the count is n, with no integer gcd.  This is sound
+    because p is monic.  A common factor of p and p' of positive degree
+    over the rationals may be taken monic, and a monic rational factor of
+    the monic integer p has integer coefficients (Gauss's lemma).  So such
+    a factor h is a monic integer polynomial, and dividing p' by it leaves
+    an integer quotient.  Modulo q, h keeps its degree and still divides p
+    and p' (also when p' vanishes mod q), so their gcd mod q has positive
+    degree too.  Where the gcd mod q is not 1, the integer pseudo-remainder
+    sequence decides.
+    """
     p = list(char_poly(adjacency_matrix(g)))
     dp = [i * c for i, c in enumerate(p)][1:]
+    if _coprime_mod_q(p, dp):
+        return g.n
     return (len(p) - 1) - _gcd_degree(p, dp)
+
+
+#: The Mersenne prime 2^61 - 1, the modulus of the square-free certificate.
+_Q = (1 << 61) - 1
+
+
+def _coprime_mod_q(a: list[int], b: list[int]) -> bool:
+    """Whether integer polynomials ``a`` and ``b`` (ascending coefficients)
+    have gcd 1 modulo ``_Q``, by Euclid's algorithm over GF(q)."""
+    a = _trimmed([c % _Q for c in a])
+    b = _trimmed([c % _Q for c in b])
+    while b:
+        inv = pow(b[-1], -1, _Q)
+        b = [c * inv % _Q for c in b]  # monic
+        db = len(b) - 1
+        while len(a) > db:
+            f = a.pop()
+            shift = len(a) - db
+            a[shift:] = [(x - f * c) % _Q for x, c in zip(a[shift:], b)]
+            _trimmed(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _trimmed(p: list[int]) -> list[int]:
+    """``p`` without its zero leading coefficients, trimmed in place."""
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
 def _gcd_degree(a: list[int], b: list[int]) -> int:
@@ -273,8 +329,7 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         shift = len(a) - 1 - db
         for i, c in enumerate(b):
             a[shift + i] -= f * c
-        while a and not a[-1]:
-            a.pop()
+        _trimmed(a)
     return a
 
 

@@ -119,6 +119,19 @@ class TestInvariants:
         assert len(serial[1].splitlines()) == len(census7[5]) + 2
 
 
+def test_seed_zero_corpus_invariants_match_the_golden_file():
+    # recorded before char_poly paired half-length Krylov vectors and
+    # distinct_eigenvalue_count certified square-free polynomials mod a prime
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "nulldiam", "invariants", "--input", str(root / "bench/corpus/seed-0.g6")],
+        capture_output=True,
+        env=subprocess_env(),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (root / "tests/data/seed-0.invariants.jsonl").read_bytes()
+
+
 class TestReduce:
     def test_text_contract(self, capsys, g6_file):
         c4 = to_graph6(cycle_graph(4))

@@ -46,6 +46,7 @@ from nulldiam.enumeration import (
     _rows_from_columns,
     _split_components,
     _star_candidates,
+    _survivors,
     _swap_class_ids,
 )
 from nulldiam.families import Verdict
@@ -328,6 +329,19 @@ class TestCensus:
                         for v in range(n + 1)
                     ]
                     assert dense([(deg[v], -codes[v]) for v in range(n + 1)]) == dense(keys), (rows, mask)
+
+    def test_survivors_match_the_size_test_on_every_parent(self, census_rows8):
+        # the masks that _augment_parent hands to the orbit pruning, on every
+        # parent up to n = 8, equal the size test on all 2^k - 1 masks
+        for level in census_rows8.values():
+            for rows in level:
+                k = len(rows)
+                comps = _split_components(rows)
+                noncut = [v for v in range(k) if len(comps[v]) < 2]
+                floor = max(rows[v].bit_count() for v in noncut)
+                floor_mask = sum(1 << v for v in noncut if rows[v].bit_count() == floor)
+                expected = [m for m in range(1, 1 << k) if not 1 < m.bit_count() < floor + bool(m & floor_mask)]
+                assert list(_survivors(k, floor, floor_mask)) == expected, rows
 
     def test_level_eight_counters(self, carried_parents7):
         # (masks, rejected by key, rejected by cells, searches, accepted

@@ -22,7 +22,7 @@ from nulldiam import (
     shifted_adjacency,
 )
 
-from nulldiam.linalg import rank_gf2
+from nulldiam.linalg import _Q, _coprime_mod_q, rank_gf2
 
 from helpers import (
     char_poly_leibniz,
@@ -37,6 +37,11 @@ from helpers import (
 
 def matrix(rows) -> IntMatrix:
     return IntMatrix(tuple(map(tuple, rows)))
+
+
+def mirrored(rows) -> list[list[int]]:
+    """The symmetric matrix with the upper triangle of ``rows``."""
+    return [[rows[min(i, j)][max(i, j)] for j in range(len(rows))] for i in range(len(rows))]
 
 
 def multiplicity(g: Graph, mu: int) -> int:
@@ -214,6 +219,13 @@ class TestCharPoly:
     def test_against_leibniz_random(self, m):
         assert list(char_poly(m)) == char_poly_leibniz(m.entries)
 
+    @pytest.mark.parametrize(
+        "rows", [[[0, 1], [0, 0]], [[1, 2, 3], [2, 0, 1], [3, 0, 1]], [[0, 1], [-1, 0]]]
+    )
+    def test_rejects_a_matrix_that_is_not_symmetric(self, rows):
+        with pytest.raises(ValueError, match="symmetric"):
+            char_poly(matrix(rows))
+
     def test_zero_root_multiplicity_matches_nullity(self, census7):
         for n in range(1, 7):
             for g in census7[n]:
@@ -282,12 +294,13 @@ def test_interlacing_small_corpus(census7):
 @pytest.fixture(scope="module")
 def spectral_cases() -> dict[str, Graph]:
     """Graphs up to 64 vertices by label.  All but the plain family members
-    have a repeated eigenvalue, so gcd(p, p') is nontrivial: cycles,
-    complete bipartite graphs, the cube Q_6, and twin blow-ups of
-    even-diameter family members."""
+    and the seeded random graphs G(n, 1/2) have a repeated eigenvalue, so
+    gcd(p, p') is nontrivial: cycles, complete bipartite graphs, the cube
+    Q_6, and twin blow-ups of even-diameter family members."""
     cases = {f"C{m}": cycle_graph(m) for m in (3, 8, 17, 32, 64)}
     cases |= {f"K{a},{b}": complete_bipartite(a, b) for a, b in ((1, 7), (5, 5), (16, 48))}
     cases["Q6"] = hypercube(6)
+    cases |= {f"G({n}, 1/2)": random_graph(random.Random(n), n) for n in (32, 48, 64)}
     for d in (10, 20, 30):
         members = list(enumerate_family(d, d + 3))
         for i in (0, len(members) - 1):
@@ -334,7 +347,7 @@ class TestSympyOracle:
     def test_char_poly_on_general_integer_matrices(self, sympy_char_poly, data):
         n = data.draw(st.integers(min_value=1, max_value=10))
         row = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
-        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+        rows = mirrored(data.draw(st.lists(row, min_size=n, max_size=n)))
         assert char_poly(matrix(rows)) == sympy_char_poly(rows)
 
     @settings(max_examples=60, deadline=None)
@@ -345,7 +358,7 @@ class TestSympyOracle:
         n = data.draw(st.integers(min_value=0, max_value=12))
         entry = st.sampled_from([0, 0, 0, 1, 1, 1, -1, 2, 10**12])
         row = st.lists(entry, min_size=n, max_size=n)
-        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+        rows = mirrored(data.draw(st.lists(row, min_size=n, max_size=n)))
         assert char_poly(matrix(rows)) == sympy_char_poly(rows)
 
     def test_distinct_eigenvalues_match_square_free_part(
@@ -355,4 +368,21 @@ class TestSympyOracle:
             e = distinct_eigenvalue_count(g)
             coeffs = char_poly(adjacency_matrix(g))
             assert e == sympy_square_free_degree(coeffs), label
-            assert label.startswith("family") or e < g.n, label
+            assert label.startswith(("family", "G(")) or e < g.n, label
+
+    def test_square_free_certificate_modulus_is_prime(self):
+        sympy = pytest.importorskip("sympy")
+        assert sympy.isprime(_Q)
+
+    def test_square_free_certificate_never_fires_on_a_repeated_root(
+        self, spectral_cases, census7, sympy_square_free_degree
+    ):
+        graphs = [*spectral_cases.values(), *(g for n in range(1, 8) for g in census7[n])]
+        fired = 0
+        for g in graphs:
+            p = list(char_poly(adjacency_matrix(g)))
+            certified = _coprime_mod_q(p, [i * c for i, c in enumerate(p)][1:])
+            if sympy_square_free_degree(p) < g.n:
+                assert not certified, g.rows
+            fired += certified
+        assert 0 < fired < len(graphs)
