@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import lemmas
 from .families import Verdict, recognize
-from .graphs import Graph, _reach, is_reduced, to_graph6
+from .graphs import Graph, _reach, _swap_class_ids, is_reduced, to_graph6
 from .stream import ordered_map
 
 log = logging.getLogger(__name__)
@@ -79,62 +79,59 @@ def _refinement_cells(rows: Sequence[int]) -> list[list[int]]:
 
     Colours start as degrees and are re-keyed each round by the sorted
     multiset of neighbour colours, with new colour ids assigned in sorted
-    key order, so the final cell order depends only on the isomorphism
-    class.
+    ``(colour, multiset)`` order, so the final cell order depends only on
+    the isomorphism class.  Each cell lists its vertices in ascending order.
 
-    The multiset is read as the integer ``code`` that sums ``B^(n-1-c)``
-    over the neighbours' colours ``c``, with ``B = 2^s`` above every
-    degree; the key is ``(colour, -code)``.  Colours lie in ``0..n-1``
-    (degrees in the first round, ids after), so ``code`` has one base-B
+    The partition is kept as its ordered cells, the colour of a vertex
+    being the index of its cell.  The multiset is read as the integer
+    ``code`` that sums ``popcount(row & cell_mask[c]) << s*(n-1-c)`` over
+    the cells ``c``, with ``2^s`` above every degree: one base-``2^s``
     digit per colour, the count of neighbours of that colour, the least
     colour in the highest digit.  Vertices of one colour have one degree,
     so their sorted colour lists have one length, and the first place two
     such lists differ holds a colour ``c`` that the lesser list has more
     of, with equal counts below ``c``: the lesser list has the greater
-    code.  So ``-code`` orders a colour's vertices as the sorted lists do.
+    code.  So the key ``(colour, -code)`` orders a colour's vertices as the
+    sorted lists do, and a round replaces each cell by its vertices grouped
+    by code, in descending code order.  The rounds stop when no cell splits.
+
+    This is the same partition in the same order as re-keying every vertex
+    each round with colours that are degrees in the first round and ids
+    after.  The colour is the primary key, so every cell stays in place
+    relative to the others, and a singleton's code never matters: only the
+    cells with two or more vertices are keyed.  The first round's degrees
+    are relabelled by their cell index, which is monotone, so the codes'
+    digits keep their order and the codes compare as before.
     """
     n = len(rows)
     shift = n.bit_length()
-    weight = [1 << shift * (n - 1 - c) for c in range(n)]
-    colors = [r.bit_count() for r in rows]
-    ncolors = len(set(colors))
+    by_degree: dict[int, list[int]] = {}
+    for v, r in enumerate(rows):
+        by_degree.setdefault(r.bit_count(), []).append(v)
+    cells = [by_degree[deg] for deg in sorted(by_degree)]
     while True:
-        keys = []
-        w = [weight[c] for c in colors]
-        for v in range(n):
-            m = rows[v]
-            code = 0
-            while m:
-                low = m & -m
-                m ^= low
-                code += w[low.bit_length() - 1]
-            keys.append((colors[v], -code))
-        order = {k: i for i, k in enumerate(sorted(set(keys)))}
-        colors = [order[k] for k in keys]
-        if len(order) == ncolors:
-            break
-        ncolors = len(order)
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    return [cells[c] for c in sorted(cells)]
-
-
-def _swap_class_ids(rows: Sequence[int]) -> list[int]:
-    """Label vertices so that u, v share a label exactly when the
-    transposition (u v) is an automorphism (equal neighbourhoods apart
-    from each other).  Such a pair has equal open neighbourhoods if it is
-    non-adjacent and equal closed ones if adjacent; no vertex has a twin
-    of each kind, so a class is labelled by its least vertex."""
-    open_label: dict[int, int] = {}
-    closed_label: dict[int, int] = {}
-    ids = []
-    for u, r in enumerate(rows):
-        label = open_label.get(r, closed_label.get(r | 1 << u, u))
-        open_label.setdefault(r, label)
-        closed_label.setdefault(r | 1 << u, label)
-        ids.append(label)
-    return ids
+        digits = []
+        for c, cell in enumerate(cells):
+            mask = 0
+            for v in cell:
+                mask |= 1 << v
+            digits.append((mask, shift * (n - 1 - c)))
+        refined = []
+        for cell in cells:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            by_code: dict[int, list[int]] = {}
+            for v in cell:
+                r = rows[v]
+                code = 0
+                for mask, place in digits:
+                    code += (r & mask).bit_count() << place
+                by_code.setdefault(code, []).append(v)
+            refined += [by_code[code] for code in sorted(by_code, reverse=True)]
+        if len(refined) == len(cells):
+            return cells
+        cells = refined
 
 
 def _min_columns(

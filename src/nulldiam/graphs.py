@@ -15,7 +15,9 @@ the vertices off it are read by the path positions of their neighbours
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -60,13 +62,91 @@ def _rows_without(rows: Sequence[int], drop: Sequence[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
+@cache
+def _word_masks(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The masks that check a ``width x width`` bit matrix packed into one
+    int, row ``r`` in bits ``width*r ..``, column ``c`` at bit ``c`` of its
+    row: the diagonal, and the ``(shift, mask)`` of each delta swap that
+    transposes it (Hacker's Delight 7-3).
+
+    The swap for block size ``s`` (1, 2, 4, .., ``width/2``) trades, in
+    every ``2s x 2s`` block, the upper right ``s x s`` block with the lower
+    left one.  Entry ``(r, c)`` of the upper right block goes to ``(r + s,
+    c - s)``, ``s*(width-1)`` bits higher, so the mask holds the entries
+    with ``r & s`` zero and ``c & s`` nonzero.  Each mask is a product of
+    two repunits: the column pattern of one row times a 1 at the start of
+    each selected row.  After the last swap, entry ``(r, c)`` holds
+    ``(c, r)``."""
+    ones = (1 << width * width) - 1
+    diagonal = ((1 << (width + 1) * width) - 1) // ((1 << width + 1) - 1)
+    steps = []
+    s = 1
+    while s < width:
+        columns = ((1 << width) - 1) // ((1 << 2 * s) - 1) * (((1 << s) - 1) << s)
+        row_starts = ((1 << width * s) - 1) // ((1 << width) - 1) * (ones // ((1 << 2 * s * width) - 1))
+        steps.append((s * (width - 1), columns * row_starts))
+        s *= 2
+    return diagonal, tuple(steps)
+
+
+@cache
+def _row_words(n: int) -> tuple[struct.Struct, int, tuple[tuple[int, int], ...]]:
+    """How ``n`` rows are packed into one int: ``width`` bits a row, the
+    least of 8, 16, 32 and 64 that holds ``n``, as little-endian unsigned
+    words, with the masks of ``_word_masks(width)``."""
+    width = max(8, 1 << (n - 1).bit_length())
+    return struct.Struct(f"<{n}{'BHIQ'[width.bit_length() - 4]}"), *_word_masks(width)
+
+
+def _is_simple(rows: tuple[int, ...]) -> bool:
+    """Whether ``rows`` is a symmetric 0/1 matrix with an empty diagonal,
+    tested a word at a time: the rows packed into one int (``_row_words``)
+    must have no diagonal bit and equal their transpose.  A row that is
+    not an int in ``0 .. 2^width - 1`` fails to pack.  A symmetric matrix
+    has no bit outside ``0..n-1``, since rows ``n`` and up are zero."""
+    words, diagonal, steps = _row_words(len(rows))
+    try:
+        packed = int.from_bytes(words.pack(*rows), "little")
+    except struct.error:
+        return False
+    if packed & diagonal:
+        return False
+    t = packed
+    for shift, mask in steps:
+        swap = (t ^ t >> shift) & mask
+        t ^= swap ^ swap << shift
+    return t == packed
+
+
+def _raise_first_defect(rows: tuple[int, ...]) -> None:
+    """Raise the error for the first row or edge that keeps ``rows`` from
+    being a simple graph: bits out of range or a self-loop, row by row,
+    then an asymmetric edge."""
+    n = len(rows)
+    full = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            raise ValueError(f"row {v} has neighbour bits outside 0..{n - 1}")
+        if row >> v & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+    for v, row in enumerate(rows):
+        while row:
+            low = row & -row
+            row ^= low
+            u = low.bit_length() - 1
+            if not rows[u] >> v & 1:
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     ``rows[v]`` is the open neighbourhood of ``v`` as a bitmask.  The
     constructor enforces symmetry and an empty diagonal, so instances are
-    always simple graphs.
+    always simple graphs.  It tests the whole matrix at once
+    (``_is_simple``), and only rows that fail are walked row by row and
+    edge by edge (``_raise_first_defect``) for the error to raise.
     """
 
     rows: tuple[int, ...]
@@ -75,20 +155,8 @@ class Graph:
         n = len(self.rows)
         if n > MAX_VERTICES:
             raise ValueError(f"at most {MAX_VERTICES} vertices supported, got {n}")
-        full = (1 << n) - 1
-        for v, row in enumerate(self.rows):
-            if row & ~full:
-                raise ValueError(f"row {v} has neighbour bits outside 0..{n - 1}")
-            if row >> v & 1:
-                raise ValueError(f"self-loop at vertex {v}")
-        rows = self.rows
-        for v, row in enumerate(rows):
-            while row:
-                low = row & -row
-                row ^= low
-                u = low.bit_length() - 1
-                if not rows[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        if not _is_simple(self.rows):
+            _raise_first_defect(self.rows)
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
@@ -367,6 +435,23 @@ def diameter_paths(
 # ---------------------------------------------------------------------------
 # Twins, reduction, pendants
 # ---------------------------------------------------------------------------
+
+
+def _swap_class_ids(rows: Sequence[int]) -> list[int]:
+    """Label vertices so that u, v share a label exactly when the
+    transposition (u v) is an automorphism (equal neighbourhoods apart
+    from each other).  Such a pair has equal open neighbourhoods if it is
+    non-adjacent and equal closed ones if adjacent; no vertex has a twin
+    of each kind, so a class is labelled by its least vertex."""
+    open_label: dict[int, int] = {}
+    closed_label: dict[int, int] = {}
+    ids = []
+    for u, r in enumerate(rows):
+        label = open_label.get(r, closed_label.get(r | 1 << u, u))
+        open_label.setdefault(r, label)
+        closed_label.setdefault(r | 1 << u, label)
+        ids.append(label)
+    return ids
 
 
 def twin_classes(g: Graph) -> list[list[int]]:

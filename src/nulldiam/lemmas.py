@@ -28,6 +28,7 @@ from .graphs import (
     Graph,
     _reach,
     _rows_without,
+    _swap_class_ids,
     diameter,
     diameter_paths,
     pendant_pairs,
@@ -141,11 +142,15 @@ class _GraphFacts:
     A rank is keyed by mu and the rows of G - drop, the graph left after
     deleting ``drop``.  Those fix the entries of the shifted matrix's
     principal submatrix, so a matrix that several checkers or deletions
-    ask for (A(G) itself, the deletion of either of two adjacent-label
-    twins, a twin's or a pendant's deletion that interlacing already
-    ranked at mu = 0) is eliminated once.  A key holds one integer per
-    kept vertex rather than the matrix, and a submatrix is built only for
-    a rank that neither the table nor its bounds know (see :meth:`rank`).
+    ask for (A(G) itself, a twin's or a pendant's deletion that
+    interlacing already ranked at mu = 0) is eliminated once.  A single
+    deletion of ``v`` is keyed as that of the least vertex ``u`` whose
+    transposition with ``v`` is an automorphism (``_swap_class_ids``): it
+    maps G - u onto G - v, so both matrices have one rank, and the
+    deletions of a class of twins share one key whatever their labels.  A
+    key holds one integer per kept vertex rather than the matrix, and a
+    submatrix is built only for a rank that neither the table nor its
+    bounds know (see :meth:`rank`).
     ``nullity`` and the ``invariants`` command call ``rank_exact``
     directly, so they stay an independent channel.
     """
@@ -179,6 +184,8 @@ class _GraphFacts:
           never zero.  For every other mu all n rows are distinct and
           nonzero, and the bound is n.
         """
+        if len(drop) == 1:
+            drop = (self.swap_classes[drop[0]],)
         rows = self._rows.get(drop)
         if rows is None:
             rows = self._rows[drop] = _rows_without(self.graph.rows, drop)
@@ -207,6 +214,12 @@ class _GraphFacts:
         if r is None:
             r = self._gf2[rows] = rank_gf2(rows)
         return r
+
+    @_once
+    def swap_classes(self) -> list[int]:
+        """``_swap_class_ids`` of the graph, read by :meth:`rank` for a
+        single deletion."""
+        return _swap_class_ids(self.graph.rows)
 
     @_once
     def diameter(self) -> int:

@@ -11,9 +11,11 @@ replacement: ``reduce_by_rescan`` (twin deletion one vertex at a time),
 path), ``augment_by_deletion_check`` (census children accepted by the
 class of ``child - v*``), ``is_diameter_path_by_pairs`` (the induced
 path test on every vertex pair, with the ends' distance from a BFS of its
-own), ``is_cut_vertex`` (one search of the graph minus the vertex) and
+own), ``is_cut_vertex`` (one search of the graph minus the vertex),
 ``refinement_cells_by_sorted_lists`` (colour refinement keyed by sorted
-neighbour-colour tuples).
+neighbour-colour tuples), ``refinement_cells_by_rounds`` (every vertex
+re-keyed each round by an integer code) and ``check_rows_by_edges`` (the
+graph constructor's checks one row and one edge at a time).
 """
 
 from __future__ import annotations
@@ -336,6 +338,62 @@ def refinement_cells_by_sorted_lists(rows) -> list[list[int]]:
             break
         colors = refined
     return [[v for v in range(n) if refined[v] == c] for c in range(len(order))]
+
+
+def refinement_cells_by_rounds(rows) -> list[list[int]]:
+    """``_refinement_cells`` as it was before it split cells: every round
+    keys every vertex by ``(colour, -code)``, ``code`` summing ``B^(n-1-c)``
+    over its neighbours' colours ``c`` with ``B = 2^s`` above every degree,
+    new colour ids in sorted key order, until the number of colours stays
+    the same."""
+    n = len(rows)
+    shift = n.bit_length()
+    weight = [1 << shift * (n - 1 - c) for c in range(n)]
+    colors = [r.bit_count() for r in rows]
+    ncolors = len(set(colors))
+    while True:
+        keys = []
+        w = [weight[c] for c in colors]
+        for v in range(n):
+            m = rows[v]
+            code = 0
+            while m:
+                low = m & -m
+                m ^= low
+                code += w[low.bit_length() - 1]
+            keys.append((colors[v], -code))
+        order = {k: i for i, k in enumerate(sorted(set(keys)))}
+        colors = [order[k] for k in keys]
+        if len(order) == ncolors:
+            break
+        ncolors = len(order)
+    cells: dict[int, list[int]] = {}
+    for v in range(n):
+        cells.setdefault(colors[v], []).append(v)
+    return [cells[c] for c in sorted(cells)]
+
+
+def check_rows_by_edges(rows) -> None:
+    """The ``Graph`` constructor's checks as they were before it tested
+    the matrix a word at a time, raising what it raised: the vertex cap,
+    then bits out of range or a self-loop row by row, then every edge's
+    mirror."""
+    n = len(rows)
+    if n > 64:
+        raise ValueError(f"at most 64 vertices supported, got {n}")
+    full = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            raise ValueError(f"row {v} has neighbour bits outside 0..{n - 1}")
+        if row >> v & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+    for v, row in enumerate(rows):
+        while row:
+            low = row & -row
+            row ^= low
+            u = low.bit_length() - 1
+            if not rows[u] >> v & 1:
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
 
 def augment_by_deletion_check(rows: tuple[int, ...]) -> list[tuple[int, ...]]:

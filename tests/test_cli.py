@@ -132,6 +132,30 @@ def test_seed_zero_corpus_invariants_match_the_golden_file():
     assert done.stdout == (root / "tests/data/seed-0.invariants.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (("--n-range", "1..8", "--suites", ""), "verify-n1-8-no-suites.json"),
+        (("--n-range", "1..7"), "verify-n1-7.json"),
+    ],
+    ids=["no-suites-n8", "all-suites-n7"],
+)
+def test_verify_reports_match_the_golden_files(args, golden):
+    # recorded, without timings, before Graph validated a word at a time
+    # and refinement split cells; the recognition parameters and the lemma
+    # witnesses depend on the labelling each class is evaluated in, so the
+    # files pin the census's labelling as well as its counts
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "nulldiam", "verify", *args], capture_output=True, env=subprocess_env()
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    del report["timings"]
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert text.encode() == (root / "tests/data" / golden).read_bytes()
+
+
 class TestReduce:
     def test_text_contract(self, capsys, g6_file):
         c4 = to_graph6(cycle_graph(4))

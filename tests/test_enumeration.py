@@ -47,9 +47,9 @@ from nulldiam.enumeration import (
     _split_components,
     _star_candidates,
     _survivors,
-    _swap_class_ids,
 )
 from nulldiam.families import Verdict
+from nulldiam.graphs import _swap_class_ids
 
 from helpers import (
     augment_by_deletion_check,
@@ -61,6 +61,7 @@ from helpers import (
     min_perm_graph6,
     random_graph,
     reduce_by_rescan,
+    refinement_cells_by_rounds,
     refinement_cells_by_sorted_lists,
     relabel,
     star_graph,
@@ -121,6 +122,26 @@ class TestCanonicalForm:
         g = star_graph(5)
         cells = _refinement_cells(g.rows)
         assert [sorted(c) for c in cells] == [[1, 2, 3, 4], [0]]
+
+    def test_refinement_matches_the_round_by_round_oracle(self, monkeypatch):
+        # every graph that the sweep's census up to n = 8 refines (3,732),
+        # then random graphs up to n = 10: the same cells in the same order
+        refined = []
+
+        def recording(rows):
+            refined.append(tuple(rows))
+            return _refinement_cells(rows)
+
+        monkeypatch.setattr(enumeration, "_refinement_cells", recording)
+        with stream.ordered_map(1) as pmap:
+            for level in enumeration._census_levels(8, pmap, canonical=False):
+                for _ in level:
+                    pass
+        assert len(refined) > 3_000
+        rng = random.Random(9)
+        refined += [random_graph(rng, rng.randint(1, 10), rng.random()).rows for _ in range(2_000)]
+        for rows in refined:
+            assert _refinement_cells(rows) == refinement_cells_by_rounds(rows), rows
 
     def test_swap_classes(self):
         assert _swap_class_ids(star_graph(4).rows) == [0, 1, 1, 1]

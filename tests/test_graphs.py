@@ -31,6 +31,7 @@ from nulldiam.enumeration import _split_components, canonical_form
 from nulldiam.graphs import _distances, _reach
 
 from helpers import (
+    check_rows_by_edges,
     complete_bipartite,
     is_cut_vertex,
     is_diameter_path_by_pairs,
@@ -96,6 +97,49 @@ class TestGraphType:
     def test_rejects_more_than_64_vertices(self):
         with pytest.raises(ValueError, match="64"):
             Graph(tuple([0] * 65))
+
+    def test_validation_matches_the_edge_by_edge_oracle(self):
+        # for n = 0..65: random symmetric rows, and the same rows with one
+        # bit flipped (an asymmetric edge or a self-loop), a self-loop, a
+        # bit out of range (inside the packed word or past it) or a
+        # negative entry, plus rows of other types.  The constructor must
+        # accept what the oracle accepts and raise its exception with its
+        # message otherwise
+        def outcome(check, rows):
+            try:
+                check(rows)
+            except (ValueError, TypeError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        rng = random.Random(30)
+        seen = set()
+        cases = [(1.0,), (0, 2.0), (True, False), (False,), ("a",), (0, None)]
+        for n in range(66):
+            for _ in range(6):
+                sym = [0] * n
+                for v in range(n):
+                    for u in range(v):
+                        if rng.random() < 0.5:
+                            sym[u] |= 1 << v
+                            sym[v] |= 1 << u
+                cases.append(tuple(sym))
+                if not n:
+                    continue
+                v = rng.randrange(n)
+                for row in (
+                    sym[v] ^ 1 << rng.randrange(n),
+                    sym[v] | 1 << v,
+                    sym[v] | 1 << rng.randrange(n, 2 * max(8, n) + 8),
+                    ~sym[v],
+                    -(1 << rng.randrange(n)),
+                ):
+                    cases.append((*sym[:v], row, *sym[v + 1 :]))
+        for rows in cases:
+            expected = outcome(check_rows_by_edges, rows)
+            assert outcome(Graph, rows) == expected, rows
+            seen.add(expected and expected[1].split(" ")[0])
+        assert seen == {None, "at", "row", "self-loop", "asymmetric", "unsupported"}
 
     def test_is_hashable_value(self):
         assert path_graph(3) == path_graph(3)
