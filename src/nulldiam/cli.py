@@ -125,7 +125,8 @@ def _error(record: ParsedRecord, reason: str) -> tuple[str, int]:
 def _answer_invariants(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, int]:
     g = record.graph
     connected = g.is_connected()
-    rank = rank_exact(adjacency_matrix(g))
+    adjacency = adjacency_matrix(g)
+    rank = rank_exact(adjacency)
     rec = {
         "graph6": to_graph6(g),
         "n": g.n,
@@ -133,7 +134,7 @@ def _answer_invariants(args: argparse.Namespace, record: ParsedRecord) -> tuple[
         "d": diameter(g) if connected else None,
         "rank": rank,
         "nullity": g.n - rank,
-        "e": distinct_eigenvalue_count(g),
+        "e": distinct_eigenvalue_count(g, adjacency=adjacency),
         "reduced": is_reduced(g),
     }
     if args.format == "json":
@@ -169,9 +170,10 @@ def _answer_check(args: argparse.Namespace, record: ParsedRecord) -> tuple[str, 
     from .families import Verdict, recognize
 
     g = record.graph
-    if g.n == 0 or not g.is_connected():
+    try:
+        result = recognize(g)
+    except DisconnectedGraphError:
         return _error(record, "graph is empty" if g.n == 0 else "graph is disconnected")
-    result = recognize(g)
     rec = result.to_dict()
     code = EXIT_MISMATCH if result.verdict == Verdict.MISMATCH else EXIT_OK
     if args.format == "json":

@@ -288,7 +288,10 @@ def _claims_on_path(g: Graph, path: tuple[int, ...], d: int) -> FamilyParams | s
 
 
 def recognize(g: Graph) -> RecognitionResult:
-    """Classify a connected graph against the extremal structure.
+    """Classify a connected graph against the extremal structure.  A graph
+    that is not connected, the empty graph included, raises
+    ``DisconnectedGraphError`` when its diameter is read, which is the one
+    connectivity test that ``recognize`` and ``check`` make.
 
     The diameter, rank A(G), the extremality gate (nullity = n - d - 1)
     and the diameter path all come from the graph's table
@@ -314,11 +317,12 @@ def recognize(g: Graph) -> RecognitionResult:
     does not, none does.  This extends the argument in
     :func:`enumerate_family`.
     """
-    if not g.is_connected():
-        raise DisconnectedGraphError("recognition is defined for connected graphs")
-    g6 = to_graph6(g)
     facts = _facts(g)
-    d = facts.diameter
+    try:
+        d = facts.diameter
+    except DisconnectedGraphError:
+        raise DisconnectedGraphError("recognition is defined for connected graphs") from None
+    g6 = to_graph6(g)
     eta = g.n - facts.rank(0)
     if not facts.extremal:
         witness = {"expected_nullity": g.n - d - 1}

@@ -36,7 +36,7 @@ from .graphs import (
     to_graph6,
     twin_classes,
 )
-from .linalg import IntMatrix, rank_exact, rank_gf2, shifted_adjacency
+from .linalg import rank_exact, rank_gf2, rank_gf3, shifted_matrix
 
 SUITE_INTERLACING = "interlacing"
 SUITE_TWIN_DELETION = "twin-deletion"
@@ -129,9 +129,9 @@ class ViolationReport:
 
 class _GraphFacts:
     """What the sweep, the checkers and the recognizer share about one
-    graph, each part made when first read: the shifted matrices A - mu*I,
-    one diameter, one diameter path, the rank of every matrix asked for,
-    and whether the graph is extremal.  The sweep
+    graph, each part made when first read: one diameter, one diameter
+    path, the rank of every matrix asked for, and whether the graph is
+    extremal.  The sweep
     (``enumeration._evaluate_graph``) reads :attr:`extremal` for every
     graph before the suites run, ``recognize`` reads the diameter,
     rank A(G) and the path, and ``reduction-equivalence`` passes the
@@ -140,27 +140,28 @@ class _GraphFacts:
     labelled graph.
 
     A rank is keyed by mu and the rows of G - drop, the graph left after
-    deleting ``drop``.  Those fix the entries of the shifted matrix's
-    principal submatrix, so a matrix that several checkers or deletions
-    ask for (A(G) itself, a twin's or a pendant's deletion that
-    interlacing already ranked at mu = 0) is eliminated once.  A single
+    deleting ``drop``.  Those fix the entries of A(G - drop) - mu*I, the
+    principal submatrix of A - mu*I without ``drop``, so a matrix that
+    several checkers or deletions ask for (A(G) itself, a twin's or a
+    pendant's deletion that interlacing already ranked at mu = 0) is
+    eliminated once.  A single
     deletion of ``v`` is keyed as that of the least vertex ``u`` whose
     transposition with ``v`` is an automorphism (``_swap_class_ids``): it
     maps G - u onto G - v, so both matrices have one rank, and the
     deletions of a class of twins share one key whatever their labels.  A
-    key holds one integer per kept vertex rather than the matrix, and a
-    submatrix is built only for a rank that neither the table nor its
-    bounds know (see :meth:`rank`).
+    key holds one integer per kept vertex rather than the matrix, and the
+    matrix is built from those integers only for a rank that neither the
+    table nor its bounds know (see :meth:`rank`).
     ``nullity`` and the ``invariants`` command call ``rank_exact``
     directly, so they stay an independent channel.
     """
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
-        self._shifted: dict[int, IntMatrix] = {}
         self._rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._ranks: dict[tuple[int, tuple[int, ...]], int] = {}
         self._gf2: dict[tuple[int, ...], int] = {}
+        self._gf3: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def rank(self, mu: int, *drop: int) -> int:
         """rank(A - mu*I) without the rows and columns ``drop``, which is
@@ -168,12 +169,19 @@ class _GraphFacts:
 
         A rank not yet in the table is first bounded from the bit rows of
         G - drop, with no matrix built, and taken from the bounds when
-        they meet; only the rest is eliminated.
+        they meet; only the rest is eliminated, on A(G - drop) - mu*I
+        built from those rows.  The ranks are certified from two primes.
 
-        * Below, by the rank over GF(2).  A - mu*I is A mod 2 with the
-          diagonal bit set when mu is odd.  A k x k minor that is odd is
-          not zero, so k rows independent mod 2 are independent over the
-          rationals: rank_GF2 <= rank_Q.
+        * Below, by the rank over GF(2), and where that falls short of the
+          bound above, by the rank over GF(3); the rank is settled when
+          either meets the bound above.  A k x k minor that is nonzero mod p is not zero, so k rows
+          independent mod p are independent over the rationals:
+          rank_GFp <= rank_Q.  A - mu*I mod 2 is A mod 2 with the
+          diagonal bit set when mu is odd; it is alternating for even mu,
+          so its rank mod 2 is even and never reaches an odd upper bound.
+          A - mu*I mod 3 depends only on mu mod 3: it is A itself for
+          mu = 0, A - I for mu = 1 and -2, and A + I for mu = -1 and 2,
+          so each of the last two pairs shares one rank mod 3 per key.
         * Above, by the number of distinct nonzero rows, since a row
           equal to another adds no rank, and a zero row adds none either.
           Rows i and j of A - mu*I can be equal only if they agree in
@@ -193,17 +201,12 @@ class _GraphFacts:
         r = self._ranks.get(key)
         if r is None:
             mod2 = tuple(row | 1 << i for i, row in enumerate(rows)) if mu & 1 else rows
-            low = self._rank_mod2(mod2)
+            r = self._rank_mod2(mod2)
             high = len(set(mod2) - {0}) if mu in (0, -1) else len(rows)
-            if low == high:
-                r = low
-            else:
-                m = self._shifted.get(mu)
-                if m is None:
-                    m = self._shifted[mu] = shifted_adjacency(self.graph, mu)
-                if drop:
-                    m = m.principal([v for v in range(self.graph.n) if v not in drop])
-                r = rank_exact(m)
+            if r < high:
+                r = self._rank_mod3(mu % 3, rows)
+                if r < high:
+                    r = rank_exact(shifted_matrix(rows, mu))
             self._ranks[key] = r
         return r
 
@@ -213,6 +216,23 @@ class _GraphFacts:
         r = self._gf2.get(rows)
         if r is None:
             r = self._gf2[rows] = rank_gf2(rows)
+        return r
+
+    def _rank_mod3(self, shift: int, rows: tuple[int, ...]) -> int:
+        """The rank over GF(3) of A - shift*I, for the 0/1 matrix A with bit
+        rows ``rows`` and ``shift`` = mu mod 3, once per table for each
+        matrix mod 3.  Its rows are bit-sliced for ``rank_gf3``: A - I
+        holds -1 on the diagonal, and A - 2I, which is A + I, holds 1."""
+        key = (shift, rows)
+        r = self._gf3.get(key)
+        if r is None:
+            if shift == 1:
+                sliced = [(row, 1 << i) for i, row in enumerate(rows)]
+            elif shift == 2:
+                sliced = [(row | 1 << i, 0) for i, row in enumerate(rows)]
+            else:
+                sliced = [(row, 0) for row in rows]
+            r = self._gf3[key] = rank_gf3(sliced)
         return r
 
     @_once

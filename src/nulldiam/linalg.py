@@ -13,20 +13,23 @@ half of them.  The number of distinct eigenvalues comes from the
 characteristic polynomial by its gcd with its derivative: a gcd of 1
 modulo the prime ``2^61 - 1`` certifies that it is square-free, and
 otherwise a primitive pseudo-remainder gcd over the integers decides.
-``rank_gf2`` is a lower bound on the rational rank.  The per-graph table
-(``lemmas._GraphFacts``) uses it to rule graphs out of extremality, and
-takes it as the rank of a matrix when it meets the number of distinct
-rows, an upper bound; it eliminates with ``rank_exact`` only where the
-two differ.  ``rank_exact``, ``nullity`` and the ``invariants`` command
-stay Bareiss-only.
+``rank_gf2`` and ``rank_gf3`` are ranks modulo the primes 2 and 3, read
+word-parallel off bit rows; each is a lower bound on the rational rank.
+The per-graph table (``lemmas._GraphFacts``) uses the rank mod 2 to rule
+graphs out of extremality, and certifies a matrix's rank from the two
+primes: a lower bound that meets the number of distinct nonzero rows, an
+upper bound, is the rank, and ``rank_exact`` eliminates only where
+neither does.  The rank mod 3 is read only where the rank mod 2 falls
+short.  ``rank_exact``, ``nullity`` and the ``invariants``
+command stay Bareiss-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter, mul
-from typing import Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 from .graphs import Graph
 
@@ -45,7 +48,7 @@ class IntMatrix:
     @classmethod
     def _square(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
         """Wrap ``entries`` that are square by construction, skipping the
-        shape check (a principal submatrix of a square matrix is square)."""
+        shape check."""
         m = object.__new__(cls)
         object.__setattr__(m, "entries", entries)
         return m
@@ -54,25 +57,22 @@ class IntMatrix:
     def order(self) -> int:
         return len(self.entries)
 
-    def principal(self, keep: Sequence[int]) -> "IntMatrix":
-        """The principal submatrix on rows and columns ``keep``, in that
-        order.  For the matrix of a graph this is the matrix of the subgraph
-        induced on ``keep``, relabelled as ``Graph.induced`` relabels it."""
-        if len(keep) < 2:  # itemgetter takes one index or more, and one gives no tuple
-            return IntMatrix._square(tuple((self.entries[i][i],) for i in keep))
-        pick = itemgetter(*keep)
-        return IntMatrix._square(tuple(map(pick, pick(self.entries))))
-
 
 def adjacency_matrix(g: Graph) -> IntMatrix:
-    return shifted_adjacency(g, 0)
+    return shifted_matrix(g.rows, 0)
 
 
 def shifted_adjacency(g: Graph, mu: int) -> IntMatrix:
     """A(g) - mu*I as an exact integer matrix."""
-    columns = range(len(g.rows))
+    return shifted_matrix(g.rows, mu)
+
+
+def shifted_matrix(rows: Sequence[int], mu: int) -> IntMatrix:
+    """A - mu*I as an exact integer matrix, for the 0/1 matrix A whose row
+    ``i`` has the bits of ``rows[i]`` (a graph's adjacency bitmasks)."""
+    columns = range(len(rows))
     entries = []
-    for i, mask in enumerate(g.rows):
+    for i, mask in enumerate(rows):
         row = [mask >> j & 1 for j in columns]
         row[i] -= mu
         entries.append(tuple(row))
@@ -158,7 +158,7 @@ def rank_gf2(rows: Sequence[int]) -> int:
     rank > d + 1, that is eta < n - d - 1, while rank_GF2 <= d + 1 decides
     nothing by itself.  Where it equals an upper bound, such as the number
     of distinct nonzero rows, it is the rational rank (``lemmas._GraphFacts.rank``);
-    elsewhere the rank needs ``rank_exact``.
+    elsewhere the rank needs ``rank_gf3`` or ``rank_exact``.
     """
     basis: dict[int, int] = {}  # leading bit -> reduced row
     for r in rows:
@@ -169,6 +169,42 @@ def rank_gf2(rows: Sequence[int]) -> int:
                 basis[lead] = r
                 break
             r ^= pivot
+    return len(basis)
+
+
+def rank_gf3(rows: Iterable[tuple[int, int]]) -> int:
+    """Rank over GF(3) of the matrix held bit-sliced as ``(plus, minus)``
+    masks per row: bit j of ``plus`` is set where the row holds 1 (mod 3),
+    bit j of ``minus`` where it holds -1, and no bit is set in both.
+
+    Like ``rank_gf2``, it keeps a dict from leading bit to reduced row, with
+    each pivot scaled to +1 at its leading bit.  A row whose leading bit is
+    a pivot's has that pivot subtracted (its entry there is +1) or added
+    (-1), both as ``x + y`` on bit-sliced operands (bit-sliced GF(3) as in
+    Boothby and Bradshaw, arXiv:0901.1413): ``t = (x+ | y-) ^ (x- | y+)``
+    and then ``x + y = ((x- | y-) ^ t, (x+ | y+) ^ t)``, six word
+    operations, which is correct bit by bit on all nine pairs of entries.
+    Subtracting ``y`` adds ``(y-, y+)``.
+
+    This is a lower bound on the rational rank for the same reason as the
+    rank mod 2: a k x k minor that is nonzero mod 3 is nonzero, so
+    rank_GF3 <= rank_Q.  The two primes miss different matrices: K_3 has
+    rank 2 mod 2 and 3 mod 3 (its determinant is 2), and A(K_3) - 2I has
+    rank 1 mod 3 and 2 mod 2 and over the rationals.
+    """
+    basis: dict[int, tuple[int, int]] = {}  # leading bit -> reduced row, +1 there
+    for plus, minus in rows:
+        while lead := (plus | minus).bit_length():
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = (plus, minus) if plus >> lead - 1 else (minus, plus)
+                break
+            if plus >> lead - 1:  # subtract the pivot: add (p, m) = (pivot-, pivot+)
+                m, p = pivot
+            else:
+                p, m = pivot
+            t = (plus | m) ^ (minus | p)
+            plus, minus = (minus | m) ^ t, (plus | p) ^ t
     return len(basis)
 
 
@@ -251,9 +287,10 @@ def char_poly(m: IntMatrix) -> tuple[int, ...]:
     return tuple(reversed(coeffs))
 
 
-def distinct_eigenvalue_count(g: Graph) -> int:
+def distinct_eigenvalue_count(g: Graph, *, adjacency: IntMatrix | None = None) -> int:
     """Number of distinct eigenvalues: degree of the square-free part of
-    the characteristic polynomial, deg p - deg gcd(p, p').
+    the characteristic polynomial, deg p - deg gcd(p, p').  A caller that
+    holds ``adjacency_matrix(g)`` already passes it as ``adjacency``.
 
     A gcd of 1 modulo the prime q = 2^61 - 1 settles it first: then p is
     square-free and the count is n, with no integer gcd.  This is sound
@@ -266,7 +303,7 @@ def distinct_eigenvalue_count(g: Graph) -> int:
     degree too.  Where the gcd mod q is not 1, the integer pseudo-remainder
     sequence decides.
     """
-    p = list(char_poly(adjacency_matrix(g)))
+    p = list(char_poly(adjacency_matrix(g) if adjacency is None else adjacency))
     dp = [i * c for i, c in enumerate(p)][1:]
     if _coprime_mod_q(p, dp):
         return g.n

@@ -1,7 +1,7 @@
 """Independent oracles for the tests.
 
 Everything here is computed from first principles (plain Gaussian
-elimination over Fractions and over GF(2), Leibniz determinants,
+elimination over Fractions, GF(2) and GF(3), Leibniz determinants,
 permutation search) so the package's production code paths are checked
 against genuinely different implementations, not against themselves.
 The exceptions keep a replaced algorithm as the reference for its
@@ -82,6 +82,28 @@ def gf2_rank(entries) -> int:
         for r in range(rows):
             if r != rank and a[r][col]:
                 a[r] = [(x + y) % 2 for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+def gf3_rank(entries) -> int:
+    """Row reduction over GF(3) on lists of integer entries (no bitmasks)."""
+    a = [[x % 3 for x in row] for row in entries]
+    if not a:
+        return 0
+    rows, cols = len(a), len(a[0])
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = a[rank][col]  # 1 and 2 are their own inverses mod 3
+        a[rank] = [x * inv % 3 for x in a[rank]]
+        for r in range(rows):
+            if r != rank and a[r][col]:
+                f = a[r][col]
+                a[r] = [(x - f * y) % 3 for x, y in zip(a[r], a[rank])]
         rank += 1
     return rank
 

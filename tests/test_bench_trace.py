@@ -15,7 +15,7 @@ from nulldiam import cli, families, graphs, lemmas
 from nulldiam.enumeration import SweepReport
 from nulldiam.graphs import _rows_without
 
-from helpers import distinct_nonzero_rows, gf2_rank
+from helpers import distinct_nonzero_rows, gf2_rank, gf3_rank
 from test_cli import subprocess_env
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -54,7 +54,7 @@ def test_names_the_output_checks_import_exist():
 
 def test_spans_wrap_a_replayed_command_and_are_removed(tracing, tmp_path):
     path = tmp_path / "input.g6"
-    path.write_text("Dhc\n")  # C_5
+    path.write_text("ECDg\n")  # P_5 and a twin of one end
     tracer = tracing.Tracer()
     original = graphs.diameter
     with tracing.installed(tracer):
@@ -62,13 +62,14 @@ def test_spans_wrap_a_replayed_command_and_are_removed(tracing, tmp_path):
         assert cli.main(["check", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
     assert cli.diameter is original and graphs.diameter is original
     assert tracer.stats["graphs.diameter"].calls >= 1
-    # C_5 has GF(2) rank 4 and 5 distinct rows, so its rank is eliminated
+    # its rank is 4, and so are its GF(2) and GF(3) ranks, below its 5
+    # distinct rows, so its rank is eliminated (C_5's GF(3) rank is 5)
     assert tracer.stats["linalg.rank_exact"].calls >= 1
 
 
 def test_traced_suites_eliminate_only_what_the_bounds_leave_open(tracing, tmp_path, monkeypatch):
-    # the table takes a rank from its GF(2) and distinct-nonzero-row
-    # bounds where they meet, so the trace's ``linalg.rank_exact`` spans,
+    # the table takes a rank from its GF(2), GF(3) and
+    # distinct-nonzero-row bounds where they meet, so the trace's ``linalg.rank_exact`` spans,
     # which the benchmark reports as ``linalg.rank_exact.calls``, count at
     # most the distinct matrices (graph, mu, G - drop) asked for whose
     # bounds the oracle finds apart, fewer than all the distinct matrices
@@ -88,7 +89,7 @@ def test_traced_suites_eliminate_only_what_the_bounds_leave_open(tracing, tmp_pa
     open_ = 0
     for _graph, mu, rows in requested:
         entries = [[(r >> j & 1) - (mu if i == j else 0) for j in range(len(rows))] for i, r in enumerate(rows)]
-        open_ += gf2_rank(entries) != distinct_nonzero_rows(entries)
+        open_ += max(gf2_rank(entries), gf3_rank(entries)) != distinct_nonzero_rows(entries)
     assert 0 < tracer.stats["linalg.rank_exact"].calls <= open_ < len(requested)
 
 

@@ -215,8 +215,10 @@ class TestCheck:
         assert json.loads(out)["verdict"] == "Mismatch"
 
     def test_disconnected_is_input_error(self, capsys, g6_file):
+        # recognize reads the diameter, which is check's one connectivity test
         code, out, _ = run(capsys, "check", "--input", g6_file("B?"))
         assert code == 2
+        assert json.loads(out) == {"line": 1, "error": "graph is disconnected"}
 
     def test_empty_graph_is_input_error(self, capsys, g6_file):
         code, out, err = run(capsys, "check", "--input", g6_file("?", "A_"))

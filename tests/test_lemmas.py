@@ -35,9 +35,9 @@ from nulldiam import (
 )
 from nulldiam import enumeration, lemmas
 from nulldiam.lemmas import ALL_SUITES, MAX_OUTSIDE_SWEEP
-from nulldiam.linalg import rank_gf2
+from nulldiam.linalg import rank_gf2, rank_gf3
 
-from helpers import distinct_nonzero_rows, fraction_rank, gf2_rank, relabel, star_graph
+from helpers import distinct_nonzero_rows, fraction_rank, gf2_rank, gf3_rank, relabel, star_graph
 
 
 def p5_with_triple_anchor() -> Graph:
@@ -551,22 +551,29 @@ class TestSharedTable:
             # The exact rank A(G) reuses it as its lower bound, so with no
             # suites no GF(2) rank is added, and 72 of the 565 open tables
             # take rank A(G) from the bounds (K_1 among them: its one row
-            # is zero).  The suites add one GF(2) rank per distinct matrix
-            # mod 2 of a table and eliminate only where it falls short of
-            # the distinct nonzero rows.  The counts depend on the
+            # is zero).  A GF(3) rank is read for each of the other 493,
+            # and settles 212 of them.  The suites add one GF(2) rank per
+            # distinct matrix mod 2 of a table, one GF(3) rank per
+            # distinct matrix mod 3 where the GF(2) rank falls short of
+            # the distinct nonzero rows, and eliminate only where the
+            # GF(3) rank falls short too.  The counts depend on the
             # labelling the census builds the last level in: the
             # eccentricity certificate's BFS starts at the first vertex of
             # largest degree, and the suites run again on the canonical
             # copy of a graph with a violation or a changed diameter.  The
             # deletions of two swap-twins share one key, whatever their
             # labels
-            ((1, 8), {"rank_gf2": 12_149, "diameter": 1_425, "rank_exact": 493}),
-            ((1, 7, ALL_SUITES), {"rank_gf2": 13_913, "diameter": 2_007, "rank_exact": 18_918}),
+            ((1, 8), {"rank_gf2": 12_149, "rank_gf3": 493, "diameter": 1_425, "rank_exact": 281}),
+            (
+                (1, 7, ALL_SUITES),
+                {"rank_gf2": 13_913, "rank_gf3": 14_653, "diameter": 2_007, "rank_exact": 8_081},
+            ),
         ],
         ids=["no-suites-n8", "all-suites-n7"],
     )
     def test_sweep_calls_each_rank_and_diameter_once(self, monkeypatch, args, counts):
-        calls = {fn.__name__: count_calls(monkeypatch, fn) for fn in (rank_gf2, diameter, rank_exact)}
+        fns = (rank_gf2, rank_gf3, diameter, rank_exact)
+        calls = {fn.__name__: count_calls(monkeypatch, fn) for fn in fns}
         verify_theorem(*args)
         assert {name: len(made) for name, made in calls.items()} == counts
 
@@ -605,10 +612,10 @@ class TestSharedTable:
                 assert (result.d, result.nullity) == (d, g.n - rank)
 
     def test_each_open_matrix_is_eliminated_once(self, census7, monkeypatch):
-        # a request is (mu, entries).  The oracle settles it when the GF(2)
-        # rank of its entries equals their number of distinct nonzero
-        # rows; the table must eliminate each distinct request the oracle
-        # leaves open once and no settled one.  The empty matrix, the one
+        # a request is (mu, entries).  The oracle settles it when the larger
+        # of the GF(2) and GF(3) ranks of its entries equals their number
+        # of distinct nonzero rows; the table must eliminate each distinct
+        # request the oracle leaves open once and no settled one.  The empty matrix, the one
         # matrix that two values of mu share, is settled at rank 0.  A
         # single deletion is requested as that of the least vertex whose
         # transposition with it is an automorphism, since G - u and G - v
@@ -648,7 +655,11 @@ class TestSharedTable:
                 eliminated.clear()
                 self.all_reports(g)
                 distinct = set(requested)
-                open_ = {entries for _mu, entries in distinct if gf2_rank(entries) != distinct_nonzero_rows(entries)}
+                open_ = {
+                    entries
+                    for _mu, entries in distinct
+                    if max(gf2_rank(entries), gf3_rank(entries)) != distinct_nonzero_rows(entries)
+                }
                 assert len(eliminated) == len(open_), to_graph6(g)
                 assert set(eliminated) == open_, to_graph6(g)
                 shared += len(requested) - len(distinct)
@@ -678,9 +689,9 @@ def graphs_with_twins(draw, max_n=64):
 
 
 class TestRankBounds:
-    """``_GraphFacts.rank`` takes a rank from its GF(2) lower bound where
-    that meets the number of distinct nonzero rows, and eliminates the
-    rest."""
+    """``_GraphFacts.rank`` takes a rank from its GF(2) lower bound, or
+    failing that from its GF(3) one, where that meets the number of
+    distinct nonzero rows, and eliminates the rest."""
 
     @pytest.mark.parametrize(
         "g, mu, rank",
@@ -688,7 +699,7 @@ class TestRankBounds:
             (complete_graph(2), 1, 1),  # A - I mod 2 is A + I, not A
             (path_graph(3), 2, 3),  # rows of A - 2I are distinct; the open rows are not
             (path_graph(3), 0, 2),
-            (complete_graph(3), 0, 3),  # GF(2) rank 2 < 3 distinct rows: eliminated
+            (complete_graph(3), 0, 3),  # GF(2) rank 2 < 3 distinct rows = GF(3) rank
             (complete_graph(3), -1, 1),  # three equal closed rows
             (cycle_graph(4), 0, 2),
             (Graph((2, 1, 0)), 0, 2),  # an isolated vertex's zero row adds no rank
@@ -699,6 +710,27 @@ class TestRankBounds:
     def test_small_ranks(self, g, mu, rank):
         assert lemmas._GraphFacts(g).rank(mu) == rank == fraction_rank(shifted_entries(g, mu))
 
+    def test_the_rank_mod_3_settles_what_the_rank_mod_2_leaves_open(self, monkeypatch):
+        # A(K_3) has rank 2 mod 2, below its 3 distinct rows, and rank 3 mod
+        # 3, so the table takes rank 3 with no elimination.  At mu = 2,
+        # A - 2I = J - 3I has rank 2 mod 2 and 1 mod 3, both short of its
+        # 3 rows, and the table eliminates once
+        eliminated = count_calls(monkeypatch, rank_exact)
+        facts = lemmas._GraphFacts(complete_graph(3))
+        assert facts.rank(0) == 3 and eliminated == []
+        assert facts.rank(2) == 2 and len(eliminated) == 1
+        # mu = -2 is 1 mod 3, like mu = 1.  On P_5 the GF(2) ranks of
+        # A - I and A + 2I (4 and 4) both fall short of 5, and one GF(3)
+        # rank serves both
+        mod3 = count_calls(monkeypatch, rank_gf3)
+        facts = lemmas._GraphFacts(path_graph(5))
+        assert facts._rank_mod2(tuple(row | 1 << i for i, row in enumerate(facts.graph.rows))) == 4
+        assert facts._rank_mod2(facts.graph.rows) == 4
+        facts.rank(1)
+        assert len(mod3) == 1
+        facts.rank(-2)
+        assert len(mod3) == 1
+
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_twins(), st.data())
     def test_every_rank_matches_the_rational_oracle(self, g, data):
@@ -706,7 +738,8 @@ class TestRankBounds:
         # vertices (none at all when n <= 24 and every vertex is kept) and
         # on the deletion of every vertex (the empty matrix).  At most 24
         # vertices are kept, so that the rational oracle stays fast on any
-        # n; the oracles' own GF(2) rank and distinct rows bracket it
+        # n; the oracles' own GF(2) and GF(3) ranks and distinct rows
+        # bracket it
         order = data.draw(st.permutations(range(g.n)))
         kept = data.draw(st.integers(0, min(g.n, 24)))
         drops = [tuple(order[kept:]), tuple(range(g.n))]
@@ -715,7 +748,7 @@ class TestRankBounds:
             for mu in (-2, -1, 0, 1, 2):
                 entries = shifted_entries(g.without(*drop), mu)
                 rank = fraction_rank(entries)
-                assert gf2_rank(entries) <= rank <= distinct_nonzero_rows(entries)
+                assert max(gf2_rank(entries), gf3_rank(entries)) <= rank <= distinct_nonzero_rows(entries)
                 assert facts.rank(mu, *drop) == rank, (to_graph6(g), mu, drop)
 
 

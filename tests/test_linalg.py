@@ -22,13 +22,15 @@ from nulldiam import (
     shifted_adjacency,
 )
 
-from nulldiam.linalg import _Q, _coprime_mod_q, rank_gf2
+from nulldiam.graphs import _rows_without
+from nulldiam.linalg import _Q, _coprime_mod_q, rank_gf2, rank_gf3, shifted_matrix
 
 from helpers import (
     char_poly_leibniz,
     complete_bipartite,
     fraction_rank,
     gf2_rank,
+    gf3_rank,
     random_graph,
     root_multiplicity,
     star_graph,
@@ -66,6 +68,15 @@ def square_rows(draw, max_n, entry):
     return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
 
 
+def bit_sliced(rows) -> list[tuple[int, int]]:
+    """``rank_gf3``'s rows for integer ``rows``: the bits of the entries
+    that are 1 mod 3, and of those that are -1 mod 3."""
+    return [
+        (sum(1 << j for j, x in enumerate(row) if x % 3 == 1), sum(1 << j for j, x in enumerate(row) if x % 3 == 2))
+        for row in rows
+    ]
+
+
 def hypercube(k: int) -> Graph:
     n = 1 << k
     return Graph.from_edges(n, [(v, v | 1 << b) for v in range(n) for b in range(k) if not v >> b & 1])
@@ -98,23 +109,26 @@ class TestIntMatrix:
     def test_shifted_adjacency(self):
         assert shifted_adjacency(complete_graph(2), -1).entries == ((1, 1), (1, 1))
 
-    def test_principal_examples(self):
-        m = shifted_adjacency(path_graph(3), 2)
-        assert m.principal([]).entries == ()
-        assert m.principal([1]).entries == ((-2,),)
-        assert m.principal([2, 0]).entries == ((-2, 0), (0, -2))
-        assert m.principal([0, 1, 2]) == m
+    def test_shifted_matrix_examples(self):
+        assert shifted_matrix((), 2).entries == ()
+        assert shifted_matrix((0,), 2).entries == ((-2,),)
+        assert shifted_matrix((0b10, 0b01), 1).entries == ((-1, 1), (1, -1))
+        assert shifted_matrix(path_graph(3).rows, 2).entries == ((-2, 1, 0), (1, -2, 1), (0, 1, -2))
 
     @settings(max_examples=200)
     @given(st.data())
-    def test_principal_is_the_induced_subgraph_matrix(self, data):
+    def test_rows_without_give_the_induced_subgraph_matrix(self, data):
+        # the lemma table builds A(G - drop) - mu*I from the rows that
+        # ``_rows_without`` leaves, which are those of the subgraph induced
+        # on the kept vertices in ascending order
         n = data.draw(st.integers(min_value=0, max_value=12))
         pairs = list(itertools.combinations(range(n), 2))
         mask = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
         g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
         mu = data.draw(st.integers(min_value=-3, max_value=3))
-        keep = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
-        sub = shifted_adjacency(g, mu).principal(keep)
+        drop = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+        keep = [v for v in range(n) if v not in drop]
+        sub = shifted_matrix(_rows_without(g.rows, drop), mu)
         assert sub.entries == shifted_adjacency(g.induced(keep), mu).entries
 
 
@@ -183,6 +197,50 @@ class TestRank:
         g = random_graph(random.Random(seed), n, p)
         m = adjacency_matrix(g)
         assert rank_gf2(g.rows) == gf2_rank(m.entries) <= rank_exact(m)
+
+    def test_gf3_examples(self):
+        assert rank_gf3(()) == 0
+        assert rank_gf3([(0, 0)] * 3) == 0
+        assert rank_gf3(bit_sliced([[1, -1], [-1, 1]])) == 1
+        assert rank_gf3(bit_sliced([[2, 1], [1, 2]])) == 1  # 2 is -1 mod 3
+        # K_3 is full rank mod 3 (det 2) but not mod 2; A(K_3) - 2I = J - 3I
+        # has rational rank 2 and is J mod 3
+        k3 = complete_graph(3)
+        assert rank_gf2(k3.rows) == 2 < rank_gf3(bit_sliced(adjacency_matrix(k3).entries)) == 3
+        assert rank_gf3(bit_sliced(shifted_adjacency(k3, 2).entries)) == 1
+        assert rank_exact(shifted_adjacency(k3, 2)) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=64),
+        st.floats(min_value=0, max_value=1),
+        st.integers(min_value=0),
+    )
+    def test_gf3_matches_oracle_and_never_exceeds_exact(self, n, p, seed):
+        g = random_graph(random.Random(seed), n, p)
+        for mu in (-2, -1, 0, 1, 2):
+            m = shifted_adjacency(g, mu)
+            assert rank_gf3(bit_sliced(m.entries)) == gf3_rank(m.entries) <= rank_exact(m)
+
+    @settings(max_examples=200)
+    @given(square_rows(max_n=8, entry=st.integers(min_value=-4, max_value=4)))
+    def test_gf3_matches_oracle_on_general_matrices(self, rows):
+        # any residues in any places, not only an adjacency matrix's
+        assert rank_gf3(bit_sliced(rows)) == gf3_rank(rows) <= fraction_rank(rows)
+
+    def test_gf3_never_exceeds_fraction_rank_on_census(self, census7):
+        # rank mod 3 <= rational rank at every mu the suites ask for; the
+        # two primes each exceed the other somewhere
+        above_gf2 = below_gf2 = 0
+        for n in range(1, 7):
+            for g in census7[n]:
+                for mu in (-2, -1, 0, 1, 2):
+                    entries = shifted_adjacency(g, mu).entries
+                    gf3 = rank_gf3(bit_sliced(entries))
+                    assert gf3 == gf3_rank(entries) <= fraction_rank(entries)
+                    above_gf2 += gf3 > gf2_rank(entries)
+                    below_gf2 += gf3 < gf2_rank(entries)
+        assert above_gf2 > 0 and below_gf2 > 0
 
 
 class TestNullity:
