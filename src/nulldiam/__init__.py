@@ -28,8 +28,6 @@ _EXPORTS = {
         "Graph6Error",
         "ReductionResult",
         "classify_outside",
-        "complete_graph",
-        "cycle_graph",
         "diameter",
         "diameter_paths",
         "is_diameter_path",
@@ -48,8 +46,6 @@ _EXPORTS = {
         "distinct_eigenvalue_count",
         "nullity",
         "rank_exact",
-        "rank_mod_p",
-        "shifted_adjacency",
     ),
     "lemmas": (
         "ALL_SUITES",

@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import lemmas
 from .families import Verdict, recognize
-from .graphs import Graph, _reach, _swap_class_ids, is_reduced, to_graph6
+from .graphs import Graph, _reach, _swap_class_ids, is_reduced, reduce, to_graph6
 from .stream import ordered_map
 
 log = logging.getLogger(__name__)
@@ -688,16 +688,15 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
     on the canonical copy of a graph whose reports carry a violation or a
     changed diameter.  Everything else in the record is an isomorphism
     invariant, including every suite's instance count: the two suites that
-    read a diameter path check only extremal graphs.  The copy's table
-    starts with the invariants the graph's already holds
-    (``lemmas._relabelled``).
+    read a diameter path check only extremal graphs.  The canonical copy
+    and the twin reduction each build a table of their own.
     """
     g = Graph(rows)
     reduced = is_reduced(g)
     facts = lemmas._facts(g)
     d = facts.diameter if facts.extremal else 0
     if facts.extremal:
-        g = lemmas._relabelled(g, canonical_graph(g))
+        g = canonical_graph(g)
     even = d >= 2 and d % 2 == 0
     rec = {
         "n": g.n,
@@ -716,7 +715,6 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
         if any(lr.violations or lr.notes.get("diameter", {}).get("changed") for lr in reports.values()):
             canon = canonical_graph(g)
             if canon != g:
-                lemmas._relabelled(g, canon)
                 reports = {name: lemmas.run_suite(name, canon) for name in suites}
         rec["lemma_reports"] = reports
     if reduced and even:
@@ -725,7 +723,7 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
         if result.verdict is Verdict.EVEN_EXTREMAL:
             rec["recognition"] = result.to_dict()
     elif even:
-        rec["unreduced_failure"] = recognize(lemmas._twin_reduced(g, d)).verdict is Verdict.MISMATCH
+        rec["unreduced_failure"] = recognize(reduce(g, d).graph).verdict is Verdict.MISMATCH
     if rec["verdict"] == Verdict.MISMATCH.value or rec["unreduced_failure"]:
         rec["graph6"] = to_graph6(g)  # read only by the witness lists
     return rec

@@ -217,24 +217,9 @@ class Graph:
         return self.n > 0 and _reach(self.rows, 1)[0] == (1 << self.n) - 1
 
 
-# ---------------------------------------------------------------------------
-# Standard constructions (used throughout the tests and the family builder)
-# ---------------------------------------------------------------------------
-
-
 def path_graph(m: int) -> Graph:
     """Path on ``m`` vertices, labelled along the path."""
     return Graph.from_edges(m, [(i, i + 1) for i in range(m - 1)])
-
-
-def cycle_graph(m: int) -> Graph:
-    if m < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
-
-
-def complete_graph(m: int) -> Graph:
-    return Graph.from_edges(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .graphs import (
     Graph,
     _reach,
     _rows_without,
-    _swap_class_ids,
     diameter,
     diameter_paths,
     pendant_pairs,
@@ -129,31 +128,29 @@ class ViolationReport:
 
 class _GraphFacts:
     """What the sweep, the checkers and the recognizer share about one
-    graph, each part made when first read: one diameter, one diameter
-    path, the rank of every matrix asked for, and whether the graph is
-    extremal.  The sweep
-    (``enumeration._evaluate_graph``) reads :attr:`extremal` for every
-    graph before the suites run, ``recognize`` reads the diameter,
-    rank A(G) and the path, and ``reduction-equivalence`` passes the
-    diameter to ``reduce`` and ranks the reduced graph as A(G) without
-    the deleted twins, so each of these facts is computed once per
-    labelled graph.
+    labelled graph, each part made when first read: one diameter, one
+    diameter path, the rank of every matrix asked for, and whether the
+    graph is extremal.  The sweep (``enumeration._evaluate_graph``) reads
+    :attr:`extremal` for every graph before the suites run, ``recognize``
+    reads the diameter, rank A(G) and the path, and
+    ``reduction-equivalence`` passes the diameter to ``reduce`` and ranks
+    the reduced graph as A(G) without the deleted twins, so each of these
+    facts is computed once per labelled graph.  A relabelled copy, such as
+    the sweep's canonical copy of an extremal graph, or a twin reduction
+    gets a table of its own.
 
     A rank is keyed by mu and the rows of G - drop, the graph left after
     deleting ``drop``.  Those fix the entries of A(G - drop) - mu*I, the
     principal submatrix of A - mu*I without ``drop``, so a matrix that
     several checkers or deletions ask for (A(G) itself, a twin's or a
     pendant's deletion that interlacing already ranked at mu = 0) is
-    eliminated once.  A single
-    deletion of ``v`` is keyed as that of the least vertex ``u`` whose
-    transposition with ``v`` is an automorphism (``_swap_class_ids``): it
-    maps G - u onto G - v, so both matrices have one rank, and the
-    deletions of a class of twins share one key whatever their labels.  A
-    key holds one integer per kept vertex rather than the matrix, and the
-    matrix is built from those integers only for a rank that neither the
-    table nor its bounds know (see :meth:`rank`).
-    ``nullity`` and the ``invariants`` command call ``rank_exact``
-    directly, so they stay an independent channel.
+    eliminated once.  Each deletion is keyed by its own rows: the
+    deletions of two twins give isomorphic graphs whose rows may differ,
+    and then they are ranked apart.  A key holds one integer per kept vertex
+    rather than the matrix, and the matrix is built from those integers
+    only for a rank that neither the table nor its bounds know (see
+    :meth:`rank`).  ``nullity`` and the ``invariants`` command call
+    ``rank_exact`` directly, so they stay an independent channel.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -192,8 +189,6 @@ class _GraphFacts:
           never zero.  For every other mu all n rows are distinct and
           nonzero, and the bound is n.
         """
-        if len(drop) == 1:
-            drop = (self.swap_classes[drop[0]],)
         rows = self._rows.get(drop)
         if rows is None:
             rows = self._rows[drop] = _rows_without(self.graph.rows, drop)
@@ -234,12 +229,6 @@ class _GraphFacts:
                 sliced = [(row, 0) for row in rows]
             r = self._gf3[key] = rank_gf3(sliced)
         return r
-
-    @_once
-    def swap_classes(self) -> list[int]:
-        """``_swap_class_ids`` of the graph, read by :meth:`rank` for a
-        single deletion."""
-        return _swap_class_ids(self.graph.rows)
 
     @_once
     def diameter(self) -> int:
@@ -297,31 +286,6 @@ def _facts(g: Graph) -> _GraphFacts:
     ``run_suite`` keeps its signature; the table never leaves this
     process."""
     return _GraphFacts(g)
-
-
-def _twin_reduced(g: Graph, d: int) -> Graph:
-    """The twin reduction of ``g``, with ``reduce``'s diameter in its table."""
-    red = reduce(g, d)
-    _facts(red.graph).diameter = red.reduced_diameter
-    return red.graph
-
-
-def _relabelled(g: Graph, h: Graph) -> Graph:
-    """``h``, a relabelling of ``g``, with the isomorphism invariants that
-    g's table holds in its own: the diameter, ``extremal`` and rank A(G).
-    The path, the deletion ranks and ``rank_open`` (whose BFS starts at
-    the first vertex of largest degree) depend on the labelling, so h's
-    table computes them afresh."""
-    known = _facts(g)
-    facts = _facts(h)
-    if facts is not known:
-        for name in ("diameter", "extremal"):
-            if name in vars(known):
-                setattr(facts, name, getattr(known, name))
-        rank = known._ranks.get((0, g.rows))
-        if rank is not None:
-            facts._ranks[0, h.rows] = rank
-    return h
 
 
 def check_interlacing(g: Graph) -> ViolationReport:
@@ -403,15 +367,21 @@ def check_pendant_deletion(g: Graph) -> ViolationReport:
     return report
 
 
-def _extremal_gate(g: Graph, report: ViolationReport) -> _GraphFacts | None:
-    """Hypothesis gate shared by the rank-bound and twin-extension sweeps:
-    the graph must be connected with eta = n - d - 1.  Returns the graph's
-    table when the gate passes, otherwise marks the report skipped."""
+def _connected_gate(g: Graph, report: ViolationReport) -> _GraphFacts | None:
+    """Hypothesis gate of every checker that reads a diameter: the graph
+    must be connected.  Returns the graph's table when the gate passes,
+    otherwise marks the report skipped."""
     if not g.is_connected():
         report.skipped = "graph is disconnected"
         return None
-    facts = _facts(g)
-    if not facts.extremal:
+    return _facts(g)
+
+
+def _extremal_gate(g: Graph, report: ViolationReport) -> _GraphFacts | None:
+    """Hypothesis gate shared by the rank-bound and twin-extension sweeps:
+    ``_connected_gate``, and then eta = n - d - 1."""
+    facts = _connected_gate(g, report)
+    if facts is not None and not facts.extremal:
         report.skipped = f"eta={g.n - facts.rank(0)} != n-d-1={g.n - facts.diameter - 1}"
         return None
     return facts
@@ -497,10 +467,9 @@ def check_reduction_equivalence(g: Graph) -> ViolationReport:
     if g.n < 2:
         report.skipped = "needs at least two vertices"
         return report
-    if not g.is_connected():
-        report.skipped = "graph is disconnected"
+    facts = _connected_gate(g, report)
+    if facts is None:
         return report
-    facts = _facts(g)
     red = reduce(g, facts.diameter)
     eta = g.n - facts.rank(0)
     eta_r = red.graph.n - facts.rank(0, *red.deleted)
@@ -535,10 +504,9 @@ def check_rank_lower_bound(g: Graph) -> ViolationReport:
     """Odd diameter forces rank(A(G)) >= d + 1; equality cases are flagged
     as odd-extremal in ``notes`` (they are not violations)."""
     report = ViolationReport(SUITE_RANK_LOWER_BOUND, g)
-    if not g.is_connected():
-        report.skipped = "graph is disconnected"
+    facts = _connected_gate(g, report)
+    if facts is None:
         return report
-    facts = _facts(g)
     d = facts.diameter
     if d % 2 == 0:
         report.skipped = "diameter is even"

@@ -45,14 +45,6 @@ class IntMatrix:
             if len(row) != len(self.entries):
                 raise ValueError("matrix must be square")
 
-    @classmethod
-    def _square(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        """Wrap ``entries`` that are square by construction, skipping the
-        shape check."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "entries", entries)
-        return m
-
     @property
     def order(self) -> int:
         return len(self.entries)
@@ -60,11 +52,6 @@ class IntMatrix:
 
 def adjacency_matrix(g: Graph) -> IntMatrix:
     return shifted_matrix(g.rows, 0)
-
-
-def shifted_adjacency(g: Graph, mu: int) -> IntMatrix:
-    """A(g) - mu*I as an exact integer matrix."""
-    return shifted_matrix(g.rows, mu)
 
 
 def shifted_matrix(rows: Sequence[int], mu: int) -> IntMatrix:
@@ -76,7 +63,7 @@ def shifted_matrix(rows: Sequence[int], mu: int) -> IntMatrix:
         row = [mask >> j & 1 for j in columns]
         row[i] -= mu
         entries.append(tuple(row))
-    return IntMatrix._square(tuple(entries))
+    return IntMatrix(tuple(entries))
 
 
 def rank_exact(m: IntMatrix) -> int:
@@ -111,38 +98,6 @@ def rank_exact(m: IntMatrix) -> int:
                 ai[j] = (ai[j] * piv - f * top[j]) // prev
             ai[col] = 0
         prev = piv
-        rank += 1
-    return rank
-
-
-def rank_mod_p(m: IntMatrix, p: int) -> int:
-    """Rank over GF(p) for an odd prime p.
-
-    Always at most the rational rank; equality holds unless p divides the
-    determinant of every maximal nonsingular minor, which makes this a
-    cheap independent witness for ``rank_exact``.
-    """
-    if p <= 2 or not _is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    n = m.order
-    a = [[x % p for x in row] for row in m.entries]
-    rank = 0
-    for col in range(n):
-        pivot_row = None
-        for r in range(rank, n):
-            if a[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        top = [x * inv % p for x in a[rank]]
-        a[rank] = top
-        for i in range(rank + 1, n):
-            f = a[i][col]
-            if f:
-                a[i] = [(x - f * t) % p for x, t in zip(a[i], top)]
         rank += 1
     return rank
 
@@ -206,19 +161,6 @@ def rank_gf3(rows: Iterable[tuple[int, int]]) -> int:
             t = (plus | m) ^ (minus | p)
             plus, minus = (minus | m) ^ t, (plus | p) ^ t
     return len(basis)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def nullity(g: Graph) -> int:

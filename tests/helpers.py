@@ -1,7 +1,7 @@
 """Independent oracles for the tests.
 
 Everything here is computed from first principles (plain Gaussian
-elimination over Fractions, GF(2) and GF(3), Leibniz determinants,
+elimination over Fractions, GF(2) and GF(p), Leibniz determinants,
 permutation search) so the package's production code paths are checked
 against genuinely different implementations, not against themselves.
 The exceptions keep a replaced algorithm as the reference for its
@@ -86,9 +86,16 @@ def gf2_rank(entries) -> int:
     return rank
 
 
-def gf3_rank(entries) -> int:
-    """Row reduction over GF(3) on lists of integer entries (no bitmasks)."""
-    a = [[x % 3 for x in row] for row in entries]
+def rank_mod_p(entries, p: int) -> int:
+    """Row reduction over GF(p), for an odd prime p, on lists of integer
+    entries (no bitmasks).
+
+    Always at most the rational rank; equality holds unless p divides the
+    determinant of every maximal nonsingular minor.
+    """
+    if p <= 2 or not _is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    a = [[x % p for x in row] for row in entries]
     if not a:
         return 0
     rows, cols = len(a), len(a[0])
@@ -98,14 +105,27 @@ def gf3_rank(entries) -> int:
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        inv = a[rank][col]  # 1 and 2 are their own inverses mod 3
-        a[rank] = [x * inv % 3 for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % 3 for x, y in zip(a[r], a[rank])]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for r in range(rank + 1, rows):
+            f = a[r][col]
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
         rank += 1
     return rank
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    if p % 2 == 0:
+        return p == 2
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def distinct_nonzero_rows(entries) -> int:
@@ -258,6 +278,18 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 def star_graph(m: int) -> Graph:
     """Star on ``m`` vertices with centre 0."""
     return Graph.from_edges(m, [(0, i) for i in range(1, m)])
+
+
+def cycle_graph(m: int) -> Graph:
+    """Cycle on ``m`` vertices, labelled around it."""
+    if m < 3:
+        raise ValueError("a cycle needs at least 3 vertices")
+    return Graph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+
+
+def complete_graph(m: int) -> Graph:
+    """K_m."""
+    return Graph.from_edges(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

@@ -15,7 +15,7 @@ from nulldiam import cli, families, graphs, lemmas
 from nulldiam.enumeration import SweepReport
 from nulldiam.graphs import _rows_without
 
-from helpers import distinct_nonzero_rows, gf2_rank, gf3_rank
+from helpers import distinct_nonzero_rows, gf2_rank, rank_mod_p
 from test_cli import subprocess_env
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -89,7 +89,7 @@ def test_traced_suites_eliminate_only_what_the_bounds_leave_open(tracing, tmp_pa
     open_ = 0
     for _graph, mu, rows in requested:
         entries = [[(r >> j & 1) - (mu if i == j else 0) for j in range(len(rows))] for i, r in enumerate(rows)]
-        open_ += max(gf2_rank(entries), gf3_rank(entries)) != distinct_nonzero_rows(entries)
+        open_ += max(gf2_rank(entries), rank_mod_p(entries, 3)) != distinct_nonzero_rows(entries)
     assert 0 < tracer.stats["linalg.rank_exact"].calls <= open_ < len(requested)
 
 

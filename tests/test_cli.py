@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from nulldiam import MAX_CENSUS_ORDER, MAX_VERTICES, Verdict, cli, enumeration, families, schemas, to_graph6
 from nulldiam.cli import main
 from nulldiam.enumeration import canonical_form
-from nulldiam.graphs import cycle_graph, path_graph
+from nulldiam.graphs import path_graph
+
+from helpers import cycle_graph
 
 RECORD_COMMANDS = ("invariants", "check", "reduce")
 
@@ -130,6 +132,22 @@ def test_seed_zero_corpus_invariants_match_the_golden_file():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == (root / "tests/data/seed-0.invariants.jsonl").read_bytes()
+
+
+def test_seed_zero_corpus_check_matches_the_golden_file():
+    # recorded before the sweep and the lemma table dropped their
+    # relabelling, twin-reduction and swap-class shortcuts.  Six records
+    # are twin blow-ups of family members, which the recognizer calls
+    # Mismatch, so the command exits 3
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "nulldiam", "check", "--input", str(root / "bench/corpus/seed-0.g6")],
+        capture_output=True,
+        env=subprocess_env(),
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == (root / "tests/data/seed-0.check.jsonl").read_bytes()
+    assert done.stdout.count(b'"verdict": "Mismatch"') == 6
 
 
 @pytest.mark.parametrize(

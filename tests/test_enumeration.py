@@ -22,9 +22,7 @@ from nulldiam import (
     adjacency_matrix,
     canonical_form,
     canonical_graph,
-    complete_graph,
     connected_graphs,
-    cycle_graph,
     diameter,
     ingest_graph6_stream,
     is_reduced,
@@ -55,6 +53,8 @@ from helpers import (
     augment_by_deletion_check,
     automorphism_count,
     complete_bipartite,
+    complete_graph,
+    cycle_graph,
     gf2_rank,
     is_cut_vertex,
     labeled_connected_count,

@@ -10,8 +10,6 @@ from nulldiam import (
     Graph,
     MAX_VERTICES,
     Verdict,
-    cycle_graph,
-    complete_graph,
     diameter,
     enumerate_family,
     generate_family,
@@ -27,7 +25,7 @@ from nulldiam import families
 from nulldiam.enumeration import canonical_form
 from nulldiam.families import _build_candidate
 
-from helpers import family_by_mask_walk, recognize_on_every_path
+from helpers import complete_graph, cycle_graph, family_by_mask_walk, recognize_on_every_path
 
 
 def build(d, b, singles=()):

@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,6 @@ from nulldiam import (
     Graph,
     Graph6Error,
     classify_outside,
-    complete_graph,
-    cycle_graph,
     diameter,
     diameter_paths,
     enumerate_family,
@@ -33,6 +32,8 @@ from nulldiam.graphs import _distances, _reach
 from helpers import (
     check_rows_by_edges,
     complete_bipartite,
+    complete_graph,
+    cycle_graph,
     is_cut_vertex,
     is_diameter_path_by_pairs,
     random_graph,
@@ -140,6 +141,19 @@ class TestGraphType:
             assert outcome(Graph, rows) == expected, rows
             seen.add(expected and expected[1].split(" ")[0])
         assert seen == {None, "at", "row", "self-loop", "asymmetric", "unsupported"}
+
+    def test_word_test_accepts_every_census_and_corpus_graph(self, census7):
+        # the constructor sends every rows that the word test rejects to
+        # the row-by-row checks, which accept a simple graph, so a word test
+        # that rejected every input would pass every constructor test: it
+        # must itself accept each class with n <= 7 and each seed-0 record
+        # (8 to 48 vertices, so rows of 8, 16, 32 and 64 bits)
+        corpus = Path(__file__).resolve().parent.parent / "bench/corpus/seed-0.g6"
+        graphs = [g for level in census7.values() for g in level]
+        graphs += [parse_graph6(line) for line in corpus.read_text().split()]
+        assert len(graphs) == 996 + 420
+        for g in graphs:
+            assert nulldiam.graphs._is_simple(g.rows), to_graph6(g)
 
     def test_is_hashable_value(self):
         assert path_graph(3) == path_graph(3)

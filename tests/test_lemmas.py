@@ -19,8 +19,6 @@ from nulldiam import (
     check_reduction_equivalence,
     check_twin_deletion,
     check_twin_extension,
-    complete_graph,
-    cycle_graph,
     diameter,
     diameter_paths,
     nullity,
@@ -37,7 +35,16 @@ from nulldiam import enumeration, lemmas
 from nulldiam.lemmas import ALL_SUITES, MAX_OUTSIDE_SWEEP
 from nulldiam.linalg import rank_gf2, rank_gf3
 
-from helpers import distinct_nonzero_rows, fraction_rank, gf2_rank, gf3_rank, relabel, star_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    distinct_nonzero_rows,
+    fraction_rank,
+    gf2_rank,
+    rank_mod_p,
+    relabel,
+    star_graph,
+)
 
 
 def p5_with_triple_anchor() -> Graph:
@@ -492,37 +499,41 @@ class TestSharedTable:
         # the diameter of a graph that is not extremal is computed once for
         # the graph and once for its twin reduction (a single vertex has no
         # reduction).  When its suites run again on its canonical copy,
-        # the copy's table starts with the diameter and only the copy's
-        # reduction takes one more; which graphs that is depends on the
-        # labelling the census built them in.  Neither the suites nor the
-        # recognizer take a nullity outside the table
+        # the copy's table takes its own diameter and the copy's reduction
+        # one more; which graphs that is depends on the labelling the
+        # census built them in.  Neither the suites nor the recognizer take
+        # a nullity outside the table
         diameters = count_calls(monkeypatch, diameter)
         nullities = count_calls(monkeypatch, nullity)
-        copies = count_calls(monkeypatch, lemmas._relabelled)
+        suite_runs = count_calls(monkeypatch, lemmas.run_suite)
         evaluate = enumeration._evaluate_graph
         per_graph = []
 
         def counting_evaluate(rows, suites):
-            before, copied = len(diameters), len(copies)
+            before, runs = len(diameters), len(suite_runs)
             rec = evaluate(rows, suites)
-            per_graph.append((rec, len(diameters) - before, len(copies) - copied))
+            reruns = (len(suite_runs) - runs) // len(ALL_SUITES) - 1
+            per_graph.append((rec, len(diameters) - before, reruns))
             return rec
 
         monkeypatch.setattr(enumeration, "_evaluate_graph", counting_evaluate)
         verify_theorem(1, 6, suites=ALL_SUITES)
         with_suites = len(nullities)
-        plain = [(rec["n"], calls, copied) for rec, calls, copied in per_graph if not rec["extremal"]]
+        plain = [(rec["n"], calls, reruns) for rec, calls, reruns in per_graph if not rec["extremal"]]
         assert len(plain) == 120
-        assert plain == [(n, 1 if n == 1 else 2 + copied, copied) for n, _, copied in plain]
-        assert sum(copied for _, _, copied in plain) == 1
+        assert plain == [(n, 1 if n == 1 else 2 + 2 * reruns, reruns) for n, _, reruns in plain]
+        assert sum(reruns for _, _, reruns in plain) == 1
         verify_theorem(1, 6)
         assert with_suites == len(nullities) == 0
 
     def test_sweep_without_suites_reads_d_only_where_it_is_open(self, monkeypatch):
         # with no suites a graph whose table decides extremality without its
         # diameter (the eccentricity certificate) gets no diameter, the
-        # others get one, and a non-reduced even extremal graph one more,
-        # for its twin reduction, which recognize takes from reduce
+        # others get one.  A reduced even extremal graph whose canonical
+        # copy has other rows gets one more, in the copy's table, which
+        # recognize reads.  A non-reduced even extremal graph gets two more:
+        # reduce takes its reduced graph's diameter, and recognize takes it
+        # again in the reduced graph's own table
         diameters = count_calls(monkeypatch, diameter)
         evaluate = enumeration._evaluate_graph
         calls, expected = [], []
@@ -531,42 +542,43 @@ class TestSharedTable:
             before = len(diameters)
             rec = evaluate(rows, suites)
             calls.append(len(diameters) - before)
-            facts = lemmas._GraphFacts(Graph(rows))
+            g = Graph(rows)
+            facts = lemmas._GraphFacts(g)
             assert facts.extremal == rec["extremal"]
-            unreduced_even = rec["extremal"] and not rec["reduced"] and not rec["odd_extremal"]
-            expected.append(("diameter" in vars(facts)) + unreduced_even)
+            even = rec["extremal"] and not rec["odd_extremal"]
+            relabelled = even and rec["reduced"] and canonical_graph(g) != g
+            expected.append(("diameter" in vars(facts)) + relabelled + 2 * (even and not rec["reduced"]))
             return rec
 
         monkeypatch.setattr(enumeration, "_evaluate_graph", counting_evaluate)
-        verify_theorem(1, 7)
+        verify_theorem(1, 8)
         assert calls == expected
-        assert 0 < sum(calls) < len(calls) // 2 and 2 in calls
+        assert 0 < sum(calls) < len(calls) // 2 and set(calls) == {0, 1, 2, 3}
 
     @pytest.mark.parametrize(
         "args, counts",
         [
-            # one GF(2) rank per table whose extremality is read: the 12,113
-            # classes and the twin reductions that recognize reads (a
-            # canonical copy's table takes extremality from the graph's).
-            # The exact rank A(G) reuses it as its lower bound, so with no
-            # suites no GF(2) rank is added, and 72 of the 565 open tables
-            # take rank A(G) from the bounds (K_1 among them: its one row
-            # is zero).  A GF(3) rank is read for each of the other 493,
-            # and settles 212 of them.  The suites add one GF(2) rank per
-            # distinct matrix mod 2 of a table, one GF(3) rank per
-            # distinct matrix mod 3 where the GF(2) rank falls short of
-            # the distinct nonzero rows, and eliminate only where the
-            # GF(3) rank falls short too.  The counts depend on the
-            # labelling the census builds the last level in: the
-            # eccentricity certificate's BFS starts at the first vertex of
-            # largest degree, and the suites run again on the canonical
-            # copy of a graph with a violation or a changed diameter.  The
-            # deletions of two swap-twins share one key, whatever their
-            # labels
-            ((1, 8), {"rank_gf2": 12_149, "rank_gf3": 493, "diameter": 1_425, "rank_exact": 281}),
+            # one GF(2) rank per table whose extremality or rank A(G) is
+            # read: the 12,113 classes, the 36 twin reductions that
+            # recognize reads, and the one canonical copy with other rows
+            # than its class that recognize reads.  The exact rank A(G)
+            # reuses it as its lower bound, so with no suites no GF(2) rank
+            # is added, and 72 of the 566 open tables take rank A(G) from
+            # the bounds (K_1 among them: its one row is zero).  A GF(3)
+            # rank is read for each of the other 494, and settles 212 of
+            # them.  The suites add one GF(2) rank per distinct matrix mod 2
+            # of a table, one GF(3) rank per distinct matrix mod 3 where the
+            # GF(2) rank falls short of the distinct nonzero rows, and
+            # eliminate only where the GF(3) rank falls short too.  The
+            # counts depend on the labelling the census builds the last
+            # level in: the eccentricity certificate's BFS starts at the
+            # first vertex of largest degree, and the suites run again on
+            # the canonical copy of a graph with a violation or a changed
+            # diameter.  Each deletion is keyed by its own rows
+            ((1, 8), {"rank_gf2": 12_150, "rank_gf3": 494, "diameter": 1_462, "rank_exact": 282}),
             (
                 (1, 7, ALL_SUITES),
-                {"rank_gf2": 13_913, "rank_gf3": 14_653, "diameter": 2_007, "rank_exact": 8_081},
+                {"rank_gf2": 14_181, "rank_gf3": 14_932, "diameter": 2_050, "rank_exact": 8_224},
             ),
         ],
         ids=["no-suites-n8", "all-suites-n7"],
@@ -615,29 +627,14 @@ class TestSharedTable:
         # a request is (mu, entries).  The oracle settles it when the larger
         # of the GF(2) and GF(3) ranks of its entries equals their number
         # of distinct nonzero rows; the table must eliminate each distinct
-        # request the oracle leaves open once and no settled one.  The empty matrix, the one
-        # matrix that two values of mu share, is settled at rank 0.  A
-        # single deletion is requested as that of the least vertex whose
-        # transposition with it is an automorphism, since G - u and G - v
-        # are then isomorphic and share one elimination
+        # request the oracle leaves open once and no settled one.  The empty
+        # matrix, the one matrix that two values of mu share, is settled at
+        # rank 0.  A deletion is requested under its own label
         requested, eliminated = [], []
         lookup = lemmas._GraphFacts.rank
-        swapped = 0
-
-        def swap_twin(g: Graph, v: int) -> int:
-            for u in range(g.n):
-                perm = list(range(g.n))
-                perm[u], perm[v] = v, u
-                if relabel(g, perm) == g:
-                    return u
 
         def recording_lookup(facts, mu, *drop):
-            nonlocal swapped
-            kept = drop
-            if len(drop) == 1:
-                kept = (swap_twin(facts.graph, drop[0]),)
-                swapped += kept != drop
-            entries = shifted_entries(facts.graph.without(*kept), mu)
+            entries = shifted_entries(facts.graph.without(*drop), mu)
             requested.append((mu, tuple(map(tuple, entries))))
             return lookup(facts, mu, *drop)
 
@@ -658,14 +655,14 @@ class TestSharedTable:
                 open_ = {
                     entries
                     for _mu, entries in distinct
-                    if max(gf2_rank(entries), gf3_rank(entries)) != distinct_nonzero_rows(entries)
+                    if max(gf2_rank(entries), rank_mod_p(entries, 3)) != distinct_nonzero_rows(entries)
                 }
                 assert len(eliminated) == len(open_), to_graph6(g)
                 assert set(eliminated) == open_, to_graph6(g)
                 shared += len(requested) - len(distinct)
                 settled += len(distinct) - len(open_)
                 opened += len(open_)
-        assert shared > 0 and settled > 0 and opened > 0 and swapped > 0
+        assert shared > 0 and settled > 0 and opened > 0
 
 
 @st.composite
@@ -748,7 +745,7 @@ class TestRankBounds:
             for mu in (-2, -1, 0, 1, 2):
                 entries = shifted_entries(g.without(*drop), mu)
                 rank = fraction_rank(entries)
-                assert max(gf2_rank(entries), gf3_rank(entries)) <= rank <= distinct_nonzero_rows(entries)
+                assert max(gf2_rank(entries), rank_mod_p(entries, 3)) <= rank <= distinct_nonzero_rows(entries)
                 assert facts.rank(mu, *drop) == rank, (to_graph6(g), mu, drop)
 
 

@@ -9,8 +9,6 @@ from nulldiam import (
     IntMatrix,
     adjacency_matrix,
     char_poly,
-    complete_graph,
-    cycle_graph,
     diameter,
     distinct_eigenvalue_count,
     enumerate_family,
@@ -18,8 +16,6 @@ from nulldiam import (
     nullity,
     path_graph,
     rank_exact,
-    rank_mod_p,
-    shifted_adjacency,
 )
 
 from nulldiam.graphs import _rows_without
@@ -28,10 +24,12 @@ from nulldiam.linalg import _Q, _coprime_mod_q, rank_gf2, rank_gf3, shifted_matr
 from helpers import (
     char_poly_leibniz,
     complete_bipartite,
+    complete_graph,
+    cycle_graph,
     fraction_rank,
     gf2_rank,
-    gf3_rank,
     random_graph,
+    rank_mod_p,
     root_multiplicity,
     star_graph,
 )
@@ -48,7 +46,7 @@ def mirrored(rows) -> list[list[int]]:
 
 def multiplicity(g: Graph, mu: int) -> int:
     """Multiplicity of the integer eigenvalue ``mu``: n - rank(A - mu*I)."""
-    return g.n - rank_exact(shifted_adjacency(g, mu))
+    return g.n - rank_exact(shifted_matrix(g.rows, mu))
 
 
 @st.composite
@@ -106,10 +104,8 @@ class TestIntMatrix:
         assert adjacency_matrix(complete_graph(1)).entries == ((0,),)
         assert adjacency_matrix(path_graph(3)).entries == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
 
-    def test_shifted_adjacency(self):
-        assert shifted_adjacency(complete_graph(2), -1).entries == ((1, 1), (1, 1))
-
     def test_shifted_matrix_examples(self):
+        assert shifted_matrix(complete_graph(2).rows, -1).entries == ((1, 1), (1, 1))
         assert shifted_matrix((), 2).entries == ()
         assert shifted_matrix((0,), 2).entries == ((-2,),)
         assert shifted_matrix((0b10, 0b01), 1).entries == ((-1, 1), (1, -1))
@@ -129,7 +125,7 @@ class TestIntMatrix:
         drop = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
         keep = [v for v in range(n) if v not in drop]
         sub = shifted_matrix(_rows_without(g.rows, drop), mu)
-        assert sub.entries == shifted_adjacency(g.induced(keep), mu).entries
+        assert sub.entries == shifted_matrix(g.induced(keep).rows, mu).entries
 
 
 class TestRank:
@@ -159,12 +155,12 @@ class TestRank:
         assert rank_exact(matrix(rows)) == fraction_rank(rows)
 
     def test_mod_p_examples(self):
-        assert rank_mod_p(adjacency_matrix(path_graph(4)), 65521) == 4
-        assert rank_mod_p(adjacency_matrix(cycle_graph(4)), 65521) == 2
-        assert rank_mod_p(matrix([[0] * 3] * 3), 7) == 0
+        assert rank_mod_p(adjacency_matrix(path_graph(4)).entries, 65521) == 4
+        assert rank_mod_p(adjacency_matrix(cycle_graph(4)).entries, 65521) == 2
+        assert rank_mod_p([[0] * 3] * 3, 7) == 0
 
     def test_mod_p_rejects_composites_and_two(self):
-        m = adjacency_matrix(path_graph(3))
+        m = adjacency_matrix(path_graph(3)).entries
         with pytest.raises(ValueError, match="prime"):
             rank_mod_p(m, 65520)
         with pytest.raises(ValueError, match="prime"):
@@ -172,12 +168,12 @@ class TestRank:
 
     def test_mod_p_never_exceeds_exact(self):
         m = matrix([[7, 0], [0, 7]])
-        assert rank_mod_p(m, 7) == 0 < rank_exact(m)
+        assert rank_mod_p(m.entries, 7) == 0 < rank_exact(m)
 
     def test_mod_p_matches_exact_on_census(self, census7):
         for g in census7[5]:
             m = adjacency_matrix(g)
-            assert rank_mod_p(m, 65521) == rank_exact(m) == fraction_rank(m.entries)
+            assert rank_mod_p(m.entries, 65521) == rank_exact(m) == fraction_rank(m.entries)
 
     def test_gf2_examples(self):
         assert rank_gf2(()) == 0
@@ -207,8 +203,8 @@ class TestRank:
         # has rational rank 2 and is J mod 3
         k3 = complete_graph(3)
         assert rank_gf2(k3.rows) == 2 < rank_gf3(bit_sliced(adjacency_matrix(k3).entries)) == 3
-        assert rank_gf3(bit_sliced(shifted_adjacency(k3, 2).entries)) == 1
-        assert rank_exact(shifted_adjacency(k3, 2)) == 2
+        assert rank_gf3(bit_sliced(shifted_matrix(k3.rows, 2).entries)) == 1
+        assert rank_exact(shifted_matrix(k3.rows, 2)) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -219,14 +215,14 @@ class TestRank:
     def test_gf3_matches_oracle_and_never_exceeds_exact(self, n, p, seed):
         g = random_graph(random.Random(seed), n, p)
         for mu in (-2, -1, 0, 1, 2):
-            m = shifted_adjacency(g, mu)
-            assert rank_gf3(bit_sliced(m.entries)) == gf3_rank(m.entries) <= rank_exact(m)
+            m = shifted_matrix(g.rows, mu)
+            assert rank_gf3(bit_sliced(m.entries)) == rank_mod_p(m.entries, 3) <= rank_exact(m)
 
     @settings(max_examples=200)
     @given(square_rows(max_n=8, entry=st.integers(min_value=-4, max_value=4)))
     def test_gf3_matches_oracle_on_general_matrices(self, rows):
         # any residues in any places, not only an adjacency matrix's
-        assert rank_gf3(bit_sliced(rows)) == gf3_rank(rows) <= fraction_rank(rows)
+        assert rank_gf3(bit_sliced(rows)) == rank_mod_p(rows, 3) <= fraction_rank(rows)
 
     def test_gf3_never_exceeds_fraction_rank_on_census(self, census7):
         # rank mod 3 <= rational rank at every mu the suites ask for; the
@@ -235,9 +231,9 @@ class TestRank:
         for n in range(1, 7):
             for g in census7[n]:
                 for mu in (-2, -1, 0, 1, 2):
-                    entries = shifted_adjacency(g, mu).entries
+                    entries = shifted_matrix(g.rows, mu).entries
                     gf3 = rank_gf3(bit_sliced(entries))
-                    assert gf3 == gf3_rank(entries) <= fraction_rank(entries)
+                    assert gf3 == rank_mod_p(entries, 3) <= fraction_rank(entries)
                     above_gf2 += gf3 > gf2_rank(entries)
                     below_gf2 += gf3 < gf2_rank(entries)
         assert above_gf2 > 0 and below_gf2 > 0

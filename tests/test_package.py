@@ -25,8 +25,6 @@ EXPORTS = {
         "Graph6Error",
         "ReductionResult",
         "classify_outside",
-        "complete_graph",
-        "cycle_graph",
         "diameter",
         "diameter_paths",
         "is_diameter_path",
@@ -45,8 +43,6 @@ EXPORTS = {
         "distinct_eigenvalue_count",
         "nullity",
         "rank_exact",
-        "rank_mod_p",
-        "shifted_adjacency",
     ),
     "lemmas": (
         "ALL_SUITES",
