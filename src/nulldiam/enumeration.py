@@ -685,11 +685,11 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
     ``_augment_parent``), and the recognition parameters, witness graph6
     and lemma witnesses depend on the labelling.  So an extremal graph is
     canonicalized before anything else reads it, and the suites run again
-    on the canonical copy of a graph whose reports carry a violation or a
-    changed diameter.  Everything else in the record is an isomorphism
-    invariant, including every suite's instance count: the two suites that
-    read a diameter path check only extremal graphs.  The canonical copy
-    and the twin reduction each build a table of their own.
+    on the canonical copy of any other graph whose reports carry a
+    violation or a changed diameter.  Everything else in the record is an
+    isomorphism invariant, including every suite's instance count: the two
+    suites that read a diameter path check only extremal graphs.  The
+    canonical copy and the twin reduction each build a table of their own.
     """
     g = Graph(rows)
     reduced = is_reduced(g)
@@ -712,7 +712,9 @@ def _evaluate_graph(rows: tuple[int, ...], suites: tuple[str, ...]) -> dict:
     }
     if suites:
         reports = {name: lemmas.run_suite(name, g) for name in suites}
-        if any(lr.violations or lr.notes.get("diameter", {}).get("changed") for lr in reports.values()):
+        # an extremal g is canonical already
+        changed = (lr.violations or lr.notes.get("diameter", {}).get("changed") for lr in reports.values())
+        if not facts.extremal and any(changed):
             canon = canonical_graph(g)
             if canon != g:
                 reports = {name: lemmas.run_suite(name, canon) for name in suites}
