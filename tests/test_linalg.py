@@ -104,8 +104,10 @@ class TestIntMatrix:
         assert adjacency_matrix(complete_graph(1)).entries == ((0,),)
         assert adjacency_matrix(path_graph(3)).entries == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
 
-    def test_shifted_matrix_examples(self):
+    def test_shifted_adjacency(self):
         assert shifted_matrix(complete_graph(2).rows, -1).entries == ((1, 1), (1, 1))
+
+    def test_shifted_matrix_examples(self):
         assert shifted_matrix((), 2).entries == ()
         assert shifted_matrix((0,), 2).entries == ((-2,),)
         assert shifted_matrix((0b10, 0b01), 1).entries == ((-1, 1), (1, -1))
