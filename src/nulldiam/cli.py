@@ -18,14 +18,16 @@ module loads the graph, linear-algebra and stream modules, ``check`` (at
 its first record) and ``gen`` add the recognizer
 (:mod:`nulldiam.families`, which brings :mod:`nulldiam.lemmas`), and
 ``verify`` adds the census (:mod:`nulldiam.enumeration`).  Imported as a
-module, it loads all of them at once.
+module, it loads all of them at once.  Of the standard library's larger
+modules, no command loads :mod:`dataclasses` or :mod:`inspect`, and only
+``verify`` loads :mod:`logging`, for its progress lines, unless
+``NULLITY_LOG`` names a level other than WARNING.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import stat
 import sys
@@ -44,14 +46,18 @@ if __name__ != "__main__":
     # loaded, then replays commands through main().
     from . import enumeration  # noqa: F401  (brings families and lemmas)
 
-log = logging.getLogger("nulldiam")
-
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
 JOBS_HELP = "worker processes, at least 1; at most the CPU count are started"
+
+#: The level names ``NULLITY_LOG`` accepts, in any case: :mod:`logging`'s.
+#: At the default, WARNING, nothing in the package logs, so the record
+#: commands start without importing :mod:`logging` (only an internal
+#: error then imports it, to log its traceback).
+_LOG_LEVELS = ("CRITICAL", "FATAL", "ERROR", "WARN", "WARNING", "INFO", "DEBUG", "NOTSET")
 
 
 def _dump(obj: dict) -> str:
@@ -379,16 +385,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log(level: str):
+    """The ``nulldiam`` logger, with logging configured at ``level`` to
+    stderr unless it already is."""
+    import logging
+
+    logging.basicConfig(level=level)
+    return logging.getLogger("nulldiam")
+
+
 def main(argv: list[str] | None = None) -> int:
     if sys.stderr is None:
         # a closed stderr drops diagnostics: ``print(file=None)`` and
         # argparse's usage line would put them on stdout instead
         sys.stderr = open(os.devnull, "w", encoding="utf-8")
     parser = build_parser()
-    level = os.environ.get("NULLITY_LOG", "WARNING")
-    if not isinstance(logging.getLevelName(level.upper()), int):
-        parser.error(f"environment variable NULLITY_LOG: unknown log level {level!r}")
-    logging.basicConfig(level=level.upper())
+    name = os.environ.get("NULLITY_LOG", "WARNING")
+    level = name.upper()
+    if level not in _LOG_LEVELS:
+        parser.error(f"environment variable NULLITY_LOG: unknown log level {name!r}")
+    if level != "WARNING":
+        _log(level)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
@@ -397,8 +414,8 @@ def main(argv: list[str] | None = None) -> int:
     except _CannotUse as exc:
         _diagnose(str(exc))
         return EXIT_INPUT
-    except Exception:  # pragma: no cover - defensive catch-all for exit code 1
-        log.exception("internal error")
+    except Exception:  # defensive catch-all for exit code 1
+        _log(level).exception("internal error")
         return EXIT_INTERNAL
 
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -617,20 +616,26 @@ def connected_graphs(n: int, jobs: int = 1) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SweepTotals:
-    connected: int = 0
-    reduced: int = 0
-    extremal: int = 0
-    odd_extremal: int = 0
-    even_extremal: int = 0
-    recognized: int = 0
+    """How many graphs of one order the sweep counted in each class."""
+
+    def __init__(self) -> None:
+        self.connected = 0
+        self.reduced = 0
+        self.extremal = 0
+        self.odd_extremal = 0
+        self.even_extremal = 0
+        self.recognized = 0
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
-@dataclass
 class SweepReport:
     """Aggregated outcome of an exhaustive verification run.
 
@@ -642,18 +647,25 @@ class SweepReport:
     always decides, and the key stays for readers of the report.  Lemma
     summaries aggregate the per-graph checker reports for the selected
     suites.  Timing fields are informational and excluded from
-    reproducibility comparisons.
+    reproducibility comparisons.  Two reports are equal when every field,
+    timings included, is.
     """
 
-    n_min: int
-    n_max: int
-    suites: tuple[str, ...]
-    per_n: dict[int, SweepTotals] = field(default_factory=dict)
-    mismatches: list[str] = field(default_factory=list)
-    recognized: list[dict] = field(default_factory=list)
-    unreduced_failures: list[str] = field(default_factory=list)
-    lemma_summaries: dict[str, dict] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
+    def __init__(self, n_min: int, n_max: int, suites: tuple[str, ...]) -> None:
+        self.n_min = n_min
+        self.n_max = n_max
+        self.suites = suites
+        self.per_n: dict[int, SweepTotals] = {}
+        self.mismatches: list[str] = []
+        self.recognized: list[dict] = []
+        self.unreduced_failures: list[str] = []
+        self.lemma_summaries: dict[str, dict] = {}
+        self.timings: dict[str, float] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
     def to_dict(self) -> dict:
         return {

@@ -38,9 +38,8 @@ of them against :func:`generate_family`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import (
     MAX_VERTICES,
@@ -59,8 +58,7 @@ class FamilyParamError(ValueError):
     validation rejection of a structurally well-formed candidate)."""
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """Parameters of one even-diameter extremal candidate.
 
     ``triple_index`` is the b of the three-anchor vertex (anchors at path
@@ -94,8 +92,7 @@ class FamilyParams:
         return {"b": self.triple_index, "A": sorted(self.single_indices)}
 
 
-@dataclass(frozen=True)
-class FamilyRejection:
+class FamilyRejection(NamedTuple):
     """A structurally valid parameter choice that failed post-validation."""
 
     params: FamilyParams
@@ -203,8 +200,7 @@ class Verdict(enum.Enum):
     MISMATCH = "Mismatch"
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
+class RecognitionResult(NamedTuple):
     """Structural verdict for one connected graph.
 
     ``EVEN_EXTREMAL`` carries parameters that regenerate a graph

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
 
@@ -138,7 +137,6 @@ def _raise_first_defect(rows: tuple[int, ...]) -> None:
                 raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
 
-@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
@@ -147,16 +145,48 @@ class Graph:
     always simple graphs.  It tests the whole matrix at once
     (``_is_simple``), and only rows that fail are walked row by row and
     edge by edge (``_raise_first_defect``) for the error to raise.
+
+    A graph is an immutable value: it equals another ``Graph`` with the
+    same rows (and nothing else), hashes by its rows, and unpickles
+    through the constructor, so a graph from a worker process is checked
+    again.
     """
 
+    __slots__ = ("rows",)
     rows: tuple[int, ...]
 
+    def __init__(self, rows: tuple[int, ...]) -> None:
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
+        # the validation, a method of its own so that a caller can time
+        # every construction by wrapping it (bench/tracing.py does)
         n = len(self.rows)
         if n > MAX_VERTICES:
             raise ValueError(f"at most {MAX_VERTICES} vertices supported, got {n}")
         if not _is_simple(self.rows):
             _raise_first_defect(self.rows)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"Graph(rows={self.rows!r})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.rows,)
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
@@ -456,8 +486,7 @@ def is_reduced(g: Graph) -> bool:
     return len(set(g.rows)) == g.n
 
 
-@dataclass(frozen=True, slots=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """The twin-reduced graph, the vertices of ``g`` deleted to reach it
     (ascending), and both diameters.
 

@@ -20,9 +20,8 @@ Two of them are expected to surface findings rather than stay empty:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graphs import (
     Graph,
@@ -68,8 +67,7 @@ class _once:
         return value
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     lemma: str
     graph6: str
     witness: dict
@@ -78,27 +76,36 @@ class Violation:
     severity: str = "violation"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
 class ViolationReport:
-    """Outcome of one checker on one graph.
+    """Outcome of one checker on one graph, which the checker fills in.
 
     ``ok`` is true exactly when no checked instance violated the property.
     ``skipped`` carries the reason when the checker's hypothesis gate was
     not met (skipping is not a violation); ``truncated`` marks a capped
     subset sweep.  ``notes`` holds checker-specific side data such as the
-    pendant checker's weak-form bookkeeping.
+    pendant checker's weak-form bookkeeping.  Two reports are equal when
+    all of these and the lemma and graph are.
     """
 
-    lemma: str
-    graph: Graph
-    checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
-    skipped: str | None = None
-    truncated: bool = False
-    notes: dict = field(default_factory=dict)
+    def __init__(self, lemma: str, graph: Graph) -> None:
+        self.lemma = lemma
+        self.graph = graph
+        self.checked = 0
+        self.violations: list[Violation] = []
+        self.skipped: str | None = None
+        self.truncated = False
+        self.notes: dict = {}
+
+    def _fields(self) -> tuple:
+        return (self.lemma, self.graph, self.checked, self.violations, self.skipped, self.truncated, self.notes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
 
     @property
     def ok(self) -> bool:

@@ -27,23 +27,23 @@ command stay Bareiss-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Sequence
 
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Square matrix of Python ints (adjacency matrices and their shifts)."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        for row in self.entries:
-            if len(row) != len(self.entries):
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        for row in entries:
+            if len(row) != len(entries):
                 raise ValueError("matrix must be square")
+        self.entries = entries
 
     @property
     def order(self) -> int:

@@ -9,11 +9,9 @@ recognizer to do it.
 from __future__ import annotations
 
 import os
-import string
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .graphs import Graph, Graph6Error, parse_graph6
 
@@ -47,14 +45,18 @@ def ordered_map(jobs: int) -> Iterator[Callable]:
         yield pool_map
 
 
-@dataclass(frozen=True)
-class ParsedRecord:
+class ParsedRecord(NamedTuple):
     """One input line: either a graph or a parse error, never both."""
 
     line_no: int
     text: str
     graph: Graph | None
     error: str | None
+
+
+#: ``string.whitespace``, written out so that reading records does not
+#: import :mod:`string`.
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 
 
 def ingest_graph6_stream(source: IO[str] | Iterable[str]) -> Iterator[ParsedRecord]:
@@ -69,7 +71,7 @@ def ingest_graph6_stream(source: IO[str] | Iterable[str]) -> Iterator[ParsedReco
     for line_no, raw in enumerate(source, start=1):
         if line_no == 1:
             raw = raw.removeprefix(">>graph6<<")
-        text = raw.strip(string.whitespace)
+        text = raw.strip(_ASCII_WHITESPACE)
         if not text:
             continue
         try:

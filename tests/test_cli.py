@@ -2,6 +2,7 @@ import argparse
 import errno
 import io
 import json
+import logging
 import multiprocessing
 import os
 import re
@@ -706,19 +707,25 @@ class TestImports:
     """Each command imports only the modules it runs, in a fresh
     interpreter that runs ``nulldiam.cli`` as ``__main__``, as ``python -m
     nulldiam.cli`` does, or ``nulldiam``'s ``__main__``, as ``python -m
-    nulldiam`` and the ``nulldiam`` script do."""
+    nulldiam`` and the ``nulldiam`` script do.  Of the standard library's
+    costlier modules (``STDLIB``), no command imports ``dataclasses`` or
+    ``inspect``, and only ``verify`` imports ``logging``."""
 
     BASE = {"nulldiam", "nulldiam.graphs", "nulldiam.linalg", "nulldiam.stream"}
     RECOGNIZER = {"nulldiam.families", "nulldiam.lemmas"}
+    STDLIB = ("dataclasses", "inspect", "logging")
 
-    @staticmethod
-    def loaded(program: str, *argv: str) -> set:
+    @classmethod
+    def loaded(cls, program: str, *argv: str) -> set:
+        """The nulldiam modules and the ``STDLIB`` modules loaded after
+        ``argv`` ran on one K_2 line."""
         script = (
             "import runpy, sys\n"
             "try:\n"
             f"    runpy.run_module({program!r}, run_name='__main__', alter_sys=True)\n"
             "finally:\n"
-            "    print(*(m for m in sys.modules if m.split('.')[0] == 'nulldiam'), file=sys.stderr)\n"
+            "    print(*(m for m in sys.modules\n"
+            f"            if m.split('.')[0] == 'nulldiam' or m in {cls.STDLIB!r}), file=sys.stderr)\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script, *argv],
@@ -739,7 +746,7 @@ class TestImports:
             (("--help",), set()),
             (("check",), RECOGNIZER),
             (("gen", "--d", "4"), RECOGNIZER),
-            (("verify", "--n", "1", "--suites", ""), RECOGNIZER | {"nulldiam.enumeration"}),
+            (("verify", "--n", "1", "--suites", ""), RECOGNIZER | {"nulldiam.enumeration", "logging"}),
         ],
         ids=["invariants", "reduce", "help", "check", "gen", "verify"],
     )
@@ -831,3 +838,35 @@ def test_unknown_log_level_is_usage_error(capsys, monkeypatch, g6_file):
     # a known level is accepted in any case
     monkeypatch.setenv("NULLITY_LOG", "warning")
     assert run(capsys, "invariants", "--input", path)[0] == 0
+
+
+def test_known_log_levels_are_loggings_level_names():
+    # ``main`` checks NULLITY_LOG without importing logging
+    assert sorted(cli._LOG_LEVELS) == sorted(logging._nameToLevel)
+
+
+def test_internal_error_exits_1_with_the_traceback_on_stderr(g6_file):
+    # an answer that raises is an internal error, logged at the default
+    # level, which imports and configures logging only then
+    script = (
+        "import sys\n"
+        "from nulldiam import cli\n"
+        "def fail(args, record):\n"
+        "    raise RuntimeError('no answer')\n"
+        "cli._answer_invariants = fail\n"
+        "sys.exit(cli.main())\n"
+    )
+    env = subprocess_env()
+    env.pop("NULLITY_LOG", None)
+    done = subprocess.run(
+        [sys.executable, "-c", script, "invariants", "--input", g6_file("A_")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert lines[:2] == ["ERROR:nulldiam:internal error", "Traceback (most recent call last):"]
+    assert lines[-1] == "RuntimeError: no answer"

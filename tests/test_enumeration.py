@@ -1,11 +1,12 @@
 import collections
-import dataclasses
 import io
 import itertools
 import logging
 import os
+import pickle
 import random
 import re
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -451,6 +452,18 @@ class TestIngest:
     def test_empty_stream(self):
         assert list(ingest_graph6_stream(io.StringIO(""))) == []
 
+    def test_only_ascii_whitespace_is_stripped(self):
+        [record] = ingest_graph6_stream([string.whitespace + "A_" + string.whitespace])
+        assert record.text == "A_" and record.error is None
+        [record] = ingest_graph6_stream(["\xa0A_\x1c"])
+        assert record.text == "\xa0A_\x1c" and record.error.startswith("charset:")
+
+    def test_records_compare_equal_after_a_pickle_round_trip(self):
+        # ordered_map sends the records to its pool workers pickled
+        records = list(ingest_graph6_stream(io.StringIO("A_\nA\x05\nC~\n")))
+        assert [r.error is None for r in records] == [True, False, True]
+        assert pickle.loads(pickle.dumps(records)) == records
+
     def test_file_header_is_removed_from_line_one_only(self):
         headed = list(ingest_graph6_stream(io.StringIO(">>graph6<<A_\n>>graph6<<A_\n")))
         assert headed[0] == next(ingest_graph6_stream(io.StringIO("A_\n")))
@@ -537,7 +550,7 @@ class TestVerifyTheorem:
         def rejecting(g):
             result = real(g)
             if result.verdict is Verdict.EVEN_EXTREMAL:
-                return dataclasses.replace(result, verdict=Verdict.MISMATCH)
+                return result._replace(verdict=Verdict.MISMATCH)
             return result
 
         def even_extremal(g):

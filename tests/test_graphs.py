@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from itertools import permutations
 from pathlib import Path
@@ -157,7 +158,35 @@ class TestGraphType:
 
     def test_is_hashable_value(self):
         assert path_graph(3) == path_graph(3)
+        assert hash(path_graph(3)) == hash(path_graph(3))
         assert len({path_graph(3), path_graph(3), cycle_graph(3)}) == 2
+        # a graph equals graphs only, never its bare rows
+        assert path_graph(3) != path_graph(3).rows
+        assert path_graph(3).rows != path_graph(3)
+        assert len({path_graph(3), path_graph(3).rows}) == 2
+
+    def test_is_immutable(self):
+        g = path_graph(3)
+        with pytest.raises(AttributeError):
+            g.rows = (0, 0, 0)
+        with pytest.raises(AttributeError):
+            del g.rows
+        with pytest.raises(AttributeError):
+            g.label = "P3"
+        assert g == path_graph(3)
+
+    def test_pickles_through_the_validating_constructor(self):
+        for g in (Graph(()), path_graph(3), cycle_graph(64)):
+            back = pickle.loads(pickle.dumps(g))
+            assert back == g and back is not g and hash(back) == hash(g)
+
+        class Smuggled:
+            # unpickles as a Graph with asymmetric rows
+            def __reduce__(self):
+                return Graph, ((2, 0),)
+
+        with pytest.raises(ValueError, match="asymmetric"):
+            pickle.loads(pickle.dumps(Smuggled()))
 
     def test_with_vertex_and_induced(self):
         g = path_graph(3).with_vertex(0b101)

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import sys
 from itertools import combinations
@@ -218,6 +219,16 @@ class TestReports:
         }
         [violation] = payload["violations"]
         assert set(violation) == {"lemma", "graph6", "witness", "expected", "observed", "severity"}
+
+    def test_reports_compare_equal_after_a_pickle_round_trip(self):
+        # the sweep's pool workers send their reports back pickled
+        # (one of them carries a violation)
+        for name in ALL_SUITES:
+            report = run_suite(name, cycle_graph(4))
+            assert report.graph6 == "Cl"  # the encoding, once read, is kept but is not compared
+            assert pickle.loads(pickle.dumps(report)) == report == run_suite(name, cycle_graph(4))
+        assert check_reduction_equivalence(cycle_graph(4)).violations
+        assert check_reduction_equivalence(cycle_graph(4)) != check_reduction_equivalence(cycle_graph(5))
 
     def test_run_suite_dispatch(self):
         assert run_suite("interlacing", path_graph(3)).lemma == "interlacing"
